@@ -1,126 +1,29 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: sparse Laplacian products, Healpix pooling, peak scans.
 
-The numba backend compiles the inner loops with ``@njit``; the numpy
-backend is pure vectorized numpy. Selection:
-
-* ``SPHDECON_DISABLE_NUMBA=1`` in the environment forces the numpy path.
-* If numba is not importable the numpy path is used silently.
-* Otherwise numba is used.
-
-Both backends are exercised by the test suite and compared by
-``benchmarks/bench_kernels.py``. All kernels are deterministic: parallel
-loops only ever write disjoint output rows, so results do not depend on
-thread scheduling.
+Plain numpy and scipy.sparse; every kernel is deterministic. Callers reach
+them through this module's attributes, so a profiler can wrap them there.
 """
 
-import contextlib
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("SPHDECON_DISABLE_NUMBA", "0") not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit, prange
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-
-def backend() -> str:
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def kernel_threads():
-    """Context for kernel-heavy sections.
-
-    With the numba backend active, BLAS threads only fight the prange
-    workers for cores (the matrices here are small), so BLAS is pinned to
-    one thread inside the context. The numpy backend keeps BLAS defaults.
-    """
-    if not NUMBA_ENABLED:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1, user_api="blas")
-
+import scipy.sparse as sp
 
 # ---------------------------------------------------------------------------
 # CSR sparse matrix times dense matrix: out[n, m] = sum_k A[n, k] X[k, m].
 # This is the inner loop of every graph convolution (forward and backward).
 
 
-def _csr_matmul_numpy(indptr, indices, data, x):
-    counts = np.diff(indptr)
-    # rows are never empty for our Laplacians (diagonal always present),
-    # so reduceat segment boundaries are strictly increasing
-    contrib = data[:, None] * x[indices]
-    return np.add.reduceat(contrib, indptr[:-1], axis=0) * (counts > 0)[:, None]
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _csr_matmul_numba(indptr, indices, data, x):
-        n = indptr.shape[0] - 1
-        m = x.shape[1]
-        out = np.zeros((n, m), dtype=np.float64)
-        for i in prange(n):
-            for jj in range(indptr[i], indptr[i + 1]):
-                a = data[jj]
-                col = indices[jj]
-                for k in range(m):
-                    out[i, k] += a * x[col, k]
-        return out
-
-
 def csr_matmul(indptr, indices, data, x):
-    """Multiply a CSR matrix by a dense (k, m) matrix."""
-    if x.ndim == 1:
-        return csr_matmul(indptr, indices, data, x[:, None])[:, 0]
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _csr_matmul_numba(indptr, indices, data, x)
-    return _csr_matmul_numpy(indptr, indices, data, x)
+    """Multiply a CSR matrix by a dense (k, m) matrix or a length-k vector.
+
+    Each output row sums its terms in stored order, which is column order
+    for the sorted Laplacians of ``autodiff.scaled_laplacian``.
+    """
+    a = sp.csr_array((data, indices, indptr), shape=(len(indptr) - 1, x.shape[0]))
+    return a @ x
 
 
 # ---------------------------------------------------------------------------
 # Healpix max pooling over groups of 4 NESTED children.
-
-
-def _maxpool4_numpy(x):
-    g = x.reshape(x.shape[0], -1, 4)
-    arg = np.argmax(g, axis=2)  # first max wins: lowest child index
-    out = np.take_along_axis(g, arg[:, :, None], axis=2)[:, :, 0]
-    return out, arg.astype(np.int64)
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _maxpool4_numba(x):
-        rows, nf = x.shape
-        nc = nf // 4
-        out = np.empty((rows, nc), dtype=np.float64)
-        arg = np.empty((rows, nc), dtype=np.int64)
-        for r in prange(rows):
-            for c in range(nc):
-                best = x[r, 4 * c]
-                bi = 0
-                for j in range(1, 4):
-                    v = x[r, 4 * c + j]
-                    if v > best:
-                        best = v
-                        bi = j
-                out[r, c] = best
-                arg[r, c] = bi
-        return out, arg
 
 
 def maxpool4(x):
@@ -130,10 +33,10 @@ def maxpool4(x):
     where argmax holds the winning offset 0..3 inside each block; ties
     resolve to the lowest index.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _maxpool4_numba(x)
-    return _maxpool4_numpy(x)
+    g = np.ascontiguousarray(x, dtype=np.float64).reshape(x.shape[0], -1, 4)
+    arg = np.argmax(g, axis=2)  # first max wins: lowest child index
+    out = np.take_along_axis(g, arg[:, :, None], axis=2)[:, :, 0]
+    return out, arg.astype(np.int64)
 
 
 def maxpool4_backward(grad_out, arg, n_fine):
@@ -158,35 +61,6 @@ def unpool4_backward(grad_out):
 # Strict local maxima over a padded neighbor table (peak detection).
 
 
-def _local_maxima_numpy(values, nbrs):
-    lo = np.concatenate([values, [-np.inf]])
-    hi = np.concatenate([values, [np.inf]])
-    return (values >= lo[nbrs].max(axis=1)) & (values > hi[nbrs].min(axis=1))
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _local_maxima_numba(values, nbrs):
-        n = values.shape[0]
-        out = np.zeros(n, dtype=np.bool_)
-        for i in prange(n):
-            v = values[i]
-            all_leq = True
-            any_less = False
-            for j in range(nbrs.shape[1]):
-                k = nbrs[i, j]
-                if k < 0:
-                    continue
-                if values[k] > v:
-                    all_leq = False
-                    break
-                if values[k] < v:
-                    any_less = True
-            out[i] = all_leq and any_less
-        return out
-
-
 def local_maxima(values, nbrs):
     """Local-maximum candidates: >= every neighbor and > at least one.
 
@@ -196,6 +70,6 @@ def local_maxima(values, nbrs):
     nbrs is (n, max_deg) with -1 padding for missing neighbors.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _local_maxima_numba(values, nbrs)
-    return _local_maxima_numpy(values, nbrs)
+    lo = np.concatenate([values, [-np.inf]])
+    hi = np.concatenate([values, [np.inf]])
+    return (values >= lo[nbrs].max(axis=1)) & (values > hi[nbrs].min(axis=1))

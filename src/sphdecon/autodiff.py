@@ -8,7 +8,7 @@ what the spherical deconvolution network needs; there is no general
 broadcasting.
 
 Hot inner loops (sparse Laplacian products, pooling) go through the
-kernels module, which selects the numba or numpy backend.
+kernels module (numpy and scipy.sparse).
 """
 
 from dataclasses import dataclass

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from . import autodiff as ad
 from . import classical_csd as ccsd
 from . import harmonics as sh
@@ -328,11 +327,6 @@ def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
 def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
           rfs: dict, csd_config=None) -> TrainResult:
     """Optimize the model on one dataset; deterministic for a fixed seed."""
-    with _kernels.kernel_threads():
-        return _train(model, train_batch, val_batch, rfs, csd_config)
-
-
-def _train(model, train_batch, val_batch, rfs, csd_config):
     config = model.config
     ctx = LossContext(model, train_batch.gradients, rfs)
     x_train, t_train = network_inputs(model, train_batch, rfs, csd_config)
@@ -391,9 +385,8 @@ def infer(model: EsdModel, batch: sm.VoxelBatch, rfs=None, csd_config=None) -> c
     """Eval-mode deconvolution of a batch; returns fODF coefficients."""
     x, _ = network_inputs(model, batch, rfs, csd_config)
     fields = []
-    with _kernels.kernel_threads():
-        for lo in range(0, x.shape[0], 512):
-            out = model.forward(None, ad.Tensor(x[lo : lo + 512]), training=False)
-            fields.append(out.values)
+    for lo in range(0, x.shape[0], 512):
+        out = model.forward(None, ad.Tensor(x[lo : lo + 512]), training=False)
+        fields.append(out.values)
     outputs = np.concatenate(fields, axis=0)
     return heads_to_fodf(outputs, model.grids[0], model.config.fodf_degree)

@@ -587,7 +587,7 @@ def cmd_evaluate(args):
         summary["kl"] = pm.volume_fraction_kl(gt.tissue_fractions, field, rfs)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(summary, fh, sort_keys=True)
+            json.dump(summary, fh, sort_keys=True, allow_nan=False)
             fh.write("\n")
     if args.per_voxel:
         with open(args.per_voxel, "w") as fh:
@@ -600,13 +600,14 @@ def cmd_evaluate(args):
         n_grad = min(gt.gradients.n(b) for b in gt.gradients.shells)
         with open(os.path.join(args.emit_plots, "scores.csv"), "w") as fh:
             fh.write("n_gradients,success_rate,mean_angular_error_deg,over,under,kl\n")
+            angle = summary["mean_angular_error_deg"]
+            angle = "" if angle is None else f"{angle:.6f}"
             kl = "" if summary["kl"] is None else f"{summary['kl']:.6f}"
             fh.write(
-                f"{n_grad},{summary['success_rate']:.6f},"
-                f"{summary['mean_angular_error_deg']:.6f},"
+                f"{n_grad},{summary['success_rate']:.6f},{angle},"
                 f"{summary['over']:.6f},{summary['under']:.6f},{kl}\n"
             )
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return 0
 
 

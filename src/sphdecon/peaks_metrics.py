@@ -182,13 +182,16 @@ def match_fibers(gt_directions, pred: PeakSet, cone_deg: float = 25.0) -> VoxelS
 
 
 def aggregate_scores(scores) -> dict:
-    """Pool per-voxel scores into the summary record."""
+    """Pool per-voxel scores into the summary record.
+
+    The mean angular error is None when no fiber was matched.
+    """
     if not scores:
         raise InvalidArgumentError("no voxel scores to aggregate")
     pair_angles = [angle for s in scores for (_, _, angle) in s.matched]
     return {
         "success_rate": float(np.mean([s.success for s in scores])),
-        "mean_angular_error_deg": float(np.mean(pair_angles)) if pair_angles else float("nan"),
+        "mean_angular_error_deg": float(np.mean(pair_angles)) if pair_angles else None,
         "over": float(np.mean([s.n_over for s in scores])),
         "under": float(np.mean([s.n_under for s in scores])),
     }

@@ -261,6 +261,27 @@ class TestCliPipeline:
         assert lines[0].startswith("n_gradients,success_rate")
         assert lines[1].startswith("16,1.0")
 
+    def test_evaluate_nothing_matched_is_strict_json(self, sim_dir, tmp_path, capsys):
+        data = sim_dir / "data"
+        n = io_cli.read_dataset(data / "test.sdv").n_voxels
+        peaks_file = tmp_path / "empty.peaks"
+        io_cli.write_peaks(peaks_file, [pm.PeakSet(np.zeros((0, 3)), np.zeros(0))] * n)
+        out = tmp_path / "summary.json"
+        capsys.readouterr()
+        assert run_cli("evaluate", "--peaks", str(peaks_file),
+                       "--dataset", str(data / "test.sdv"), "--out", str(out),
+                       "--emit-plots", str(tmp_path / "plots")) == 0
+
+        def strict(text):
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}"))
+
+        printed = strict(capsys.readouterr().out.strip().split("\n")[-1])
+        assert printed["mean_angular_error_deg"] is None
+        assert printed["success_rate"] == 0.0
+        assert strict(out.read_text()) == printed
+        row = (tmp_path / "plots" / "scores.csv").read_text().strip().split("\n")[1]
+        assert row.split(",")[2] == ""
+
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),
                        "--response", str(tmp_path / "nope.rf"),
