@@ -27,34 +27,15 @@ def csr_matmul(indptr, indices, data, x):
 
 
 def maxpool4(x):
-    """Max over each block of 4 consecutive fine vertices.
+    """Max over each block of 4 consecutive rows (fine vertices).
 
-    x is (rows, n_fine) with n_fine divisible by 4. Returns (out, argmax)
-    where argmax holds the winning offset 0..3 inside each block; ties
-    resolve to the lowest index.
+    x is (n_fine, cols) with n_fine divisible by 4. Returns (out, argmax),
+    both (n_fine / 4, cols), where argmax holds the winning offset 0..3
+    inside each block; ties resolve to the lowest index.
     """
-    g = np.ascontiguousarray(x, dtype=np.float64).reshape(x.shape[0], -1, 4)
-    arg = np.argmax(g, axis=2)  # first max wins: lowest child index
-    out = np.take_along_axis(g, arg[:, :, None], axis=2)[:, :, 0]
-    return out, arg.astype(np.int64)
-
-
-def maxpool4_backward(grad_out, arg, n_fine):
-    """Route coarse gradients to the argmax child of each block."""
-    rows = grad_out.shape[0]
-    gx = np.zeros((rows, n_fine // 4, 4), dtype=np.float64)
-    np.put_along_axis(gx, arg[:, :, None], grad_out[:, :, None], axis=2)
-    return gx.reshape(rows, n_fine)
-
-
-def unpool4(x):
-    """Copy each coarse value to its 4 NESTED children."""
-    return np.repeat(x, 4, axis=-1)
-
-
-def unpool4_backward(grad_out):
-    """Sum child gradients back onto each coarse vertex."""
-    return grad_out.reshape(grad_out.shape[0], -1, 4).sum(axis=2)
+    g = x.reshape(-1, 4, x.shape[1])
+    arg = np.argmax(g, axis=1)  # first max wins: lowest child index
+    return np.take_along_axis(g, arg[:, None], axis=1)[:, 0], arg
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ computation without recording (inference mode). The op set is exactly
 what the spherical deconvolution network needs; there is no general
 broadcasting.
 
-Hot inner loops (sparse Laplacian products, pooling) go through the
-kernels module (numpy and scipy.sparse).
+Network activations are (N, V, C): vertex, voxel, channel. Hot inner
+loops (sparse Laplacian products, pooling) go through the kernels
+module (numpy and scipy.sparse).
 """
 
 from dataclasses import dataclass
@@ -105,17 +106,17 @@ def scaled_laplacian(laplacian, lmax_scale: float) -> ChebLaplacian:
 def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
     """Polynomial spectral filter: y = sum_p (L^p x) W_p over input channels.
 
-    x is (V, C_in, N), weights (P+1, C_in, C_out). Exact gradients for
-    both x and weights. Internally vertices lead the layout so the
-    Laplacian products stay copy-free; the monomial stack is kept for
-    backward when recording.
+    x is (N, V, C_in), weights (P+1, C_in, C_out); returns (N, V, C_out).
+    Vertices lead the layout, so the Laplacian acts on x viewed as
+    (N, V * C_in) with no copy. Exact gradients for both x and weights;
+    the monomial stack is kept for backward when recording.
     """
-    if x.values.ndim != 3 or x.values.shape[2] != lap.n:
+    if x.values.ndim != 3 or x.values.shape[0] != lap.n:
         raise InvalidArgumentError(
             f"graph_conv input shape {x.values.shape} does not match N={lap.n}"
         )
     order = weights.values.shape[0] - 1
-    v, c_in, n = x.values.shape
+    n, v, c_in = x.values.shape
     if weights.values.shape[1] != c_in:
         raise InvalidArgumentError(
             f"weights expect {weights.values.shape[1]} input channels, got {c_in}"
@@ -123,21 +124,20 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
     c_out = weights.values.shape[2]
     recording = tape is not None and (x.requires_grad or weights.requires_grad)
 
-    xv = np.ascontiguousarray(x.values.transpose(2, 0, 1)).reshape(n, v * c_in)
     w = weights.values
     y = np.zeros((n * v, c_out))
     stack = np.empty((order + 1, n, v * c_in)) if recording else None
-    cur = xv
+    cur = x.values.reshape(n, v * c_in)
     for p in range(order + 1):
         if recording:
             stack[p] = cur
         y += cur.reshape(n * v, c_in) @ w[p]
         if p < order:
             cur = lap.matmul(cur)
-    out = Tensor(np.ascontiguousarray(y.reshape(n, v, c_out).transpose(1, 2, 0)))
+    out = Tensor(y.reshape(n, v, c_out))
 
     def backward():
-        g = np.ascontiguousarray(out.grad.transpose(2, 0, 1)).reshape(n * v, c_out)
+        g = out.grad.reshape(n * v, c_out)
         if weights.requires_grad:
             dw = weights.ensure_grad()
             for p in range(order + 1):
@@ -148,35 +148,37 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
             for p in range(order - 1, -1, -1):
                 acc = lap.matmul(acc)
                 acc += (g @ w[p].T).reshape(n, v * c_in)
-            x.ensure_grad()[...] += acc.reshape(n, v, c_in).transpose(1, 2, 0)
+            x.ensure_grad()[...] += acc.reshape(n, v, c_in)
 
     return _track(tape, out, (x, weights), backward)
 
 
 def healpix_maxpool(tape, x: Tensor):
-    """Max over the 4 NESTED children; returns (pooled, argmax offsets)."""
-    v, c, n = x.values.shape
+    """Max over the 4 NESTED children, which are 4 consecutive vertex rows.
+
+    Returns (pooled, argmax offsets 0..3), both (N / 4, V, C).
+    """
+    n, v, c = x.values.shape
     if n % 4:
         raise InvalidArgumentError(f"vertex count {n} is not divisible by 4")
-    pooled, arg = _kernels.maxpool4(x.values.reshape(v * c, n))
-    out = Tensor(pooled.reshape(v, c, n // 4))
+    pooled, arg = _kernels.maxpool4(x.values.reshape(n, v * c))
+    out = Tensor(pooled.reshape(n // 4, v, c))
 
     def backward():
-        g = out.grad.reshape(v * c, n // 4)
-        x.ensure_grad()[...] += _kernels.maxpool4_backward(g, arg, n).reshape(v, c, n)
+        gx = np.zeros((n // 4, 4, v * c))
+        np.put_along_axis(gx, arg[:, None], out.grad.reshape(n // 4, 1, v * c), axis=1)
+        x.ensure_grad()[...] += gx.reshape(n, v, c)
 
-    return _track(tape, out, (x,), backward), arg.reshape(v, c, n // 4)
+    return _track(tape, out, (x,), backward), arg.reshape(n // 4, v, c)
 
 
 def healpix_unpool(tape, x: Tensor) -> Tensor:
-    """Copy each coarse vertex value to its 4 children."""
-    out = Tensor(_kernels.unpool4(x.values))
+    """Copy each coarse vertex row to its 4 children."""
+    out = Tensor(np.repeat(x.values, 4, axis=0))
 
     def backward():
-        v, c, n = out.grad.shape
-        x.ensure_grad()[...] += _kernels.unpool4_backward(out.grad.reshape(v * c, n)).reshape(
-            v, c, n // 4
-        )
+        n, v, c = x.values.shape
+        x.ensure_grad()[...] += out.grad.reshape(n, 4, v, c).sum(axis=1)
 
     return _track(tape, out, (x,), backward)
 
@@ -202,36 +204,34 @@ class BatchNormState:
 
 def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               training: bool) -> Tensor:
-    """Per-channel normalization of (V, C, N) over the V and N axes."""
+    """Per-channel normalization of (N, V, C) over the N and V axes."""
     eps = state.eps
     if training:
-        mean = x.values.mean(axis=(0, 2))
-        var = x.values.var(axis=(0, 2))
+        mean = x.values.mean(axis=(0, 1))
+        var = x.values.var(axis=(0, 1))
         state.running_mean += state.momentum * (mean - state.running_mean)
         state.running_var += state.momentum * (var - state.running_var)
     else:
         mean, var = state.running_mean, state.running_var
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mean[None, :, None]) * invstd[None, :, None]
-    out = Tensor(gamma.values[None, :, None] * xhat + beta.values[None, :, None])
+    xhat = (x.values - mean) * invstd
+    out = Tensor(gamma.values * xhat + beta.values)
 
     def backward():
         g = out.grad
         if beta.requires_grad:
-            beta.ensure_grad()[...] += g.sum(axis=(0, 2))
+            beta.ensure_grad()[...] += g.sum(axis=(0, 1))
         if gamma.requires_grad:
-            gamma.ensure_grad()[...] += (g * xhat).sum(axis=(0, 2))
+            gamma.ensure_grad()[...] += (g * xhat).sum(axis=(0, 1))
         if x.requires_grad:
-            gx = g * gamma.values[None, :, None]
+            gx = g * gamma.values
             if training:
-                m = x.values.shape[0] * x.values.shape[2]
-                s1 = gx.sum(axis=(0, 2))
-                s2 = (gx * xhat).sum(axis=(0, 2))
-                dx = (invstd[None, :, None] / m) * (
-                    m * gx - s1[None, :, None] - xhat * s2[None, :, None]
-                )
+                m = x.values.shape[0] * x.values.shape[1]
+                s1 = gx.sum(axis=(0, 1))
+                s2 = (gx * xhat).sum(axis=(0, 1))
+                dx = (invstd / m) * (m * gx - s1 - xhat * s2)
             else:
-                dx = gx * invstd[None, :, None]
+                dx = gx * invstd
             x.ensure_grad()[...] += dx
 
     return _track(tape, out, (x, gamma, beta), backward)
@@ -265,13 +265,13 @@ def linear(tape, x: Tensor, matrix: np.ndarray) -> Tensor:
     return _track(tape, out, (x,), backward)
 
 
-def concat(tape, parts, axis: int = 1) -> Tensor:
-    out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
-    sizes = [p.values.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tape, parts) -> Tensor:
+    """Join tensors along the last (channel) axis."""
+    out = Tensor(np.concatenate([p.values for p in parts], axis=-1))
+    splits = np.cumsum([p.values.shape[-1] for p in parts])[:-1]
 
     def backward():
-        for p, g in zip(parts, np.split(out.grad, splits, axis=axis)):
+        for p, g in zip(parts, np.split(out.grad, splits, axis=-1)):
             if p.requires_grad:
                 p.ensure_grad()[...] += g
 
@@ -279,11 +279,11 @@ def concat(tape, parts, axis: int = 1) -> Tensor:
 
 
 def take_channel(tape, x: Tensor, idx: int) -> Tensor:
-    """Select one channel of (V, C, N) as (V, N)."""
-    out = Tensor(x.values[:, idx, :].copy())
+    """Select one channel of (N, V, C) as the loss's per-voxel (V, N) layout."""
+    out = Tensor(x.values[:, :, idx].T.copy())
 
     def backward():
-        x.ensure_grad()[:, idx, :] += out.grad
+        x.ensure_grad()[:, :, idx] += out.grad.T
 
     return _track(tape, out, (x,), backward)
 

@@ -53,6 +53,8 @@ class EsdConfig:
             raise InvalidArgumentError("tissues must be 1, 2 or 3")
         if self.sigma_cauchy <= 0:
             raise InvalidArgumentError("sigma_cauchy must be positive")
+        if self.max_epochs < 1:
+            raise InvalidArgumentError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.nside_in >> (self.depth - 1) < 1:
             raise InvalidArgumentError(
                 f"depth {self.depth} too large for nside_in {self.nside_in}"
@@ -132,7 +134,7 @@ class EsdModel:
         return ad.relu(tape, h)
 
     def forward(self, tape, x: ad.Tensor, training: bool = False) -> ad.Tensor:
-        """(V, C_in, N) -> (V, T, N) nonnegative per-tissue fields."""
+        """(N, V, C_in) -> (N, V, T) nonnegative per-tissue fields."""
         config = self.config
         skips = []
         h = x
@@ -144,7 +146,7 @@ class EsdModel:
                 h, _ = ad.healpix_maxpool(tape, h)
         for lvl in range(config.depth - 2, -1, -1):
             h = ad.healpix_unpool(tape, h)
-            h = ad.concat(tape, [h, skips[lvl]], axis=1)
+            h = ad.concat(tape, [h, skips[lvl]])
             h = self._block(tape, f"dec{lvl}_0", h, lvl, training)
             h = self._block(tape, f"dec{lvl}_1", h, lvl, training)
         h = ad.graph_conv(tape, h, self.params["head_w"], self.laps[0])
@@ -160,16 +162,16 @@ def build_model(config: EsdConfig, in_channels: int) -> EsdModel:
 
 
 def heads_to_fodf(outputs: np.ndarray, grid, l_max: int = 20) -> ccsd.FodfField:
-    """Convert (V, T, N) head outputs to fODF coefficients.
+    """Convert (N, V, T) head outputs to fODF coefficients.
 
     WM: even-degree SH refit of channel 0 on the grid; isotropic tissues:
     max over vertices of their channel.
     """
     basis = sh.ShBasis(l_max)
     fit = sh.fit_matrix(grid.vertices, l_max)
-    coeffs = {"wm": outputs[:, 0, :] @ fit.T}
-    for i, t in enumerate(_TISSUE_ORDER[1 : outputs.shape[1]], start=1):
-        coeffs[t] = outputs[:, i, :].max(axis=1, keepdims=True)
+    coeffs = {"wm": outputs[:, :, 0].T @ fit.T}
+    for i, t in enumerate(_TISSUE_ORDER[1 : outputs.shape[2]], start=1):
+        coeffs[t] = outputs[:, :, i].max(axis=0)[:, None]
     return ccsd.FodfField(coeffs, basis)
 
 
@@ -259,7 +261,7 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch, rfs=None,
                    csd_config=None) -> tuple:
     """Resample a batch onto the input grid; returns (x array, targets).
 
-    x is (V, C_in, N) with one channel per shell in ascending order, plus
+    x is (N, V, C_in) with one channel per shell in ascending order, plus
     the baseline deconvolution channel when the model was built with
     use_csd_input. targets maps shell -> normalized samples.
     """
@@ -279,10 +281,10 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch, rfs=None,
         normalized = sm.VoxelBatch(signals, batch.gradients)
         csd_field = ccsd.csd_solve(normalized, rfs, csd_config)
         channels.append(ccsd.fodf_values(csd_field, grid)["wm"])
-    x = np.stack(channels, axis=1)
-    if x.shape[1] != model.in_channels:
+    x = np.stack([c.T for c in channels], axis=-1)
+    if x.shape[2] != model.in_channels:
         raise InvalidArgumentError(
-            f"batch yields {x.shape[1]} input channels, model expects {model.in_channels}"
+            f"batch yields {x.shape[2]} input channels, model expects {model.in_channels}"
         )
     return x, signals
 
@@ -316,7 +318,7 @@ def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
     sums = np.zeros(3)
     for lo in range(0, len(indices), batch_size):
         idx = indices[lo : lo + batch_size]
-        x = ad.Tensor(x_all[idx])
+        x = ad.Tensor(x_all[:, idx])
         out = model.forward(None, x, training=False)
         batch_targets = {b: t[idx] for b, t in targets.items()}
         _, terms = esd_loss(None, model, out, batch_targets, ctx)
@@ -340,7 +342,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
     best_epoch = -1
     wait = 0
     log = []
-    n_train = x_train.shape[0]
+    n_train = x_train.shape[1]
     model.shells = [float(b) for b in sorted(train_batch.gradients.shells)]
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, 13, epoch]).permutation(n_train)
@@ -348,7 +350,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             tape = ad.Tape()
-            x = ad.Tensor(x_train[idx])
+            x = ad.Tensor(x_train[:, idx])
             out = model.forward(tape, x, training=True)
             batch_targets = {b: t[idx] for b, t in t_train.items()}
             loss, terms = esd_loss(tape, model, out, batch_targets, ctx)
@@ -358,7 +360,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
             train_sums += [
                 terms["reconstruction"], terms["sparsity"], terms["negativity"]
             ]
-        val = _epoch_loss(model, ctx, x_val, t_val, np.arange(x_val.shape[0]),
+        val = _epoch_loss(model, ctx, x_val, t_val, np.arange(x_val.shape[1]),
                           config.batch_size)
         record = {
             "epoch": epoch,
@@ -385,8 +387,8 @@ def infer(model: EsdModel, batch: sm.VoxelBatch, rfs=None, csd_config=None) -> c
     """Eval-mode deconvolution of a batch; returns fODF coefficients."""
     x, _ = network_inputs(model, batch, rfs, csd_config)
     fields = []
-    for lo in range(0, x.shape[0], 512):
-        out = model.forward(None, ad.Tensor(x[lo : lo + 512]), training=False)
+    for lo in range(0, x.shape[1], 512):
+        out = model.forward(None, ad.Tensor(x[:, lo : lo + 512]), training=False)
         fields.append(out.values)
-    outputs = np.concatenate(fields, axis=0)
+    outputs = np.concatenate(fields, axis=1)
     return heads_to_fodf(outputs, model.grids[0], model.config.fodf_degree)

@@ -158,28 +158,6 @@ def evaluate_shc(coeffs: ShCoeffs, points) -> np.ndarray:
     return coeffs.values @ Y
 
 
-def quadrature_weights(points, degree: int) -> np.ndarray:
-    """Per-point quadrature weights exact for even-degree bands.
-
-    Returns w with sum_i w_i f(p_i) = integral of f over the sphere for
-    every even-degree polynomial f of degree <= `degree`, provided the
-    point set resolves that band (Healpix grids with 3*nside >= degree
-    do). Weights are the least-norm solution of the moment system and
-    come out positive and near-equal on Healpix grids.
-    """
-    points = _check_unit(points)
-    basis = ShBasis(degree if degree % 2 == 0 else degree - 1)
-    B = design_matrix(basis, points).Y
-    rhs = np.zeros(basis.L)
-    rhs[0] = np.sqrt(4.0 * np.pi)
-    w, _, rank, _ = np.linalg.lstsq(B, rhs, rcond=None)
-    if rank < basis.L:
-        raise IllConditionedError(
-            f"point set does not resolve degree {degree} (moment rank {rank} < {basis.L})"
-        )
-    return w
-
-
 def default_fit_degree(n_gradients: int) -> int:
     """Largest even degree whose coefficient count fits 0.8x the samples, capped at 8."""
     l = 0

@@ -337,7 +337,6 @@ _TENSOR_SCHEMA = {
 }
 _SCHEMA = {
     "seed": int,
-    "workers": int,
     "dataset": {
         "shells": list,
         "gradients_per_shell": int,
@@ -526,7 +525,7 @@ def cmd_esd_train(args):
             for record in result.log:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(json.dumps({"out": args.out, "best_epoch": result.best_epoch,
-                      "best_val_loss": result.best_val_loss}))
+                      "best_val_loss": result.best_val_loss}, allow_nan=False))
     return 0
 
 

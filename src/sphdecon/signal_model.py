@@ -7,7 +7,7 @@ symmetric fiber tensors plus isotropic GM/CSF compartments) and corrupts
 them with Rician noise.
 
 All randomness is drawn from named substreams of a single seed so that
-results are independent of evaluation order and worker count.
+results are independent of evaluation order.
 """
 
 from dataclasses import dataclass, field

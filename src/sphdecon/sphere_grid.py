@@ -200,16 +200,6 @@ class SphericalGrid:
         neighbor_table.setflags(write=False)
 
 
-class PoolingMap:
-    """Fine-to-coarse vertex map between adjacent Healpix resolutions."""
-
-    def __init__(self, parent_of, fine_nside, coarse_nside):
-        self.parent_of = parent_of
-        self.fine_nside = fine_nside
-        self.coarse_nside = coarse_nside
-        parent_of.setflags(write=False)
-
-
 def build_grid(nside: int) -> SphericalGrid:
     """Construct the Healpix graph for one resolution.
 
@@ -254,16 +244,6 @@ def build_grid(nside: int) -> SphericalGrid:
     laplacian = (sp.diags(degrees) - adjacency).tocsr()
     laplacian.sort_indices()
     return SphericalGrid(nside, vertices, nbrs, adjacency, laplacian, rho)
-
-
-def build_pooling(fine: SphericalGrid, coarse: SphericalGrid) -> PoolingMap:
-    """Map each fine vertex to its NESTED parent on the next-coarser grid."""
-    if fine.nside != 2 * coarse.nside:
-        raise InvalidArgumentError(
-            f"fine nside {fine.nside} must be twice coarse nside {coarse.nside}"
-        )
-    parent_of = np.arange(fine.n_vertices, dtype=np.int64) // 4
-    return PoolingMap(parent_of, fine.nside, coarse.nside)
 
 
 def z_rotation_permutation(grid: SphericalGrid, quarter_turns: int) -> np.ndarray:

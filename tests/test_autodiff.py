@@ -53,15 +53,15 @@ def lap48():
 class TestGraphConv:
     def test_order0_is_channel_mixing(self, lap12):
         rng = np.random.default_rng(0)
-        x = ad.Tensor(rng.standard_normal((2, 3, 12)))
+        x = ad.Tensor(rng.standard_normal((12, 2, 3)))
         w = ad.Tensor(rng.standard_normal((1, 3, 4)))
         y = ad.graph_conv(None, x, w, lap12)
-        expect = np.einsum("vcn,co->von", x.values, w.values[0])
+        expect = np.einsum("nvc,co->nvo", x.values, w.values[0])
         assert np.abs(y.values - expect).max() < 1e-12
 
     def test_constant_field_is_minus_one_eigenvector(self, lap12):
         # scaled laplacian maps constants to -1 times themselves
-        x = ad.Tensor(np.ones((1, 1, 12)))
+        x = ad.Tensor(np.ones((12, 1, 1)))
         w = ad.Tensor(np.zeros((2, 1, 1)))
         w.values[1, 0, 0] = 1.0
         y = ad.graph_conv(None, x, w, lap12)
@@ -69,9 +69,9 @@ class TestGraphConv:
 
     def test_gradients(self, lap12):
         rng = np.random.default_rng(1)
-        x = ad.Tensor(rng.standard_normal((2, 2, 12)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((12, 2, 2)), requires_grad=True)
         w = ad.Tensor(0.3 * rng.standard_normal((4, 2, 3)), requires_grad=True)
-        target = rng.standard_normal((2, 3, 12))
+        target = rng.standard_normal((12, 2, 3))
 
         def loss(tape):
             return ad.sq_err_sum(tape, ad.graph_conv(tape, x, w, lap12), target)
@@ -82,39 +82,52 @@ class TestGraphConv:
         grid = sg.build_grid(2)
         perm = sg.z_rotation_permutation(grid, 1)
         rng = np.random.default_rng(2)
-        x = ad.Tensor(rng.standard_normal((3, 2, 48)))
+        x = ad.Tensor(rng.standard_normal((48, 3, 2)))
         w = ad.Tensor(rng.standard_normal((5, 2, 2)))
         y = ad.graph_conv(None, x, w, lap48)
-        xp = ad.Tensor(x.values[:, :, perm])
+        xp = ad.Tensor(x.values[perm])
         yp = ad.graph_conv(None, xp, w, lap48)
-        assert np.abs(yp.values - y.values[:, :, perm]).max() < 1e-12
+        assert np.abs(yp.values - y.values[perm]).max() < 1e-12
 
     def test_shape_mismatch(self, lap12):
-        x = ad.Tensor(np.zeros((1, 2, 10)))
+        x = ad.Tensor(np.zeros((10, 1, 2)))
         w = ad.Tensor(np.zeros((1, 2, 2)))
         with pytest.raises(InvalidArgumentError):
             ad.graph_conv(None, x, w, lap12)
 
+    def test_matches_dense_chebyshev_sum(self, lap48):
+        # oracle: sum_p T^p x W_p with the dense scaled Laplacian T
+        grid = sg.build_grid(2)
+        lmax = sg.estimate_lmax(grid)
+        dense = (2.0 / lmax) * grid.laplacian.toarray() - np.eye(48)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((48, 3, 2))
+        w = rng.standard_normal((5, 2, 4))
+        powers = [np.linalg.matrix_power(dense, p) for p in range(5)]
+        expect = sum(np.einsum("nm,mvc,co->nvo", powers[p], x, w[p]) for p in range(5))
+        y = ad.graph_conv(None, ad.Tensor(x), ad.Tensor(w), lap48)
+        assert np.abs(y.values - expect).max() <= 1e-12
+
 
 class TestPooling:
     def test_constant_tie_break(self):
-        x = ad.Tensor(np.ones((1, 1, 8)))
+        x = ad.Tensor(np.ones((8, 1, 1)))
         out, arg = ad.healpix_maxpool(None, x)
         assert np.all(out.values == 1.0)
         assert np.all(arg == 0)
 
     def test_one_hot_spike(self):
-        x = ad.Tensor(np.zeros((1, 1, 16)))
-        x.values[0, 0, 6] = 5.0
+        x = ad.Tensor(np.zeros((16, 1, 1)))
+        x.values[6, 0, 0] = 5.0
         out, _ = ad.healpix_maxpool(None, x)
         expect = np.zeros(4)
         expect[1] = 5.0
-        assert np.array_equal(out.values[0, 0], expect)
+        assert np.array_equal(out.values[:, 0, 0], expect)
 
     def test_maxpool_gradient(self):
         rng = np.random.default_rng(3)
-        x = ad.Tensor(rng.standard_normal((2, 2, 16)), requires_grad=True)
-        target = rng.standard_normal((2, 2, 4))
+        x = ad.Tensor(rng.standard_normal((16, 2, 2)), requires_grad=True)
+        target = rng.standard_normal((4, 2, 2))
 
         def loss(tape):
             out, _ = ad.healpix_maxpool(tape, x)
@@ -124,8 +137,8 @@ class TestPooling:
 
     def test_unpool_of_pooled_constant_blocks(self):
         rng = np.random.default_rng(4)
-        coarse = rng.standard_normal((1, 1, 4))
-        x = ad.Tensor(np.repeat(coarse, 4, axis=-1))
+        coarse = rng.standard_normal((4, 1, 1))
+        x = ad.Tensor(np.repeat(coarse, 4, axis=0))
         pooled, _ = ad.healpix_maxpool(None, x)
         back = ad.healpix_unpool(None, pooled)
         assert np.array_equal(back.values, x.values)
@@ -133,38 +146,53 @@ class TestPooling:
     def test_unpool_adjoint_of_sum_pool(self):
         # <unpool(x), y> == <x, sum-pool(y)>
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 3, 4))
-        y = rng.standard_normal((2, 3, 16))
+        x = rng.standard_normal((4, 2, 3))
+        y = rng.standard_normal((16, 2, 3))
         lhs = np.sum(ad.healpix_unpool(None, ad.Tensor(x)).values * y)
-        rhs = np.sum(x * y.reshape(2, 3, 4, 4).sum(axis=3))
+        rhs = np.sum(x * y.reshape(4, 4, 2, 3).sum(axis=1))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_unpool_gradient(self):
         rng = np.random.default_rng(6)
-        x = ad.Tensor(rng.standard_normal((1, 2, 4)), requires_grad=True)
-        target = rng.standard_normal((1, 2, 16))
+        x = ad.Tensor(rng.standard_normal((4, 1, 2)), requires_grad=True)
+        target = rng.standard_normal((16, 1, 2))
 
         def loss(tape):
             return ad.sq_err_sum(tape, ad.healpix_unpool(tape, x), target)
 
         check_grad(loss, [x])
 
+    def test_unpool_round_trip(self):
+        x = ad.Tensor(np.random.default_rng(4).standard_normal((12, 1, 3)), requires_grad=True)
+        tape = ad.Tape()
+        up = ad.healpix_unpool(tape, x)
+        assert up.values.shape == (48, 1, 3)
+        tape.backward(ad.sq_err_sum(tape, up, up.values / 2))  # d/dup = up
+        assert np.array_equal(x.grad / 4.0, x.values)
+
+    def test_maxpool_backward_routes_to_argmax(self):
+        x = ad.Tensor(np.array([1.0, 3.0, 2.0, 0.0])[:, None, None], requires_grad=True)
+        tape = ad.Tape()
+        out, _ = ad.healpix_maxpool(tape, x)
+        tape.backward(ad.sq_err_sum(tape, out, out.values - 2.5))  # d/dout = 5
+        assert np.array_equal(x.grad[:, 0, 0], [0.0, 5.0, 0.0, 0.0])
+
 
 class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(7)
-        x = ad.Tensor(3 + 2 * rng.standard_normal((8, 3, 32)))
+        x = ad.Tensor(3 + 2 * rng.standard_normal((32, 8, 3)))
         gamma = ad.Tensor(np.ones(3))
         beta = ad.Tensor(np.zeros(3))
         state = ad.BatchNormState.for_channels(3)
         y = ad.batchnorm(None, x, gamma, beta, state, training=True)
-        assert np.abs(y.values.mean(axis=(0, 2))).max() < 1e-6
-        assert np.abs(y.values.var(axis=(0, 2)) - 1).max() < 1e-4
+        assert np.abs(y.values.mean(axis=(0, 1))).max() < 1e-6
+        assert np.abs(y.values.var(axis=(0, 1)) - 1).max() < 1e-4
 
     def test_identity_on_standardized_input(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((64, 2, 128))
-        x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
+        x = rng.standard_normal((128, 64, 2))
+        x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
         y = ad.batchnorm(
             None, ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
             ad.BatchNormState.for_channels(2), training=True,
@@ -172,7 +200,7 @@ class TestBatchNorm:
         assert np.abs(y.values - x).max() < 1e-4
 
     def test_eval_before_training_uses_unit_stats(self):
-        x = np.full((2, 1, 4), 1.5)
+        x = np.full((4, 2, 1), 1.5)
         state = ad.BatchNormState.for_channels(1)
         y = ad.batchnorm(
             None, ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
@@ -182,7 +210,7 @@ class TestBatchNorm:
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(9)
-        x = 2 + rng.standard_normal((16, 1, 64))
+        x = 2 + rng.standard_normal((64, 16, 1))
         state = ad.BatchNormState.for_channels(1)
         ad.batchnorm(None, ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
                      state, training=True)
@@ -191,10 +219,10 @@ class TestBatchNorm:
     @pytest.mark.parametrize("training", [True, False])
     def test_gradients(self, training):
         rng = np.random.default_rng(10)
-        x = ad.Tensor(rng.standard_normal((3, 2, 8)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((8, 3, 2)), requires_grad=True)
         gamma = ad.Tensor(1 + 0.1 * rng.standard_normal(2), requires_grad=True)
         beta = ad.Tensor(0.1 * rng.standard_normal(2), requires_grad=True)
-        target = rng.standard_normal((3, 2, 8))
+        target = rng.standard_normal((8, 3, 2))
         state = ad.BatchNormState(np.array([0.3, -0.2]), np.array([1.5, 0.8]))
 
         def loss(tape):
@@ -237,13 +265,13 @@ class TestActivations:
 class TestSmallOps:
     def test_linear_concat_channel_column_gradients(self):
         rng = np.random.default_rng(11)
-        x = ad.Tensor(rng.standard_normal((3, 2, 5)), requires_grad=True)
-        y = ad.Tensor(rng.standard_normal((3, 1, 5)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((5, 3, 2)), requires_grad=True)
+        y = ad.Tensor(rng.standard_normal((5, 3, 1)), requires_grad=True)
         M = rng.standard_normal((5, 4))
         target = rng.standard_normal((3, 4))
 
         def loss(tape):
-            cat = ad.concat(tape, [x, y], axis=1)
+            cat = ad.concat(tape, [x, y])
             ch = ad.take_channel(tape, cat, 2)
             lin = ad.linear(tape, ch, M)
             col = ad.column(tape, lin, 1)
@@ -325,13 +353,13 @@ class TestRandomizedGradChecks:
     @pytest.mark.parametrize("seed", range(10))
     def test_mixed_graph(self, seed, lap12):
         rng = np.random.default_rng(seed)
-        x = ad.Tensor(rng.standard_normal((2, 2, 12)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((12, 2, 2)), requires_grad=True)
         w1 = ad.Tensor(0.4 * rng.standard_normal((3, 2, 3)), requires_grad=True)
         gamma = ad.Tensor(np.ones(3), requires_grad=True)
         beta = ad.Tensor(np.zeros(3), requires_grad=True)
         w2 = ad.Tensor(0.4 * rng.standard_normal((3, 3, 1)), requires_grad=True)
         state = ad.BatchNormState.for_channels(3)
-        target = rng.standard_normal((2, 1, 3))
+        target = rng.standard_normal((3, 2, 1))
 
         def loss(tape):
             h = ad.graph_conv(tape, x, w1, lap12)

@@ -30,16 +30,16 @@ class TestBuildModel:
     def test_default_output_shape(self):
         config = en.EsdConfig(tissues=3, seed=0)
         model = en.build_model(config, in_channels=3)
-        x = ad.Tensor(np.random.default_rng(0).standard_normal((2, 3, 768)))
+        x = ad.Tensor(np.random.default_rng(0).standard_normal((768, 2, 3)))
         out = model.forward(None, x)
-        assert out.values.shape == (2, 3, 768)
+        assert out.values.shape == (768, 2, 3)
         assert np.all(out.values >= 0)  # softplus head
 
     def test_single_tissue_relu_head(self):
         model = en.build_model(en.EsdConfig(**TINY), 1)
-        x = ad.Tensor(np.random.default_rng(1).standard_normal((3, 1, 48)))
+        x = ad.Tensor(np.random.default_rng(1).standard_normal((48, 3, 1)))
         out = model.forward(None, x)
-        assert out.values.shape == (3, 1, 48)
+        assert out.values.shape == (48, 3, 1)
         assert np.all(out.values >= 0)
         assert np.any(out.values == 0)  # relu clips
 
@@ -57,13 +57,17 @@ class TestBuildModel:
         with pytest.raises(InvalidArgumentError):
             en.EsdConfig(depth=2, channels=(4, 4, 4))
 
+    def test_max_epochs_below_one(self):
+        with pytest.raises(InvalidArgumentError, match="max_epochs"):
+            en.EsdConfig(max_epochs=0)
+
 
 class TestHeadsToFodf:
     def test_constant_channel(self):
         grid = sg.build_grid(8)
-        outputs = np.zeros((2, 3, 768))
-        outputs[:, 0, :] = 1.5
-        outputs[0, 1, 100] = 2.5  # one-hot spike in the gm channel
+        outputs = np.zeros((768, 2, 3))
+        outputs[:, :, 0] = 1.5
+        outputs[100, 0, 1] = 2.5  # one-hot spike in the gm channel
         field = en.heads_to_fodf(outputs, grid, l_max=20)
         assert field.coeffs["wm"][0, 0] == pytest.approx(1.5 * np.sqrt(4 * np.pi), rel=1e-10)
         assert np.abs(field.coeffs["wm"][:, 1:]).max() < 1e-8
@@ -75,7 +79,7 @@ class TestHeadsToFodf:
         rng = np.random.default_rng(7)
         coeffs = rng.standard_normal((3, 231))
         vals = coeffs @ sh.design_matrix(sh.ShBasis(20), grid.vertices).Y
-        outputs = vals[:, None, :]
+        outputs = vals.T[:, :, None]
         field = en.heads_to_fodf(outputs, grid, l_max=20)
         assert np.abs(field.coeffs["wm"] - coeffs).max() < 1e-6
 
@@ -90,7 +94,7 @@ class TestLoss:
         batch, table = tiny_dataset()
         config = en.EsdConfig(**TINY)
         model, ctx, _ = self.make_ctx(batch, table, config)
-        outputs = ad.Tensor(np.zeros((batch.n_voxels, 1, 48)))
+        outputs = ad.Tensor(np.zeros((48, batch.n_voxels, 1)))
         signals, _ = en.b0_normalize(batch)
         _, terms = en.esd_loss(None, model, outputs, signals, ctx)
         assert terms["sparsity"] == 0.0
@@ -103,7 +107,7 @@ class TestLoss:
         config = en.EsdConfig(**TINY)
         model, ctx, _ = self.make_ctx(batch, table, config)
         zero_targets = {b: np.zeros_like(s) for b, s in batch.signals.items()}
-        outputs = ad.Tensor(np.zeros((2, 1, 48)))
+        outputs = ad.Tensor(np.zeros((48, 2, 1)))
         _, terms = en.esd_loss(None, model, outputs, zero_targets, ctx)
         assert terms["total"] == 0.0
 
@@ -118,7 +122,7 @@ class TestLoss:
         config = en.EsdConfig(**TINY, lambda_sparsity=0.37, lambda_nonneg=1.7)
         model, ctx, _ = self.make_ctx(batch, table, config)
         rng = np.random.default_rng(0)
-        outputs = ad.Tensor(np.abs(rng.standard_normal((6, 1, 48))))
+        outputs = ad.Tensor(np.abs(rng.standard_normal((48, 6, 1))))
         signals, _ = en.b0_normalize(batch)
         _, terms = en.esd_loss(None, model, outputs, signals, ctx)
         recomposed = (
@@ -134,7 +138,7 @@ class TestLoss:
         config = en.EsdConfig(**TINY, lambda_sparsity=0.0)
         model, ctx, _ = self.make_ctx(batch, table, config)
         rng = np.random.default_rng(1)
-        outputs = ad.Tensor(np.abs(rng.standard_normal((2, 1, 48))))
+        outputs = ad.Tensor(np.abs(rng.standard_normal((48, 2, 1))))
         signals, _ = en.b0_normalize(batch)
         _, terms = en.esd_loss(None, model, outputs, signals, ctx)
         assert terms["total"] == pytest.approx(
@@ -230,17 +234,17 @@ class TestEquivariance:
         grid = model.grids[0]
         perm = sg.z_rotation_permutation(grid, 1)
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 1, grid.n_vertices))
+        x = rng.standard_normal((grid.n_vertices, 2, 1))
         out = model.forward(None, ad.Tensor(x)).values
-        out_p = model.forward(None, ad.Tensor(x[:, :, perm])).values
-        assert np.abs(out_p - out[:, :, perm]).max() < 1e-9
+        out_p = model.forward(None, ad.Tensor(x[perm])).values
+        assert np.abs(out_p - out[perm]).max() < 1e-9
 
 
 def test_eval_forward_matches_dense_laplacian(monkeypatch):
     # a freshly built default model has a live ReLU head, so the outputs
     # compared below are not all zero
     model = en.build_model(en.EsdConfig(), 1)
-    x = ad.Tensor(np.abs(np.random.default_rng(0).standard_normal((4, 1, 768))))
+    x = ad.Tensor(np.abs(np.random.default_rng(0).standard_normal((768, 4, 1))))
     out = model.forward(None, x, training=False).values
 
     calls = []

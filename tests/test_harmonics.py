@@ -101,22 +101,6 @@ class TestDesignMatrix:
             sh.design_matrix(sh.ShBasis(2), np.array([[0.0, 0.0, 0.5]]))
 
 
-class TestQuadratureWeights:
-    def test_gram_identity_under_weights(self):
-        grid = sg.build_grid(16)
-        w = sh.quadrature_weights(grid.vertices, 40)
-        Y = sh.design_matrix(sh.ShBasis(20), grid.vertices).Y
-        gram = (Y * w) @ Y.T
-        assert np.abs(gram - np.eye(231)).max() < 1e-10
-
-    def test_weights_near_equal_and_positive(self):
-        grid = sg.build_grid(16)
-        w = sh.quadrature_weights(grid.vertices, 40)
-        equal = 4 * np.pi / grid.n_vertices
-        assert np.all(w > 0)
-        assert np.abs(w - equal).max() < equal
-
-
 class TestFitShc:
     def test_constant_field(self):
         pts = fibonacci_points(100)

@@ -282,6 +282,25 @@ class TestCliPipeline:
         row = (tmp_path / "plots" / "scores.csv").read_text().strip().split("\n")[1]
         assert row.split(",")[2] == ""
 
+    def test_esd_train_rejects_zero_epochs(self, sim_dir, tmp_path, capsys):
+        data = sim_dir / "data"
+        rf = tmp_path / "wm.rf"
+        assert run_cli("response", "--dataset", str(data / "train.sdv"), "--out", str(rf)) == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(json.dumps({"model": {"max_epochs": 0}}))
+        ckpt = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        code = run_cli("esd-train", "--train", str(data / "train.sdv"),
+                       "--val", str(data / "val.sdv"), "--response", str(rf),
+                       "--out", str(ckpt), "--config", str(cfg))
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: ")
+        assert "max_epochs" in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not ckpt.exists()
+
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),
                        "--response", str(tmp_path / "nope.rf"),
@@ -289,9 +308,12 @@ class TestCliPipeline:
 
 
 def test_entry_point_runs():
+    # the child imports the same sphdecon as this process, installed or not
+    src = os.path.dirname(os.path.dirname(io_cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sphdecon.io_cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

@@ -98,27 +98,26 @@ def test_vertices_unit_norm():
     assert np.abs(np.linalg.norm(grid.vertices, axis=1) - 1).max() < 1e-15
 
 
+def nested_parent(n_fine):
+    """The NESTED parent rule healpix_maxpool relies on: 4 consecutive children."""
+    return np.arange(n_fine) // 4
+
+
 class TestPooling:
     def test_nside2_to_1_parents(self):
-        pmap = sg.build_pooling(sg.build_grid(2), sg.build_grid(1))
-        assert np.array_equal(pmap.parent_of[0:4], np.zeros(4))
-        assert np.array_equal(pmap.parent_of[4:8], np.ones(4))
+        parent_of = nested_parent(sg.build_grid(2).n_vertices)
+        assert np.array_equal(parent_of[0:4], np.zeros(4))
+        assert np.array_equal(parent_of[4:8], np.ones(4))
 
     def test_fibers_of_size_four(self):
-        pmap = sg.build_pooling(sg.build_grid(4), sg.build_grid(2))
-        counts = np.bincount(pmap.parent_of, minlength=48)
+        counts = np.bincount(nested_parent(sg.build_grid(4).n_vertices), minlength=48)
         assert np.all(counts == 4)
 
     def test_children_are_nearest_parents(self):
         # oracle: brute-force nearest-parent assignment by angular distance
         fine, coarse = sg.build_grid(2), sg.build_grid(1)
-        pmap = sg.build_pooling(fine, coarse)
         dots = fine.vertices @ coarse.vertices.T
-        assert np.array_equal(np.argmax(dots, axis=1), pmap.parent_of)
-
-    def test_rejects_wrong_ratio(self):
-        with pytest.raises(InvalidArgumentError):
-            sg.build_pooling(sg.build_grid(4), sg.build_grid(1))
+        assert np.array_equal(np.argmax(dots, axis=1), nested_parent(fine.n_vertices))
 
 
 class TestZRotation:
@@ -161,10 +160,10 @@ class TestZRotation:
     def test_permutation_consistent_with_pooling(self):
         # quarter turns act on the nested hierarchy: parent(pi_fine) = pi_coarse(parent)
         fine, coarse = sg.build_grid(4), sg.build_grid(2)
-        pmap = sg.build_pooling(fine, coarse)
+        parent_of = nested_parent(fine.n_vertices)
         pf = sg.z_rotation_permutation(fine, 1)
         pc = sg.z_rotation_permutation(coarse, 1)
-        assert np.array_equal(pmap.parent_of[pf], pc[pmap.parent_of])
+        assert np.array_equal(parent_of[pf], pc[parent_of])
 
 
 def test_estimate_lmax_close_to_dense():
