@@ -266,7 +266,9 @@ def linear(tape, x: Tensor, matrix: np.ndarray) -> Tensor:
 
 
 def concat(tape, parts) -> Tensor:
-    """Join tensors along the last (channel) axis."""
+    """Join tensors along the last (channel) axis; one part is returned as is."""
+    if len(parts) == 1:
+        return parts[0]
     out = Tensor(np.concatenate([p.values for p in parts], axis=-1))
     splits = np.cumsum([p.values.shape[-1] for p in parts])[:-1]
 
@@ -288,28 +290,14 @@ def take_channel(tape, x: Tensor, idx: int) -> Tensor:
     return _track(tape, out, (x,), backward)
 
 
-def column(tape, x: Tensor, idx: int) -> Tensor:
-    """Select one column of a 2-D tensor."""
-    out = Tensor(x.values[:, idx].copy())
-
-    def backward():
-        x.ensure_grad()[:, idx] += out.grad
-
-    return _track(tape, out, (x,), backward)
-
-
 def reduce_max(tape, x: Tensor) -> Tensor:
-    """Max over the last axis; gradient routes to the (first) argmax."""
-    arg = np.argmax(x.values, axis=-1)
-    out = Tensor(np.take_along_axis(x.values, arg[..., None], axis=-1)[..., 0])
+    """Max over the last axis, kept at length 1; gradient routes to the (first) argmax."""
+    arg = np.argmax(x.values, axis=-1)[..., None]
+    out = Tensor(np.take_along_axis(x.values, arg, axis=-1))
 
     def backward():
         g = x.ensure_grad()
-        np.put_along_axis(
-            g, arg[..., None],
-            np.take_along_axis(g, arg[..., None], axis=-1) + out.grad[..., None],
-            axis=-1,
-        )
+        np.put_along_axis(g, arg, np.take_along_axis(g, arg, axis=-1) + out.grad, axis=-1)
 
     return _track(tape, out, (x,), backward)
 
@@ -335,19 +323,6 @@ def scale(tape, x: Tensor, s: float) -> Tensor:
     return _track(tape, out, (x,), backward)
 
 
-def add_outer(tape, x: Tensor, col: Tensor, scalar: float) -> Tensor:
-    """x[v, i] + scalar * col[v]: broadcasts a per-row value over columns."""
-    out = Tensor(x.values + scalar * col.values[:, None])
-
-    def backward():
-        if x.requires_grad:
-            x.ensure_grad()[...] += out.grad
-        if col.requires_grad:
-            col.ensure_grad()[...] += scalar * out.grad.sum(axis=1)
-
-    return _track(tape, out, (x, col), backward)
-
-
 def sq_err_sum(tape, x: Tensor, target: np.ndarray) -> Tensor:
     """Sum of squared errors against a constant target (any shapes equal)."""
     diff = x.values - target
@@ -355,26 +330,6 @@ def sq_err_sum(tape, x: Tensor, target: np.ndarray) -> Tensor:
 
     def backward():
         x.ensure_grad()[...] += 2.0 * diff * out.grad
-
-    return _track(tape, out, (x,), backward)
-
-
-def sq_err_sum_bcast(tape, x: Tensor, target: np.ndarray) -> Tensor:
-    """Sum over (v, m) of (x[v] - target[v, m])^2 for a per-row prediction."""
-    diff = x.values[:, None] - target
-    out = Tensor(np.sum(diff * diff))
-
-    def backward():
-        x.ensure_grad()[...] += 2.0 * diff.sum(axis=1) * out.grad
-
-    return _track(tape, out, (x,), backward)
-
-
-def sum_sq(tape, x: Tensor) -> Tensor:
-    out = Tensor(np.sum(x.values * x.values))
-
-    def backward():
-        x.ensure_grad()[...] += 2.0 * x.values * out.grad
 
     return _track(tape, out, (x,), backward)
 

@@ -64,7 +64,7 @@ def system_matrix(gradients: sm.GradientTable, rfs: dict, basis: sh.ShBasis):
     """
     tissues = [t for t in sm.TISSUES if t in rfs]
     blocks = []
-    keys = ([0] if gradients.b0_count else []) + list(gradients.shells)
+    keys = sample_keys(gradients)
     for b in keys:
         if b == 0:
             dirs = np.repeat(_Z_AXIS, gradients.b0_count, axis=0)
@@ -73,7 +73,7 @@ def system_matrix(gradients: sm.GradientTable, rfs: dict, basis: sh.ShBasis):
         row = []
         for t in tissues:
             tb = basis if t == "wm" else sh.ShBasis(0)
-            Y = sh.design_matrix(tb, dirs).Y
+            Y = sh.design_matrix(tb, dirs)
             row.append((sm.rf_diagonal(rfs[t], tb, b)[:, None] * Y).T)
         blocks.append(np.hstack(row))
     A = np.vstack(blocks)
@@ -83,6 +83,11 @@ def system_matrix(gradients: sm.GradientTable, rfs: dict, basis: sh.ShBasis):
         slices[t] = slice(at, at + lt)
         at += lt
     return A, slices, keys
+
+
+def sample_keys(gradients: sm.GradientTable):
+    """Row order of the stacked samples: b=0 (when present), then each shell."""
+    return ([0] if gradients.b0_count else []) + list(gradients.shells)
 
 
 def stack_samples(batch: sm.VoxelBatch, keys):
@@ -103,7 +108,7 @@ def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None,
     S = stack_samples(batch, keys)
     if grid is None or grid.nside != config.constraint_grid_nside:
         grid = sg.build_grid(config.constraint_grid_nside)
-    B = sh.design_matrix(basis, grid.vertices).Y.T  # (m, L_wm)
+    B = sh.design_matrix(basis, grid.vertices).T  # (m, L_wm)
 
     n_rows, n_cols = A.shape
     ata = A.T @ A + config.ridge * np.eye(n_cols)
@@ -185,6 +190,6 @@ def fodf_values(field: FodfField, grid) -> dict:
     out = {}
     for t, coeffs in field.coeffs.items():
         tb = field.basis if t == "wm" else sh.ShBasis(0)
-        Y = sh.design_matrix(tb, grid.vertices).Y
+        Y = sh.design_matrix(tb, grid.vertices)
         out[t] = coeffs @ Y
     return out

@@ -176,51 +176,43 @@ def heads_to_fodf(outputs: np.ndarray, grid, l_max: int = 20) -> ccsd.FodfField:
 
 
 class LossContext:
-    """Constant matrices shared by every loss evaluation of one dataset."""
+    """Constant matrices shared by every loss evaluation of one dataset.
+
+    The forward operator is CSD's stacked system matrix at the fODF
+    degree, kept transposed: samples = [wm coeffs, iso maxima] @ a_t.
+    """
 
     def __init__(self, model: EsdModel, gradients: sm.GradientTable, rfs: dict):
         config = model.config
+        missing = [t for t in config.tissue_names if t not in rfs]
+        if missing:
+            raise InvalidArgumentError(
+                f"model tissues {missing} have no response function (have {sorted(rfs)})"
+            )
         basis = sh.ShBasis(config.fodf_degree)
         grid = model.grids[0]
-        self.basis = basis
-        self.gradients = gradients
+        A, _, _ = ccsd.system_matrix(
+            gradients, {t: rfs[t] for t in config.tissue_names}, basis
+        )
+        self.a_t = np.ascontiguousarray(A.T)  # (L + T - 1, samples)
         self.fit_t = sh.fit_matrix(grid.vertices, config.fodf_degree).T  # (N, L)
-        self.y_grid = sh.design_matrix(basis, grid.vertices).Y  # (L, N)
-        self.shell_ops = {}
-        for b in gradients.shells:
-            Y = sh.design_matrix(basis, gradients.directions[b]).Y
-            ry = sm.rf_diagonal(rfs["wm"], basis, b)[:, None] * Y  # (L, n_b)
-            iso = {
-                t: float(rfs[t].r[b][0]) for t in config.tissue_names if t != "wm"
-            }
-            self.shell_ops[b] = (ry, iso)
-        self.b0 = None
-        if gradients.b0_count:
-            self.b0 = {t: float(rfs[t].r[0][0]) for t in config.tissue_names}
+        self.y_grid = sh.design_matrix(basis, grid.vertices)  # (L, N)
 
 
-def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: dict,
+def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
              ctx: LossContext):
-    """Three-term objective; returns (loss tensor, logged term values)."""
+    """Three-term objective; returns (loss tensor, logged term values).
+
+    targets is (V, samples) in the system matrix's row order, as
+    network_inputs returns it.
+    """
     config = model.config
     f_wm = ad.linear(tape, ad.take_channel(tape, outputs, 0), ctx.fit_t)
-    iso = {}
-    for i, t in enumerate(config.tissue_names[1:], start=1):
-        iso[t] = ad.reduce_max(tape, ad.take_channel(tape, outputs, i))
-
-    recon = None
-    for b in ctx.gradients.shells:
-        ry, iso_scale = ctx.shell_ops[b]
-        pred = ad.linear(tape, f_wm, ry)
-        for t, f_t in iso.items():
-            pred = ad.add_outer(tape, pred, f_t, iso_scale[t])
-        term = ad.sq_err_sum(tape, pred, targets[b])
-        recon = term if recon is None else ad.add(tape, recon, term)
-    if ctx.b0 is not None:
-        pred0 = ad.scale(tape, ad.column(tape, f_wm, 0), ctx.b0["wm"])
-        for t, f_t in iso.items():
-            pred0 = ad.add(tape, pred0, ad.scale(tape, f_t, ctx.b0[t]))
-        recon = ad.add(tape, recon, ad.sq_err_sum_bcast(tape, pred0, targets[0]))
+    coeffs = [f_wm] + [
+        ad.reduce_max(tape, ad.take_channel(tape, outputs, i))
+        for i in range(1, config.tissues)
+    ]
+    recon = ad.sq_err_sum(tape, ad.linear(tape, ad.concat(tape, coeffs), ctx.a_t), targets)
 
     grid_vals = ad.linear(tape, f_wm, ctx.y_grid)
     sparsity = ad.cauchy_sum(tape, grid_vals, config.sigma_cauchy)
@@ -263,7 +255,8 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch, rfs=None,
 
     x is (N, V, C_in) with one channel per shell in ascending order, plus
     the baseline deconvolution channel when the model was built with
-    use_csd_input. targets maps shell -> normalized samples.
+    use_csd_input. targets is the (V, samples) normalized samples in the
+    system matrix's row order (b=0 first, then the shells).
     """
     signals, _ = b0_normalize(batch)
     grid = model.grids[0]
@@ -275,10 +268,10 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch, rfs=None,
     channels = [
         sh.resample(signals[b], batch.gradients.directions[b], grid) for b in shells
     ]
+    normalized = sm.VoxelBatch(signals, batch.gradients)
     if model.config.use_csd_input:
         if rfs is None:
             raise InvalidArgumentError("use_csd_input needs response functions")
-        normalized = sm.VoxelBatch(signals, batch.gradients)
         csd_field = ccsd.csd_solve(normalized, rfs, csd_config)
         channels.append(ccsd.fodf_values(csd_field, grid)["wm"])
     x = np.stack([c.T for c in channels], axis=-1)
@@ -286,16 +279,14 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch, rfs=None,
         raise InvalidArgumentError(
             f"batch yields {x.shape[2]} input channels, model expects {model.in_channels}"
         )
-    return x, signals
+    return x, ccsd.stack_samples(normalized, ccsd.sample_keys(batch.gradients))
 
 
 @dataclass
 class TrainResult:
     log: list
-    best_state: dict
     best_val_loss: float
     best_epoch: int
-    adam: ad.AdamState = None
 
 
 def _summarize(config, sums, n):
@@ -320,8 +311,7 @@ def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
         idx = indices[lo : lo + batch_size]
         x = ad.Tensor(x_all[:, idx])
         out = model.forward(None, x, training=False)
-        batch_targets = {b: t[idx] for b, t in targets.items()}
-        _, terms = esd_loss(None, model, out, batch_targets, ctx)
+        _, terms = esd_loss(None, model, out, targets[idx], ctx)
         sums += [terms["reconstruction"], terms["sparsity"], terms["negativity"]]
     return _summarize(model.config, sums, max(len(indices), 1))
 
@@ -352,8 +342,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
             tape = ad.Tape()
             x = ad.Tensor(x_train[:, idx])
             out = model.forward(tape, x, training=True)
-            batch_targets = {b: t[idx] for b, t in t_train.items()}
-            loss, terms = esd_loss(tape, model, out, batch_targets, ctx)
+            loss, terms = esd_loss(tape, model, out, t_train[idx], ctx)
             ad.zero_grads(params)
             tape.backward(loss)
             ad.adam_step(params, adam, lr)
@@ -380,7 +369,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
                 lr *= config.plateau_factor
                 wait = 0
     model.load_state(best_state)
-    return TrainResult(log, best_state, float(best_val), best_epoch, adam)
+    return TrainResult(log, float(best_val), best_epoch)
 
 
 def infer(model: EsdModel, batch: sm.VoxelBatch, rfs=None, csd_config=None) -> ccsd.FodfField:

@@ -51,15 +51,6 @@ class ShCoeffs:
         self.values = values
 
 
-class DesignMatrix:
-    """Basis functions evaluated at a point set: Y[(l,m), i] = Y_l^m(p_i)."""
-
-    def __init__(self, basis: ShBasis, points, Y):
-        self.basis = basis
-        self.points = points
-        self.Y = Y
-
-
 def _check_unit(points):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     norms = np.linalg.norm(points, axis=1)
@@ -79,7 +70,7 @@ def eval_sh(l: int, m: int, p) -> float:
     return float(_sh_block(l, m, p[None, :])[0])
 
 
-def _fold_hemisphere(points):
+def fold_hemisphere(points):
     """Replace each point by its antipodal representative in one hemisphere.
 
     Even-degree harmonics are antipodally symmetric, so this changes no
@@ -92,7 +83,7 @@ def _fold_hemisphere(points):
 
 def _sh_block(l, m, points):
     """Y_l^m at each point, vectorized over points."""
-    points = _fold_hemisphere(points)
+    points = fold_hemisphere(points)
     z = np.clip(points[:, 2], -1.0, 1.0)
     am = abs(m)
     # lpmv carries the Condon-Shortley phase; (-1)^m removes it
@@ -114,13 +105,13 @@ def zonal_design(degrees, points) -> np.ndarray:
     return np.stack([_sh_block(l, 0, points) for l in degrees])
 
 
-def design_matrix(basis: ShBasis, points) -> DesignMatrix:
-    """Evaluate the whole basis at a point set, as an L x n matrix."""
+def design_matrix(basis: ShBasis, points) -> np.ndarray:
+    """Evaluate the whole basis at a point set: Y[(l,m), i] = Y_l^m(p_i), L x n."""
     points = _check_unit(points)
     Y = np.empty((basis.L, points.shape[0]), dtype=np.float64)
     for row, (l, m) in enumerate(basis.degrees):
         Y[row] = _sh_block(l, m, points)
-    return DesignMatrix(basis, points, Y)
+    return Y
 
 
 def fit_matrix(points, l_max: int, tikhonov: float = 0.0) -> np.ndarray:
@@ -130,7 +121,7 @@ def fit_matrix(points, l_max: int, tikhonov: float = 0.0) -> np.ndarray:
     otherwise a ridge term tikhonov * I is added.
     """
     basis = ShBasis(l_max)
-    Y = design_matrix(basis, points).Y
+    Y = design_matrix(basis, points)
     gram = Y @ Y.T
     if tikhonov < 0:
         raise InvalidArgumentError("tikhonov must be nonnegative")
@@ -154,7 +145,7 @@ def fit_shc(samples, points, l_max: int, tikhonov: float = 0.0) -> ShCoeffs:
 
 def evaluate_shc(coeffs: ShCoeffs, points) -> np.ndarray:
     """Evaluate an SH expansion at unit points."""
-    Y = design_matrix(coeffs.basis, points).Y
+    Y = design_matrix(coeffs.basis, points)
     return coeffs.values @ Y
 
 
@@ -184,5 +175,5 @@ def resample(samples, gradients, grid, l_max_fit: int | None = None,
             f"{gradients.shape[0]} gradients are available"
         )
     M = fit_matrix(gradients, l_max_fit, tikhonov)
-    Yg = design_matrix(basis, grid.vertices).Y
+    Yg = design_matrix(basis, grid.vertices)
     return (samples @ M.T) @ Yg

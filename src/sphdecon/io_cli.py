@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 I/O failure, 2 config/validation failure,
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -294,19 +295,11 @@ def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: d
         "shells": model.shells,
         "param_names": names,
         "bn_names": bn_names,
-        "adam_step": result.adam.step if result.adam else 0,
     }
     blocks = [(f"param/{n}", model.params[n].values) for n in names]
     for n in bn_names:
         blocks.append((f"bn_mean/{n}", model.bn[n].running_mean))
         blocks.append((f"bn_var/{n}", model.bn[n].running_var))
-    if result.adam is not None:
-        params = model.parameters()
-        order = {id(p): i for i, p in enumerate(params)}
-        for n in names:
-            i = order[id(model.params[n])]
-            blocks.append((f"adam_m/{n}", result.adam.m[i]))
-            blocks.append((f"adam_v/{n}", result.adam.v[i]))
     write_container(path, header, blocks)
 
 
@@ -472,11 +465,7 @@ def cmd_response(args):
     batch = read_dataset(args.dataset)
     if batch.fibers is None:
         raise InvalidArgumentError("response estimation needs ground truth")
-    signals, _ = en.b0_normalize(batch)
-    normalized = sm.VoxelBatch(
-        signals, batch.gradients, batch.fibers, batch.fiber_fractions,
-        batch.tissue_fractions,
-    )
+    normalized = _normalized(batch)
     degree = config.get("response", {}).get("degree", 16)
     n_grad = min(batch.gradients.n(b) for b in batch.gradients.shells)
     while degree // 2 + 1 > 0.8 * n_grad:
@@ -510,7 +499,15 @@ def cmd_csd(args):
     return 0
 
 
+def _check_out_dirs(*paths):
+    """Fail before any compute when an output's directory does not exist."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_esd_train(args):
+    _check_out_dirs(args.out, args.log)
     config = load_config(args.config) if args.config else {}
     train_batch = read_dataset(args.train)
     val_batch = read_dataset(args.val)
@@ -530,6 +527,7 @@ def cmd_esd_train(args):
 
 
 def cmd_esd_infer(args):
+    _check_out_dirs(args.out)
     model, header = read_checkpoint(args.checkpoint)
     batch = read_dataset(args.dataset)
     rfs = read_response(args.response) if args.response else None
@@ -539,16 +537,19 @@ def cmd_esd_infer(args):
     return 0
 
 
-def cmd_peaks(args):
-    config = load_config(args.config) if args.config else {}
+def _peaks(field, config):
+    """Peaks of a field's WM fODFs under the config's peaks section."""
     pc = config.get("peaks", {})
-    field = read_fodf(args.fodf)
-    grid = sg.build_grid(pc.get("grid_nside", 32))
-    peak_sets = pm.peaks_for_batch(
-        field.coeffs["wm"], grid,
+    return pm.peaks_for_batch(
+        field.coeffs["wm"], sg.build_grid(pc.get("grid_nside", 32)),
         rel_threshold=pc.get("rel_threshold", 0.25),
         min_separation_deg=pc.get("min_separation_deg", 15.0),
     )
+
+
+def cmd_peaks(args):
+    config = load_config(args.config) if args.config else {}
+    peak_sets = _peaks(read_fodf(args.fodf), config)
     write_peaks(args.out, peak_sets)
     print(json.dumps({"out": args.out, "voxels": len(peak_sets)}))
     return 0
@@ -556,19 +557,13 @@ def cmd_peaks(args):
 
 def cmd_evaluate(args):
     config = load_config(args.config) if args.config else {}
-    pc = config.get("peaks", {})
     gt = read_dataset(args.dataset)
     if gt.fibers is None:
         raise InvalidArgumentError("evaluation needs a dataset with ground truth")
     field = None
     if args.fodf:
         field = read_fodf(args.fodf)
-        grid = sg.build_grid(pc.get("grid_nside", 32))
-        peak_sets = pm.peaks_for_batch(
-            field.coeffs["wm"], grid,
-            rel_threshold=pc.get("rel_threshold", 0.25),
-            min_separation_deg=pc.get("min_separation_deg", 15.0),
-        )
+        peak_sets = _peaks(field, config)
     else:
         peak_sets = read_peaks(args.peaks)
     if len(peak_sets) != gt.n_voxels:

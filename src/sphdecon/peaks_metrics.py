@@ -24,7 +24,7 @@ _design_cache: dict = {}
 def _grid_design(l_max, grid):
     key = (l_max, grid.nside)
     if key not in _design_cache:
-        _design_cache[key] = sh.design_matrix(sh.ShBasis(l_max), grid.vertices).Y
+        _design_cache[key] = sh.design_matrix(sh.ShBasis(l_max), grid.vertices)
     return _design_cache[key]
 
 
@@ -52,13 +52,6 @@ def axis_angles_deg(u, v):
     """Angles between axes (antipodally symmetric), in degrees."""
     dots = np.abs(np.atleast_2d(u) @ np.atleast_2d(v).T)
     return np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
-
-
-def _fold(directions):
-    d = np.atleast_2d(directions)
-    x, y, z = d[:, 0], d[:, 1], d[:, 2]
-    flip = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
-    return np.where(flip[:, None], -d, d)
 
 
 def _refine_direction(values, grid, vertex):
@@ -109,12 +102,12 @@ def detect_peaks(fodf_shc: sh.ShCoeffs, grid_dense, rel_threshold: float = 0.1,
     idx = idx[_values[idx] >= 0.5 * rel_threshold * _values[idx].max()]
 
     dirs = np.array([_refine_direction(_values, grid_dense, v) for v in idx])
-    amps = fodf_shc.values @ sh.design_matrix(fodf_shc.basis, dirs).Y
+    amps = fodf_shc.values @ sh.design_matrix(fodf_shc.basis, dirs)
     # keep the vertex itself where refinement moved off the ridge
     worse = amps < _values[idx]
     dirs[worse] = grid_dense.vertices[idx[worse]]
     amps[worse] = _values[idx[worse]]
-    dirs = _fold(dirs)
+    dirs = sh.fold_hemisphere(dirs)
 
     order = np.argsort(-amps, kind="stable")
     dirs, amps = dirs[order], amps[order]

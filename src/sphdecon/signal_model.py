@@ -168,7 +168,7 @@ def forward(F: dict, rfs: dict, basis: sh.ShBasis, gradients: GradientTable) -> 
         acc = np.zeros((n_vox, gradients.n(b)))
         for t, coeffs in F.items():
             tb = _tissue_basis(basis, t)
-            Y = sh.design_matrix(tb, gradients.directions[b]).Y
+            Y = sh.design_matrix(tb, gradients.directions[b])
             acc += (coeffs * rf_diagonal(rfs[t], tb, b)) @ Y
         out[b] = acc
     if gradients.b0_count > 0:

@@ -274,9 +274,9 @@ class TestSmallOps:
             cat = ad.concat(tape, [x, y])
             ch = ad.take_channel(tape, cat, 2)
             lin = ad.linear(tape, ch, M)
-            col = ad.column(tape, lin, 1)
+            col = ad.linear(tape, lin, np.eye(4)[:, [1]])
             t1 = ad.sq_err_sum(tape, lin, target)
-            t2 = ad.sum_sq(tape, col)
+            t2 = ad.sq_err_sum(tape, col, np.zeros((3, 1)))
             return ad.add(tape, t1, ad.scale(tape, t2, 0.5))
 
         check_grad(loss, [x, y])
@@ -288,10 +288,12 @@ class TestSmallOps:
         target = rng.standard_normal((4, 3))
 
         def loss(tape):
-            m = ad.reduce_max(tape, x)
-            out = ad.add_outer(tape, s, m, 0.7)
+            m = ad.reduce_max(tape, x)  # (4, 1)
+            outer = np.vstack([np.eye(3), np.full((1, 3), 0.7)])
+            out = ad.linear(tape, ad.concat(tape, [s, m]), outer)  # s + 0.7 m
             t = ad.sq_err_sum(tape, out, target)
-            return ad.add(tape, t, ad.sq_err_sum_bcast(tape, m, target))
+            m_rows = ad.linear(tape, m, np.ones((1, 3)))
+            return ad.add(tape, t, ad.sq_err_sum(tape, m_rows, target))
 
         check_grad(loss, [x, s])
 
@@ -319,7 +321,7 @@ class TestSmallOps:
         x = ad.Tensor(np.array([2.0]), requires_grad=True)
         tape = ad.Tape()
         y = ad.add(tape, x, x)
-        total = ad.sum_sq(tape, y)  # (2x)^2 -> d/dx = 8x
+        total = ad.sq_err_sum(tape, y, np.zeros(1))  # (2x)^2 -> d/dx = 8x
         tape.backward(total)
         assert x.grad[0] == pytest.approx(16.0)
 

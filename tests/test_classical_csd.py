@@ -85,7 +85,7 @@ class TestCsdSolve:
         basis = sh.ShBasis(8)
         A, slices, keys = csd.system_matrix(table, {"wm": wm_rf}, basis)
         s = csd.stack_samples(batch, keys)[0]
-        B = sh.design_matrix(basis, constraint_grid.vertices).Y.T
+        B = sh.design_matrix(basis, constraint_grid.vertices).T
         config = csd.CsdConfig()
         # re-run the iteration manually, tracking the objective
         ata = A.T @ A + config.ridge * np.eye(A.shape[1])

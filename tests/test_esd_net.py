@@ -78,7 +78,7 @@ class TestHeadsToFodf:
         grid = sg.build_grid(8)
         rng = np.random.default_rng(7)
         coeffs = rng.standard_normal((3, 231))
-        vals = coeffs @ sh.design_matrix(sh.ShBasis(20), grid.vertices).Y
+        vals = coeffs @ sh.design_matrix(sh.ShBasis(20), grid.vertices)
         outputs = vals.T[:, :, None]
         field = en.heads_to_fodf(outputs, grid, l_max=20)
         assert np.abs(field.coeffs["wm"] - coeffs).max() < 1e-6
@@ -95,8 +95,8 @@ class TestLoss:
         config = en.EsdConfig(**TINY)
         model, ctx, _ = self.make_ctx(batch, table, config)
         outputs = ad.Tensor(np.zeros((48, batch.n_voxels, 1)))
-        signals, _ = en.b0_normalize(batch)
-        _, terms = en.esd_loss(None, model, outputs, signals, ctx)
+        _, targets = en.network_inputs(model, batch)
+        _, terms = en.esd_loss(None, model, outputs, targets, ctx)
         assert terms["sparsity"] == 0.0
         assert terms["negativity"] == 0.0
         assert terms["total"] == terms["reconstruction"]
@@ -106,7 +106,7 @@ class TestLoss:
         batch, table = tiny_dataset(n=2)
         config = en.EsdConfig(**TINY)
         model, ctx, _ = self.make_ctx(batch, table, config)
-        zero_targets = {b: np.zeros_like(s) for b, s in batch.signals.items()}
+        zero_targets = np.zeros((2, table.total_samples))
         outputs = ad.Tensor(np.zeros((48, 2, 1)))
         _, terms = en.esd_loss(None, model, outputs, zero_targets, ctx)
         assert terms["total"] == 0.0
@@ -123,8 +123,8 @@ class TestLoss:
         model, ctx, _ = self.make_ctx(batch, table, config)
         rng = np.random.default_rng(0)
         outputs = ad.Tensor(np.abs(rng.standard_normal((48, 6, 1))))
-        signals, _ = en.b0_normalize(batch)
-        _, terms = en.esd_loss(None, model, outputs, signals, ctx)
+        _, targets = en.network_inputs(model, batch)
+        _, terms = en.esd_loss(None, model, outputs, targets, ctx)
         recomposed = (
             terms["reconstruction"]
             + config.lambda_sparsity * terms["sparsity"]
@@ -139,11 +139,42 @@ class TestLoss:
         model, ctx, _ = self.make_ctx(batch, table, config)
         rng = np.random.default_rng(1)
         outputs = ad.Tensor(np.abs(rng.standard_normal((48, 2, 1))))
-        signals, _ = en.b0_normalize(batch)
-        _, terms = en.esd_loss(None, model, outputs, signals, ctx)
+        _, targets = en.network_inputs(model, batch)
+        _, terms = en.esd_loss(None, model, outputs, targets, ctx)
         assert terms["total"] == pytest.approx(
             terms["reconstruction"] + terms["negativity"], abs=1e-12
         )
+
+    @pytest.mark.parametrize("tissues", [1, 3])
+    def test_reconstruction_matches_forward_model(self, tissues):
+        # reference: signal_model.forward on the fODF that heads_to_fodf
+        # reads off the same outputs (WM refit, isotropic maxima)
+        shells = (1000.0, 3000.0)
+        sim = sm.SimConfig(shells=list(shells), gradients_per_shell=16, n_voxels=5,
+                           split=(5, 0, 0), seed=2, snr=20, tissues=tissues, b0_count=2)
+        table = sm.build_gradient_table(sim)
+        batch = sm.generate_batch(sim, table, np.arange(5))
+        config = en.EsdConfig(**dict(TINY, tissues=tissues))
+        basis = sh.ShBasis(config.fodf_degree)
+        rfs = {"wm": tensor_response(basis, table)}
+        for t, d in (("gm", 0.8e-3), ("csf", 3e-3)):
+            rfs[t] = sm.ResponseFunction(
+                t, {b: [np.sqrt(4 * np.pi) * np.exp(-b * d)] for b in (0.0,) + shells}
+            )
+        model = en.build_model(config, len(shells))
+        ctx = en.LossContext(model, table, rfs)
+        _, targets = en.network_inputs(model, batch)
+        rng = np.random.default_rng(5)
+        outputs = np.abs(rng.standard_normal((48, 5, tissues)))
+        _, terms = en.esd_loss(None, model, ad.Tensor(outputs), targets, ctx)
+
+        F = en.heads_to_fodf(outputs, model.grids[0], config.fodf_degree).coeffs
+        pred = sm.forward(F, rfs, basis, table)
+        signals, _ = en.b0_normalize(batch)
+        keys = [0, *table.shells]
+        expect = sum(np.sum((pred[b] - signals[b]) ** 2) for b in keys)
+        assert targets.shape == (5, table.total_samples)
+        assert terms["reconstruction"] == pytest.approx(expect, rel=1e-12)
 
     def test_end_to_end_gradient_check(self):
         # toy model: nside_in=2, depth=1, 4 voxels
@@ -153,8 +184,7 @@ class TestLoss:
         rfs = {"wm": tensor_response(sh.ShBasis(4), table)}
         model = en.build_model(config, 1)
         ctx = en.LossContext(model, table, rfs)
-        signals, _ = en.b0_normalize(batch)
-        x_in, _ = en.network_inputs(model, batch)
+        x_in, targets = en.network_inputs(model, batch)
         x = ad.Tensor(x_in)
         checked = [model.params[k] for k in
                    ("enc0_0_w", "enc0_0_gamma", "enc0_0_beta", "head_w")]
@@ -162,7 +192,7 @@ class TestLoss:
         def loss(tape):
             bn_backup = {k: s.copy() for k, s in model.bn.items()}
             out = model.forward(tape, x, training=True)
-            total, _ = en.esd_loss(tape, model, out, signals, ctx)
+            total, _ = en.esd_loss(tape, model, out, targets, ctx)
             model.bn.update(bn_backup)
             return total
 
@@ -219,11 +249,10 @@ class TestTrainInfer:
         model = en.build_model(config, 1)
         model.params["head_w"].values[:] = np.inf
         ctx = en.LossContext(model, table, rfs)
-        signals, _ = en.b0_normalize(batch)
-        x_in, _ = en.network_inputs(model, batch)
+        x_in, targets = en.network_inputs(model, batch)
         out = model.forward(None, ad.Tensor(x_in))
         with pytest.raises(NumericalError) as err:
-            en.esd_loss(None, model, out, signals, ctx)
+            en.esd_loss(None, model, out, targets, ctx)
         assert "reconstruction" in str(err.value)
 
 

@@ -67,14 +67,14 @@ class TestEvalSh:
         # oracle: quadrature with equal pixel weights 4*pi/N; equal-weight
         # center quadrature carries a few-1e-3 intrinsic error at this band
         grid = sg.build_grid(16)
-        Y = sh.design_matrix(sh.ShBasis(8), grid.vertices).Y
+        Y = sh.design_matrix(sh.ShBasis(8), grid.vertices)
         gram = Y @ Y.T * (4 * np.pi / grid.n_vertices)
         assert np.abs(gram - np.eye(45)).max() < 1e-2
 
     def test_orthonormality_exact_quadrature(self):
         # independent oracle: Gauss-Legendre x uniform azimuth, exact at this band
         pts, wts = gauss_legendre_sphere(40, 90)
-        Y = sh.design_matrix(sh.ShBasis(20), pts).Y
+        Y = sh.design_matrix(sh.ShBasis(20), pts)
         gram = (Y * wts) @ Y.T
         assert np.abs(gram - np.eye(231)).max() < 1e-12
 
@@ -82,17 +82,17 @@ class TestEvalSh:
 class TestDesignMatrix:
     def test_lmax0_all_constant(self):
         pts = fibonacci_points(5)
-        dm = sh.design_matrix(sh.ShBasis(0), pts)
-        assert dm.Y.shape == (1, 5)
-        assert np.allclose(dm.Y, 1 / np.sqrt(4 * np.pi))
+        Y = sh.design_matrix(sh.ShBasis(0), pts)
+        assert Y.shape == (1, 5)
+        assert np.allclose(Y, 1 / np.sqrt(4 * np.pi))
 
     def test_shape_lmax4(self):
-        dm = sh.design_matrix(sh.ShBasis(4), fibonacci_points(64))
-        assert dm.Y.shape == (15, 64)
+        Y = sh.design_matrix(sh.ShBasis(4), fibonacci_points(64))
+        assert Y.shape == (15, 64)
 
     def test_near_identity_gram_nside8(self):
         grid = sg.build_grid(8)
-        Y = sh.design_matrix(sh.ShBasis(8), grid.vertices).Y
+        Y = sh.design_matrix(sh.ShBasis(8), grid.vertices)
         gram = Y @ Y.T * (4 * np.pi / grid.n_vertices)
         assert np.abs(gram - np.eye(45)).max() < 2e-2
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphdecon import classical_csd as ccsd
+from sphdecon import esd_net as en
 from sphdecon import harmonics as sh
 from sphdecon import io_cli
 from sphdecon import peaks_metrics as pm
@@ -190,6 +191,24 @@ def sim_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def esd_run(sim_dir):
+    """A small network trained by esd-train on the simulated data."""
+    data = sim_dir / "data"
+    rf = sim_dir / "esd.rf"
+    assert run_cli("response", "--dataset", str(data / "train.sdv"), "--out", str(rf)) == 0
+    cfg = sim_dir / "esd.cfg"
+    cfg.write_text(json.dumps({"seed": 9, "model": {
+        "nside_in": 4, "depth": 2, "channels": [4, 6], "fodf_degree": 8,
+        "max_epochs": 2, "batch_size": 14, "lr": 0.001,
+    }}))
+    ckpt = sim_dir / "esd.ckpt"
+    assert run_cli("esd-train", "--train", str(data / "train.sdv"),
+                   "--val", str(data / "val.sdv"), "--response", str(rf),
+                   "--out", str(ckpt), "--config", str(cfg)) == 0
+    return {"data": data, "rf": rf, "cfg": cfg, "ckpt": ckpt}
+
+
 class TestCliPipeline:
     def test_simulate_outputs(self, sim_dir):
         for name, n in (("train", 28), ("val", 4), ("test", 8)):
@@ -300,6 +319,76 @@ class TestCliPipeline:
         assert "max_epochs" in lines[0]
         assert "Traceback" not in captured.err and captured.out == ""
         assert not ckpt.exists()
+
+    def test_esd_train_model_tissue_without_response(self, sim_dir, tmp_path, capsys):
+        data = sim_dir / "data"
+        rf = tmp_path / "wm.rf"
+        assert run_cli("response", "--dataset", str(data / "train.sdv"), "--out", str(rf)) == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(json.dumps({"model": {"tissues": 3, "max_epochs": 1}}))
+        ckpt = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        code = run_cli("esd-train", "--train", str(data / "train.sdv"),
+                       "--val", str(data / "val.sdv"), "--response", str(rf),
+                       "--out", str(ckpt), "--config", str(cfg))
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: ")
+        assert "gm" in lines[0] and "csf" in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not ckpt.exists()
+
+    def test_esd_missing_out_dir_fails_before_compute(self, esd_run, tmp_path,
+                                                       monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before checking the output path")
+
+        monkeypatch.setattr(en, "train", never)
+        monkeypatch.setattr(en, "infer", never)
+        data = esd_run["data"]
+        runs = [
+            ("esd-train", "--train", str(data / "train.sdv"), "--val", str(data / "val.sdv"),
+             "--response", str(esd_run["rf"]), "--config", str(esd_run["cfg"])),
+            ("esd-infer", "--checkpoint", str(esd_run["ckpt"]),
+             "--dataset", str(data / "test.sdv")),
+        ]
+        for argv in runs:
+            capsys.readouterr()
+            code = run_cli(*argv, "--out", str(tmp_path / "nodir" / "out"))
+            lines = capsys.readouterr().err.splitlines()
+            assert code == 1
+            assert len(lines) == 1 and lines[0].startswith("error: io: ")
+            assert "No such file or directory" in lines[0]
+
+    def test_checkpoint_round_trip(self, esd_run, tmp_path):
+        data = esd_run["data"]
+        config = json.loads(esd_run["cfg"].read_text())
+        model = en.build_model(io_cli._model_config(config), 1)
+        en.train(model, io_cli.read_dataset(data / "train.sdv"),
+                 io_cli.read_dataset(data / "val.sdv"), io_cli.read_response(esd_run["rf"]))
+        expect = en.infer(model, io_cli.read_dataset(data / "test.sdv")).coeffs["wm"]
+        assert np.abs(expect).max() > 0
+
+        def infer(ckpt, name):
+            out = tmp_path / name
+            assert run_cli("esd-infer", "--checkpoint", str(ckpt),
+                           "--dataset", str(data / "test.sdv"), "--out", str(out)) == 0
+            return io_cli.read_fodf(out).coeffs["wm"]
+
+        assert np.array_equal(infer(esd_run["ckpt"], "a.fodf"), expect)
+
+        header, blocks = io_cli.read_container(esd_run["ckpt"])
+        assert not any(name.startswith("adam_") for name in blocks)
+        assert not any(key.startswith("adam_") for key in header)
+        # older checkpoints also carry Adam moments; loading ignores them
+        extra = list(blocks.items())
+        for n in header["param_names"]:
+            extra += [(f"adam_m/{n}", blocks[f"param/{n}"] * 0.5),
+                      (f"adam_v/{n}", blocks[f"param/{n}"] ** 2)]
+        old = tmp_path / "old.ckpt"
+        io_cli.write_container(old, dict(header, adam_step=4), extra)
+        assert np.array_equal(infer(old, "b.fodf"), expect)
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),

@@ -91,8 +91,8 @@ class TestDetectPeaks:
         rot_peaks = pm.detect_peaks(rotated_coeffs, grid, rel_threshold=0.5)
         ang = np.pi / 2
         rot = np.array([[np.cos(ang), -np.sin(ang), 0], [np.sin(ang), np.cos(ang), 0], [0, 0, 1]])
-        expect = pm._fold(peaks.directions @ rot.T)
-        got = pm._fold(rot_peaks.directions)
+        expect = sh.fold_hemisphere(peaks.directions @ rot.T)
+        got = sh.fold_hemisphere(rot_peaks.directions)
         assert len(rot_peaks) == len(peaks)
         assert pm.axis_angles_deg(expect, got).diagonal().max() < 0.2
 
