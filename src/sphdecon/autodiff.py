@@ -32,10 +32,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def ensure_grad(self):
         if self.grad is None:
             self.grad = np.zeros_like(self.values)
@@ -63,9 +59,6 @@ class Tape:
         loss.ensure_grad()[...] = 1.0
         for fn in reversed(self._records):
             fn()
-
-    def __len__(self):
-        return len(self._records)
 
 
 def _track(tape, out, inputs, backward_fn):
@@ -195,11 +188,6 @@ class BatchNormState:
     @classmethod
     def for_channels(cls, c):
         return cls(np.zeros(c), np.ones(c))
-
-    def copy(self):
-        return BatchNormState(
-            self.running_mean.copy(), self.running_var.copy(), self.momentum, self.eps
-        )
 
 
 def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
@@ -374,10 +362,12 @@ class AdamState:
                    [np.zeros_like(p.values) for p in params])
 
 
-def adam_step(params, state: AdamState, lr: float,
-              betas=(0.9, 0.999), eps: float = 1e-8):
-    """One standard Adam update with bias correction, in place."""
-    b1, b2 = betas
+def adam_step(params, state: AdamState, lr: float):
+    """One standard Adam update with bias correction, in place.
+
+    betas are (0.9, 0.999) and eps is 1e-8.
+    """
+    b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step

@@ -72,14 +72,14 @@ def system_matrix(gradients: sm.GradientTable, rfs: dict, basis: sh.ShBasis):
             dirs = gradients.directions[b]
         row = []
         for t in tissues:
-            tb = basis if t == "wm" else sh.ShBasis(0)
+            tb = sm.tissue_basis(basis, t)
             Y = sh.design_matrix(tb, dirs)
             row.append((sm.rf_diagonal(rfs[t], tb, b)[:, None] * Y).T)
         blocks.append(np.hstack(row))
     A = np.vstack(blocks)
     slices, at = {}, 0
     for t in tissues:
-        lt = basis.L if t == "wm" else 1
+        lt = sm.tissue_basis(basis, t).L
         slices[t] = slice(at, at + lt)
         at += lt
     return A, slices, keys
@@ -94,8 +94,7 @@ def stack_samples(batch: sm.VoxelBatch, keys):
     return np.hstack([batch.signals[b] for b in keys])
 
 
-def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None,
-              grid=None) -> FodfField:
+def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None) -> FodfField:
     """Deconvolve every voxel of a batch.
 
     rfs maps tissue names to ResponseFunctions; which tissues take part is
@@ -106,8 +105,7 @@ def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None,
     basis = sh.ShBasis(config.wm_degree)
     A, slices, keys = system_matrix(batch.gradients, rfs, basis)
     S = stack_samples(batch, keys)
-    if grid is None or grid.nside != config.constraint_grid_nside:
-        grid = sg.build_grid(config.constraint_grid_nside)
+    grid = sg.build_grid(config.constraint_grid_nside)
     B = sh.design_matrix(basis, grid.vertices).T  # (m, L_wm)
 
     n_rows, n_cols = A.shape
@@ -121,7 +119,7 @@ def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None,
     atb = A.T @ S.T  # (n_cols, V)
 
     wm_sl = slices.get("wm")
-    iso_idx = [slices[t].start for t in ("gm", "csf") if t in slices]
+    iso_idx = [slices[t].start for t in sm.TISSUES[1:] if t in slices]
     lam = config.lambda_sparsity
 
     # low-degree unconstrained fit seeds the active set
@@ -173,23 +171,3 @@ def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None,
 
     out = {t: coeffs[:, slices[t]] for t in slices}
     return FodfField(out, basis, converged)
-
-
-def objective(c, A, s, B, wm_sl, lam, thr):
-    """Value of the regularized deconvolution objective for one voxel."""
-    resid = A @ c - s
-    val = float(resid @ resid)
-    if wm_sl is not None:
-        viol = np.minimum(B @ c[wm_sl] - thr, 0.0)
-        val += lam * float(viol @ viol)
-    return val
-
-
-def fodf_values(field: FodfField, grid) -> dict:
-    """Evaluate each tissue's fODF on a grid; (V, N) per tissue."""
-    out = {}
-    for t, coeffs in field.coeffs.items():
-        tb = field.basis if t == "wm" else sh.ShBasis(0)
-        Y = sh.design_matrix(tb, grid.vertices)
-        out[t] = coeffs @ Y
-    return out

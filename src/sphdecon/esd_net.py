@@ -1,12 +1,11 @@
 """Equivariant spherical deconvolution network.
 
 A U-Net of polynomial graph convolutions on the Healpix hierarchy maps
-the resampled signal (one channel per shell, optionally plus a baseline
-deconvolution channel) to per-tissue nonnegative spatial fODFs. The WM
-head is refit to even-degree coefficients and convolved with the response
-functions to reconstruct the measured samples; training minimizes
-reconstruction error plus a Cauchy sparsity penalty and a squared hinge
-on negative fODF values.
+the resampled signal (one channel per shell) to per-tissue nonnegative
+spatial fODFs. The WM head is refit to even-degree coefficients and
+convolved with the response functions to reconstruct the measured
+samples; training minimizes reconstruction error plus a Cauchy sparsity
+penalty and a squared hinge on negative fODF values.
 """
 
 from dataclasses import dataclass
@@ -19,9 +18,6 @@ from . import harmonics as sh
 from . import signal_model as sm
 from . import sphere_grid as sg
 from .errors import InvalidArgumentError, NumericalError
-
-_TISSUE_ORDER = ("wm", "gm", "csf")
-
 
 @dataclass
 class EsdConfig:
@@ -40,7 +36,6 @@ class EsdConfig:
     plateau_factor: float = 0.5
     plateau_patience: int = 5
     max_epochs: int = 30
-    use_csd_input: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -62,7 +57,7 @@ class EsdConfig:
 
     @property
     def tissue_names(self):
-        return _TISSUE_ORDER[: self.tissues]
+        return sm.TISSUES[: self.tissues]
 
 
 class EsdModel:
@@ -156,11 +151,6 @@ class EsdModel:
         return ad.scale(tape, h, config.head_gain)
 
 
-def build_model(config: EsdConfig, in_channels: int) -> EsdModel:
-    """Construct a model with seeded, deterministic initialization."""
-    return EsdModel(config, in_channels)
-
-
 def heads_to_fodf(outputs: np.ndarray, grid, l_max: int = 20) -> ccsd.FodfField:
     """Convert (N, V, T) head outputs to fODF coefficients.
 
@@ -170,7 +160,7 @@ def heads_to_fodf(outputs: np.ndarray, grid, l_max: int = 20) -> ccsd.FodfField:
     basis = sh.ShBasis(l_max)
     fit = sh.fit_matrix(grid.vertices, l_max)
     coeffs = {"wm": outputs[:, :, 0].T @ fit.T}
-    for i, t in enumerate(_TISSUE_ORDER[1 : outputs.shape[2]], start=1):
+    for i, t in enumerate(sm.TISSUES[1 : outputs.shape[2]], start=1):
         coeffs[t] = outputs[:, :, i].max(axis=0)[:, None]
     return ccsd.FodfField(coeffs, basis)
 
@@ -249,14 +239,12 @@ def b0_normalize(batch: sm.VoxelBatch):
     return {b: s / norms[:, None] for b, s in batch.signals.items()}, norms
 
 
-def network_inputs(model: EsdModel, batch: sm.VoxelBatch, rfs=None,
-                   csd_config=None) -> tuple:
+def network_inputs(model: EsdModel, batch: sm.VoxelBatch) -> tuple:
     """Resample a batch onto the input grid; returns (x array, targets).
 
-    x is (N, V, C_in) with one channel per shell in ascending order, plus
-    the baseline deconvolution channel when the model was built with
-    use_csd_input. targets is the (V, samples) normalized samples in the
-    system matrix's row order (b=0 first, then the shells).
+    x is (N, V, C_in) with one channel per shell in ascending order.
+    targets is the (V, samples) normalized samples in the system matrix's
+    row order (b=0 first, then the shells).
     """
     signals, _ = b0_normalize(batch)
     grid = model.grids[0]
@@ -268,17 +256,12 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch, rfs=None,
     channels = [
         sh.resample(signals[b], batch.gradients.directions[b], grid) for b in shells
     ]
-    normalized = sm.VoxelBatch(signals, batch.gradients)
-    if model.config.use_csd_input:
-        if rfs is None:
-            raise InvalidArgumentError("use_csd_input needs response functions")
-        csd_field = ccsd.csd_solve(normalized, rfs, csd_config)
-        channels.append(ccsd.fodf_values(csd_field, grid)["wm"])
     x = np.stack([c.T for c in channels], axis=-1)
     if x.shape[2] != model.in_channels:
         raise InvalidArgumentError(
             f"batch yields {x.shape[2]} input channels, model expects {model.in_channels}"
         )
+    normalized = sm.VoxelBatch(signals, batch.gradients)
     return x, ccsd.stack_samples(normalized, ccsd.sample_keys(batch.gradients))
 
 
@@ -316,13 +299,27 @@ def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
     return _summarize(model.config, sums, max(len(indices), 1))
 
 
+def _same_table(a: sm.GradientTable, b: sm.GradientTable) -> bool:
+    return (a.b0_count == b.b0_count and sorted(a.shells) == sorted(b.shells)
+            and all(np.array_equal(a.directions[s], b.directions[s]) for s in a.shells))
+
+
 def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
-          rfs: dict, csd_config=None) -> TrainResult:
-    """Optimize the model on one dataset; deterministic for a fixed seed."""
+          rfs: dict) -> TrainResult:
+    """Optimize the model on one dataset; deterministic for a fixed seed.
+
+    The validation loss uses the training set's forward operator, so the
+    two sets must share one gradient table.
+    """
+    if not _same_table(train_batch.gradients, val_batch.gradients):
+        raise InvalidArgumentError(
+            "the validation set's gradient table (b=0 count, shells or directions) "
+            "differs from the training set's"
+        )
     config = model.config
     ctx = LossContext(model, train_batch.gradients, rfs)
-    x_train, t_train = network_inputs(model, train_batch, rfs, csd_config)
-    x_val, t_val = network_inputs(model, val_batch, rfs, csd_config)
+    x_train, t_train = network_inputs(model, train_batch)
+    x_val, t_val = network_inputs(model, val_batch)
 
     params = model.parameters()
     adam = ad.AdamState.for_params(params)
@@ -372,9 +369,9 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
     return TrainResult(log, float(best_val), best_epoch)
 
 
-def infer(model: EsdModel, batch: sm.VoxelBatch, rfs=None, csd_config=None) -> ccsd.FodfField:
+def infer(model: EsdModel, batch: sm.VoxelBatch) -> ccsd.FodfField:
     """Eval-mode deconvolution of a batch; returns fODF coefficients."""
-    x, _ = network_inputs(model, batch, rfs, csd_config)
+    x, _ = network_inputs(model, batch)
     fields = []
     for lo in range(0, x.shape[1], 512):
         out = model.forward(None, ad.Tensor(x[:, lo : lo + 512]), training=False)

@@ -13,7 +13,7 @@ from scipy.special import gammaln, lpmv
 from .errors import IllConditionedError, InvalidArgumentError
 
 _COND_LIMIT = 1e12
-DEFAULT_TIKHONOV = 1e-6
+_RESAMPLE_TIKHONOV = 1e-6
 
 
 class ShBasis:
@@ -38,19 +38,6 @@ class ShBasis:
         return f"ShBasis(l_max={self.l_max})"
 
 
-class ShCoeffs:
-    """Coefficient vector over an ShBasis."""
-
-    def __init__(self, basis: ShBasis, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (basis.L,):
-            raise InvalidArgumentError(
-                f"coefficient vector has shape {values.shape}, expected ({basis.L},)"
-            )
-        self.basis = basis
-        self.values = values
-
-
 def _check_unit(points):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     norms = np.linalg.norm(points, axis=1)
@@ -58,16 +45,6 @@ def _check_unit(points):
         worst = float(np.max(np.abs(norms - 1.0)))
         raise InvalidArgumentError(f"points must be unit vectors (worst deviation {worst:.3e})")
     return points
-
-
-def eval_sh(l: int, m: int, p) -> float:
-    """Real orthonormal SH value at a unit vector."""
-    if l % 2 != 0 or l < 0:
-        raise InvalidArgumentError(f"degree must be even and nonnegative, got {l}")
-    if abs(m) > l:
-        raise InvalidArgumentError(f"|m| must not exceed l, got l={l}, m={m}")
-    p = _check_unit(p)[0]
-    return float(_sh_block(l, m, p[None, :])[0])
 
 
 def fold_hemisphere(points):
@@ -136,19 +113,6 @@ def fit_matrix(points, l_max: int, tikhonov: float = 0.0) -> np.ndarray:
     return np.linalg.solve(gram + tikhonov * np.eye(basis.L), Y)
 
 
-def fit_shc(samples, points, l_max: int, tikhonov: float = 0.0) -> ShCoeffs:
-    """Least-squares SH fit of sampled values at unit points."""
-    samples = np.asarray(samples, dtype=np.float64)
-    M = fit_matrix(points, l_max, tikhonov)
-    return ShCoeffs(ShBasis(l_max), M @ samples)
-
-
-def evaluate_shc(coeffs: ShCoeffs, points) -> np.ndarray:
-    """Evaluate an SH expansion at unit points."""
-    Y = design_matrix(coeffs.basis, points)
-    return coeffs.values @ Y
-
-
 def default_fit_degree(n_gradients: int) -> int:
     """Largest even degree whose coefficient count fits 0.8x the samples, capped at 8."""
     l = 0
@@ -157,23 +121,16 @@ def default_fit_degree(n_gradients: int) -> int:
     return l
 
 
-def resample(samples, gradients, grid, l_max_fit: int | None = None,
-             tikhonov: float = DEFAULT_TIKHONOV) -> np.ndarray:
+def resample(samples, gradients, grid) -> np.ndarray:
     """Interpolate gradient-direction samples onto a Healpix grid via SH.
 
-    samples may be a vector over gradients or a (V, n) batch; the result
-    has vertices on the last axis.
+    The fit uses default_fit_degree and a small ridge. samples may be a
+    vector over gradients or a (V, n) batch; the result has vertices on
+    the last axis.
     """
     samples = np.asarray(samples, dtype=np.float64)
     gradients = _check_unit(gradients)
-    if l_max_fit is None:
-        l_max_fit = default_fit_degree(gradients.shape[0])
-    basis = ShBasis(l_max_fit)
-    if basis.L > gradients.shape[0] and tikhonov == 0.0:
-        raise InvalidArgumentError(
-            f"l_max_fit={l_max_fit} needs {basis.L} coefficients but only "
-            f"{gradients.shape[0]} gradients are available"
-        )
-    M = fit_matrix(gradients, l_max_fit, tikhonov)
-    Yg = design_matrix(basis, grid.vertices)
+    l_max_fit = default_fit_degree(gradients.shape[0])
+    M = fit_matrix(gradients, l_max_fit, _RESAMPLE_TIKHONOV)
+    Yg = design_matrix(ShBasis(l_max_fit), grid.vertices)
     return (samples @ M.T) @ Yg

@@ -70,22 +70,41 @@ def write_container(path, header: dict, blocks: list):
 
 
 def read_container(path):
+    """Read a container, checking its length against the header and blocks.
+
+    A truncated file or an undecodable header raises FormatError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < 12:
+        raise FormatError(f"{path}: truncated at {len(raw)} bytes, inside the preamble")
     version = int(np.frombuffer(raw, "<u4", count=1, offset=4)[0])
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     hlen = int(np.frombuffer(raw, "<u4", count=1, offset=8)[0])
-    header = json.loads(raw[12 : 12 + hlen].decode())
+    if len(raw) < 12 + hlen:
+        raise FormatError(
+            f"{path}: truncated at {len(raw)} bytes, inside the {hlen}-byte header"
+        )
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode())
+        specs = [(name, [int(n) for n in shape]) for name, shape in header.pop("blocks")]
+        if any(n < 0 for _, shape in specs for n in shape):
+            raise ValueError("negative block dimension")
+    except (ValueError, TypeError, KeyError, AttributeError) as err:
+        raise FormatError(f"{path}: corrupt header: {err}") from err
     offset = 12 + hlen + _pad(12 + hlen)
     blocks = {}
-    for name, shape in header.pop("blocks"):
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, "<f8", count=count, offset=offset).reshape(shape)
+    for name, shape in specs:
+        nbytes = 8 * (int(np.prod(shape)) if shape else 1)
+        if len(raw) < offset + nbytes:
+            raise FormatError(
+                f"{path}: truncated at {len(raw)} bytes, inside block '{name}'"
+            )
+        arr = np.frombuffer(raw, "<f8", count=nbytes // 8, offset=offset).reshape(shape)
         blocks[name] = arr.copy()
-        nbytes = count * 8
         offset += nbytes + _pad(nbytes)
     return header, blocks
 
@@ -222,7 +241,7 @@ def read_response(path) -> dict:
     out = {}
     for t in header["tissues"]:
         mat = blocks[t]
-        width = 1 if t in ("gm", "csf") else mat.shape[1]
+        width = 1 if t in sm.TISSUES[1:] else mat.shape[1]
         out[t] = sm.ResponseFunction(
             t, {b: mat[i, :width] for i, b in enumerate(shells)}
         )
@@ -307,8 +326,15 @@ def read_checkpoint(path):
     header, blocks = read_container(path)
     if header.get("kind") != "checkpoint":
         raise FormatError(f"{path}: not a checkpoint file")
-    config = header["config"]
-    model = en.build_model(_model_config(config), header["in_channels"])
+    config = dict(header["config"])
+    # checkpoints from before the CSD input channel was removed store its
+    # flag; false is the only value the network still supports
+    config["model"] = dict(config.get("model", {}))
+    if config["model"].pop("use_csd_input", False):
+        raise ConfigError(
+            f"{path}: the network takes a CSD input channel, which is no longer supported"
+        )
+    model = en.EsdModel(_model_config(config), header["in_channels"])
     model.shells = header["shells"]
     for n in header["param_names"]:
         model.params[n].values[...] = blocks[f"param/{n}"]
@@ -359,7 +385,6 @@ _SCHEMA = {
         "plateau_factor": float,
         "plateau_patience": int,
         "max_epochs": int,
-        "use_csd_input": bool,
     },
     "csd": {
         "lambda_sparsity": float,
@@ -397,9 +422,6 @@ def validate_config(config, schema=None, prefix=""):
         elif expected is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"config key '{path}' must be an integer")
-        elif expected is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key '{path}' must be a boolean")
         elif expected is list:
             if not isinstance(value, list):
                 raise ConfigError(f"config key '{path}' must be a list")
@@ -443,10 +465,6 @@ def _model_config(config: dict) -> en.EsdConfig:
     return en.EsdConfig(seed=config.get("seed", 0), **kwargs)
 
 
-def _csd_config(config: dict) -> ccsd.CsdConfig:
-    return ccsd.CsdConfig(**config.get("csd", {}))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -473,7 +491,7 @@ def cmd_response(args):
     nf = normalized.n_fibers()
     wm_sel = (nf == 1) & (normalized.tissue_fractions[:, 0] > 0.999)
     rfs = {"wm": sm.estimate_response(normalized.subset(wm_sel), sh.ShBasis(degree))}
-    for i, t in enumerate(("gm", "csf"), start=1):
+    for i, t in enumerate(sm.TISSUES[1:], start=1):
         sel = normalized.tissue_fractions[:, i] > 0.999
         if np.any(sel):
             rfs[t] = sm.isotropic_response(normalized.subset(sel), t)
@@ -492,7 +510,7 @@ def cmd_csd(args):
     config = load_config(args.config) if args.config else {}
     batch = _normalized(read_dataset(args.dataset))
     rfs = read_response(args.response)
-    field = ccsd.csd_solve(batch, rfs, _csd_config(config))
+    field = ccsd.csd_solve(batch, rfs, ccsd.CsdConfig(**config.get("csd", {})))
     write_fodf(args.out, field)
     print(json.dumps({"out": args.out, "voxels": field.n_voxels,
                       "converged": int(field.converged.sum())}))
@@ -512,10 +530,8 @@ def cmd_esd_train(args):
     train_batch = read_dataset(args.train)
     val_batch = read_dataset(args.val)
     rfs = read_response(args.response)
-    mc = _model_config(config)
-    in_channels = len(train_batch.gradients.shells) + int(mc.use_csd_input)
-    model = en.build_model(mc, in_channels)
-    result = en.train(model, train_batch, val_batch, rfs, _csd_config(config))
+    model = en.EsdModel(_model_config(config), len(train_batch.gradients.shells))
+    result = en.train(model, train_batch, val_batch, rfs)
     write_checkpoint(args.out, model, result, config)
     if args.log:
         with open(args.log, "w") as fh:
@@ -528,10 +544,8 @@ def cmd_esd_train(args):
 
 def cmd_esd_infer(args):
     _check_out_dirs(args.out)
-    model, header = read_checkpoint(args.checkpoint)
-    batch = read_dataset(args.dataset)
-    rfs = read_response(args.response) if args.response else None
-    field = en.infer(model, batch, rfs, _csd_config(header["config"]))
+    model, _ = read_checkpoint(args.checkpoint)
+    field = en.infer(model, read_dataset(args.dataset))
     write_fodf(args.out, field)
     print(json.dumps({"out": args.out, "voxels": field.n_voxels}))
     return 0
@@ -643,7 +657,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--response")
     p.set_defaults(fn=cmd_esd_infer)
 
     p = subs.add_parser("peaks", help="extract fiber peaks from an fODF file")

@@ -15,6 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import _kernels
 from . import harmonics as sh
+from . import signal_model as sm
 from .errors import InvalidArgumentError
 
 _UNMATCHABLE = 1e6
@@ -86,13 +87,14 @@ def _refine_direction(values, grid, vertex):
     return refined / np.linalg.norm(refined)
 
 
-def detect_peaks(fodf_shc: sh.ShCoeffs, grid_dense, rel_threshold: float = 0.1,
+def detect_peaks(coeffs, grid_dense, rel_threshold: float = 0.1,
                  min_separation_deg: float = 15.0, _values=None) -> PeakSet:
-    """Extract fiber peaks from an fODF expansion on a dense grid."""
+    """Extract fiber peaks from one (L,) row of even-degree fODF coefficients."""
     if grid_dense.nside < 16:
         raise InvalidArgumentError("peak grid must have nside >= 16")
+    basis = sh.ShBasis(_lmax_from_count(len(coeffs)))
     if _values is None:
-        _values = fodf_shc.values @ _grid_design(fodf_shc.basis.l_max, grid_dense)
+        _values = coeffs @ _grid_design(basis.l_max, grid_dense)
     mask = _kernels.local_maxima(_values, grid_dense.neighbor_table)
     idx = np.flatnonzero(mask)
     if idx.size == 0 or _values[idx].max() <= 0:
@@ -102,7 +104,7 @@ def detect_peaks(fodf_shc: sh.ShCoeffs, grid_dense, rel_threshold: float = 0.1,
     idx = idx[_values[idx] >= 0.5 * rel_threshold * _values[idx].max()]
 
     dirs = np.array([_refine_direction(_values, grid_dense, v) for v in idx])
-    amps = fodf_shc.values @ sh.design_matrix(fodf_shc.basis, dirs)
+    amps = coeffs @ sh.design_matrix(basis, dirs)
     # keep the vertex itself where refinement moved off the ridge
     worse = amps < _values[idx]
     dirs[worse] = grid_dense.vertices[idx[worse]]
@@ -121,28 +123,21 @@ def detect_peaks(fodf_shc: sh.ShCoeffs, grid_dense, rel_threshold: float = 0.1,
     return PeakSet(dirs[kept], amps[kept])
 
 
-def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold=0.1, min_separation_deg=15.0,
-                    chunk: int = 256):
+def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold=0.1, min_separation_deg=15.0):
     """Detect peaks for every row of a (V, L) WM coefficient matrix.
 
-    Grid values are evaluated in chunks to bound memory on large batches.
+    Grid values are evaluated 256 voxels at a time to bound memory on
+    large batches.
     """
     wm_coeffs = np.asarray(wm_coeffs)
-    l_max = _lmax_from_count(wm_coeffs.shape[1])
-    basis = sh.ShBasis(l_max)
-    design = _grid_design(l_max, grid_dense)
+    design = _grid_design(_lmax_from_count(wm_coeffs.shape[1]), grid_dense)
     out = []
-    for lo in range(0, wm_coeffs.shape[0], chunk):
-        block = wm_coeffs[lo : lo + chunk]
+    for lo in range(0, wm_coeffs.shape[0], 256):
+        block = wm_coeffs[lo : lo + 256]
         values = block @ design
         out.extend(
-            detect_peaks(
-                sh.ShCoeffs(basis, block[v]),
-                grid_dense,
-                rel_threshold,
-                min_separation_deg,
-                _values=values[v],
-            )
+            detect_peaks(block[v], grid_dense, rel_threshold, min_separation_deg,
+                         _values=values[v])
             for v in range(block.shape[0])
         )
     return out
@@ -192,7 +187,7 @@ def aggregate_scores(scores) -> dict:
 
 def tissue_fraction_estimates(field, rfs) -> np.ndarray:
     """Signal-fraction estimates per voxel: degree-0 SHC times the RF b=0 scale."""
-    tissues = [t for t in ("wm", "gm", "csf") if t in field.coeffs]
+    tissues = [t for t in sm.TISSUES if t in field.coeffs]
     cols = []
     for t in tissues:
         rf = rfs[t]

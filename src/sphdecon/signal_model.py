@@ -68,7 +68,7 @@ class ResponseFunction:
         if self.tissue not in TISSUES:
             raise InvalidArgumentError(f"unknown tissue {self.tissue!r}")
         self.r = {b: np.asarray(v, dtype=np.float64).ravel() for b, v in self.r.items()}
-        if self.tissue in ("gm", "csf"):
+        if self.tissue in TISSUES[1:]:
             for b, v in self.r.items():
                 if v.shape != (1,):
                     raise InvalidArgumentError(
@@ -141,7 +141,8 @@ def rf_diagonal(rf: ResponseFunction, basis: sh.ShBasis, b) -> np.ndarray:
 _ISO_BASIS = sh.ShBasis(0)
 
 
-def _tissue_basis(basis, tissue):
+def tissue_basis(basis, tissue):
+    """The basis of a tissue's fODF: the full basis for wm, degree 0 otherwise."""
     return basis if tissue == "wm" else _ISO_BASIS
 
 
@@ -153,7 +154,7 @@ def forward(F: dict, rfs: dict, basis: sh.ShBasis, gradients: GradientTable) -> 
     """
     n_vox = None
     for t, coeffs in F.items():
-        lt = _tissue_basis(basis, t).L
+        lt = tissue_basis(basis, t).L
         if coeffs.ndim != 2 or coeffs.shape[1] != lt:
             raise InvalidArgumentError(
                 f"fODF for {t} has shape {coeffs.shape}, expected (V, {lt})"
@@ -167,14 +168,14 @@ def forward(F: dict, rfs: dict, basis: sh.ShBasis, gradients: GradientTable) -> 
     for b in gradients.shells:
         acc = np.zeros((n_vox, gradients.n(b)))
         for t, coeffs in F.items():
-            tb = _tissue_basis(basis, t)
+            tb = tissue_basis(basis, t)
             Y = sh.design_matrix(tb, gradients.directions[b])
             acc += (coeffs * rf_diagonal(rfs[t], tb, b)) @ Y
         out[b] = acc
     if gradients.b0_count > 0:
         col = np.zeros((n_vox, 1))
         for t, coeffs in F.items():
-            tb = _tissue_basis(basis, t)
+            tb = tissue_basis(basis, t)
             d0 = rf_diagonal(rfs[t], tb, 0)[0]
             col += coeffs[:, :1] * (d0 / np.sqrt(4 * np.pi))
         out[0] = np.repeat(col, gradients.b0_count, axis=1)
@@ -242,7 +243,7 @@ def add_rician_noise(samples, sigma: float, rng_seed) -> np.ndarray:
     return np.sqrt((samples + e1) ** 2 + e2**2)
 
 
-def generate_gradients(n: int, seed, iterations: int = 300) -> np.ndarray:
+def generate_gradients(n: int, seed) -> np.ndarray:
     """Electrostatic-repulsion scheme of n unit vectors (antipodal charges)."""
     rng = np.random.default_rng([int(seed), _STREAM_SCHEME, n])
     pts = rng.standard_normal((n, 3))
@@ -251,7 +252,7 @@ def generate_gradients(n: int, seed, iterations: int = 300) -> np.ndarray:
         return pts
     step = 0.1
     energy = _scheme_energy(pts)
-    for _ in range(iterations):
+    for _ in range(300):
         force = _scheme_force(pts)
         # project onto the tangent space and take a trial step
         force -= (force * pts).sum(axis=1, keepdims=True) * pts
@@ -404,8 +405,7 @@ def make_dataset(config: SimConfig, out_dir) -> dict:
     return manifest
 
 
-def estimate_response(batch: VoxelBatch, basis: sh.ShBasis,
-                      tikhonov: float = 0.0) -> ResponseFunction:
+def estimate_response(batch: VoxelBatch, basis: sh.ShBasis) -> ResponseFunction:
     """WM response from single-fiber voxels with known fiber directions.
 
     Each voxel's gradients are rotated so its fiber lands on +z, the zonal
@@ -427,7 +427,7 @@ def estimate_response(batch: VoxelBatch, basis: sh.ShBasis,
         for v in range(batch.n_voxels):
             rot = rotation_to_z(batch.fibers[v, 0])
             rotated = batch.gradients.directions[b] @ rot.T
-            acc += _zonal_fit(batch.signals[b][v], rotated, degrees, tikhonov)
+            acc += _zonal_fit(batch.signals[b][v], rotated, degrees)
         r[b] = acc / batch.n_voxels
     if batch.gradients.b0_count:
         r[0] = np.zeros(len(degrees))
@@ -443,7 +443,6 @@ def isotropic_response(batch: VoxelBatch, tissue: str) -> ResponseFunction:
     return ResponseFunction(tissue, r)
 
 
-def _zonal_fit(samples, points, degrees, tikhonov):
+def _zonal_fit(samples, points, degrees):
     Z = sh.zonal_design(degrees, points)
-    gram = Z @ Z.T + tikhonov * np.eye(len(degrees))
-    return np.linalg.solve(gram, Z @ samples)
+    return np.linalg.solve(Z @ Z.T, Z @ samples)

@@ -269,12 +269,12 @@ def z_rotation_permutation(grid: SphericalGrid, quarter_turns: int) -> np.ndarra
     return perm.astype(np.int64)
 
 
-def estimate_lmax(grid: SphericalGrid, iterations: int = 20) -> float:
-    """Largest Laplacian eigenvalue estimated by power iteration."""
+def estimate_lmax(grid: SphericalGrid) -> float:
+    """Largest Laplacian eigenvalue estimated by 20 power iterations."""
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(grid.n_vertices)
     v /= np.linalg.norm(v)
-    for _ in range(iterations):
+    for _ in range(20):
         w = grid.laplacian @ v
         v = w / np.linalg.norm(w)
     return float(v @ (grid.laplacian @ v))

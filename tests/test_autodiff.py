@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -226,7 +228,7 @@ class TestBatchNorm:
         state = ad.BatchNormState(np.array([0.3, -0.2]), np.array([1.5, 0.8]))
 
         def loss(tape):
-            out = ad.batchnorm(tape, x, gamma, beta, state.copy(), training)
+            out = ad.batchnorm(tape, x, gamma, beta, copy.deepcopy(state), training)
             return ad.sq_err_sum(tape, out, target)
 
         check_grad(loss, [x, gamma, beta])
@@ -365,7 +367,7 @@ class TestRandomizedGradChecks:
 
         def loss(tape):
             h = ad.graph_conv(tape, x, w1, lap12)
-            h = ad.batchnorm(tape, h, gamma, beta, state.copy(), True)
+            h = ad.batchnorm(tape, h, gamma, beta, copy.deepcopy(state), True)
             h = ad.relu(tape, h)
             h = ad.graph_conv(tape, h, w2, lap12)
             h, _ = ad.healpix_maxpool(tape, h)

@@ -7,6 +7,7 @@ from sphdecon import peaks_metrics as pm
 from sphdecon import signal_model as sm
 from sphdecon import sphere_grid as sg
 
+from test_harmonics import eval_sh
 from test_signal_model import make_table, tensor_response
 
 
@@ -25,6 +26,21 @@ def single_fiber_batch(n=12, seed=11, snr=None, n_grad=64):
     return sm.generate_batch(config, table, np.arange(n)), table
 
 
+def objective(c, A, s, B, wm_sl, lam, thr):
+    """Value of the regularized deconvolution objective for one voxel."""
+    resid = A @ c - s
+    val = float(resid @ resid)
+    if wm_sl is not None:
+        viol = np.minimum(B @ c[wm_sl] - thr, 0.0)
+        val += lam * float(viol @ viol)
+    return val
+
+
+def wm_values(field, grid):
+    """WM fODF values on a grid's vertices, (V, N)."""
+    return field.coeffs["wm"] @ sh.design_matrix(field.basis, grid.vertices)
+
+
 @pytest.fixture(scope="module")
 def wm_rf():
     table = make_table(64)
@@ -37,25 +53,25 @@ def constraint_grid():
 
 
 class TestCsdSolve:
-    def test_single_fiber_peak_accuracy(self, wm_rf, constraint_grid):
+    def test_single_fiber_peak_accuracy(self, wm_rf):
         # oracle: dense-grid argmax of the fitted fODF
         batch, _ = single_fiber_batch(n=12)
-        field = csd.csd_solve(batch, {"wm": wm_rf}, grid=constraint_grid)
+        field = csd.csd_solve(batch, {"wm": wm_rf})
         dense = sg.build_grid(64)
-        vals = csd.fodf_values(field, dense)["wm"]
+        vals = wm_values(field, dense)
         for v in range(batch.n_voxels):
             peak_dir = dense.vertices[np.argmax(vals[v])]
             ang = pm.axis_angles_deg(peak_dir, batch.fibers[v, 0])[0, 0]
             assert ang < 2.5  # argmax on nside=64 quantizes to ~1 degree
 
-    def test_zero_signal_zero_fodf(self, wm_rf, constraint_grid):
+    def test_zero_signal_zero_fodf(self, wm_rf):
         batch, _ = single_fiber_batch(n=2)
         for b in batch.signals:
             batch.signals[b][:] = 0.0
-        field = csd.csd_solve(batch, {"wm": wm_rf}, grid=constraint_grid)
+        field = csd.csd_solve(batch, {"wm": wm_rf})
         assert np.abs(field.coeffs["wm"]).max() < 1e-10
 
-    def test_residual_not_worse_than_ground_truth(self, wm_rf, constraint_grid):
+    def test_residual_not_worse_than_ground_truth(self, wm_rf):
         # feasible ground truth: signal synthesized from a nonnegative fODF
         rng = np.random.default_rng(4)
         table = make_table(64)
@@ -65,7 +81,7 @@ class TestCsdSolve:
         c_gt += 0.02 * rng.standard_normal(basis.L)
         pred = sm.forward({"wm": c_gt[None]}, {"wm": wm_rf}, basis, table)
         batch = sm.VoxelBatch(pred, table)
-        field = csd.csd_solve(batch, {"wm": wm_rf}, grid=constraint_grid)
+        field = csd.csd_solve(batch, {"wm": wm_rf})
         A, slices, keys = csd.system_matrix(table, {"wm": wm_rf}, basis)
         s = csd.stack_samples(batch, keys)[0]
         r_hat = np.linalg.norm(A @ field.coeffs["wm"][0] - s)
@@ -75,8 +91,8 @@ class TestCsdSolve:
     def test_nonnegativity_on_constraint_grid(self, wm_rf, constraint_grid):
         batch, _ = single_fiber_batch(n=6, snr=30)
         config = csd.CsdConfig()
-        field = csd.csd_solve(batch, {"wm": wm_rf}, config, grid=constraint_grid)
-        vals = csd.fodf_values(field, constraint_grid)["wm"]
+        field = csd.csd_solve(batch, {"wm": wm_rf}, config)
+        vals = wm_values(field, constraint_grid)
         # soft constraint: violations are small relative to the peak amplitude
         assert vals.min() > -0.05 * vals.max()
 
@@ -102,13 +118,13 @@ class TestCsdSolve:
                 Ba = B[active]
                 M += config.lambda_sparsity * (Ba.T @ Ba)
             c = np.linalg.solve(M, atb)
-            obj = csd.objective(c, A, s, B, slice(0, basis.L),
+            obj = objective(c, A, s, B, slice(0, basis.L),
                                 config.lambda_sparsity, config.nonneg_threshold)
             if prev is not None:
                 assert obj <= prev + 1e-9
             prev = obj
 
-    def test_msmt_pure_wm_reduces_to_ssst(self, constraint_grid):
+    def test_msmt_pure_wm_reduces_to_ssst(self):
         config = sm.SimConfig(
             shells=[1000.0, 2000.0, 3000.0],
             gradients_per_shell=32,
@@ -132,7 +148,7 @@ class TestCsdSolve:
             "csf",
             {b: [np.sqrt(4 * np.pi) * np.exp(-b * params.d_csf)] for b in [0.0, *table.shells]},
         )
-        field = csd.csd_solve(batch, {"wm": wm, "gm": gm, "csf": csf}, grid=constraint_grid)
+        field = csd.csd_solve(batch, {"wm": wm, "gm": gm, "csf": csf})
         assert np.abs(field.coeffs["gm"]).max() < 1e-4
         assert np.abs(field.coeffs["csf"]).max() < 1e-4
         # isotropic coefficients are (softly) nonnegative
@@ -146,13 +162,13 @@ class TestFodfValues:
         coeffs = np.zeros((1, basis.L))
         coeffs[0, 0] = 1.0
         field = csd.FodfField({"wm": coeffs}, basis)
-        vals = csd.fodf_values(field, sg.build_grid(4))["wm"]
+        vals = wm_values(field, sg.build_grid(4))
         assert np.allclose(vals, 1 / np.sqrt(4 * np.pi))
 
     def test_zero(self):
         basis = sh.ShBasis(8)
         field = csd.FodfField({"wm": np.zeros((2, basis.L))}, basis)
-        assert np.abs(csd.fodf_values(field, sg.build_grid(2))["wm"]).max() == 0
+        assert np.abs(wm_values(field, sg.build_grid(2))).max() == 0
 
     def test_matches_pointwise_eval(self):
         # oracle: naive per-vertex summation
@@ -161,11 +177,11 @@ class TestFodfValues:
         coeffs = rng.standard_normal((1, basis.L))
         field = csd.FodfField({"wm": coeffs}, basis)
         grid = sg.build_grid(2)
-        vals = csd.fodf_values(field, grid)["wm"][0]
+        vals = wm_values(field, grid)[0]
         naive = np.array(
             [
                 sum(
-                    coeffs[0, i] * sh.eval_sh(l, m, vert)
+                    coeffs[0, i] * eval_sh(l, m, vert)
                     for i, (l, m) in enumerate(basis.degrees)
                 )
                 for vert in grid.vertices

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -29,14 +31,14 @@ TINY = dict(nside_in=2, depth=2, channels=(4, 6), fodf_degree=4, max_epochs=2,
 class TestBuildModel:
     def test_default_output_shape(self):
         config = en.EsdConfig(tissues=3, seed=0)
-        model = en.build_model(config, in_channels=3)
+        model = en.EsdModel(config, in_channels=3)
         x = ad.Tensor(np.random.default_rng(0).standard_normal((768, 2, 3)))
         out = model.forward(None, x)
         assert out.values.shape == (768, 2, 3)
         assert np.all(out.values >= 0)  # softplus head
 
     def test_single_tissue_relu_head(self):
-        model = en.build_model(en.EsdConfig(**TINY), 1)
+        model = en.EsdModel(en.EsdConfig(**TINY), 1)
         x = ad.Tensor(np.random.default_rng(1).standard_normal((48, 3, 1)))
         out = model.forward(None, x)
         assert out.values.shape == (48, 3, 1)
@@ -44,8 +46,8 @@ class TestBuildModel:
         assert np.any(out.values == 0)  # relu clips
 
     def test_same_seed_same_parameters(self):
-        a = en.build_model(en.EsdConfig(**TINY), 1)
-        b = en.build_model(en.EsdConfig(**TINY), 1)
+        a = en.EsdModel(en.EsdConfig(**TINY), 1)
+        b = en.EsdModel(en.EsdConfig(**TINY), 1)
         for k in a.params:
             assert np.array_equal(a.params[k].values, b.params[k].values)
 
@@ -87,7 +89,7 @@ class TestHeadsToFodf:
 class TestLoss:
     def make_ctx(self, batch, table, config):
         rfs = {"wm": tensor_response(sh.ShBasis(config.fodf_degree), table)}
-        model = en.build_model(config, 1)
+        model = en.EsdModel(config, 1)
         return model, en.LossContext(model, table, rfs), rfs
 
     def test_zero_output_zero_fodf_terms(self):
@@ -161,7 +163,7 @@ class TestLoss:
             rfs[t] = sm.ResponseFunction(
                 t, {b: [np.sqrt(4 * np.pi) * np.exp(-b * d)] for b in (0.0,) + shells}
             )
-        model = en.build_model(config, len(shells))
+        model = en.EsdModel(config, len(shells))
         ctx = en.LossContext(model, table, rfs)
         _, targets = en.network_inputs(model, batch)
         rng = np.random.default_rng(5)
@@ -182,7 +184,7 @@ class TestLoss:
         config = en.EsdConfig(nside_in=2, depth=1, channels=(4,), fodf_degree=4,
                               seed=1, lambda_sparsity=0.01, sigma_cauchy=0.3)
         rfs = {"wm": tensor_response(sh.ShBasis(4), table)}
-        model = en.build_model(config, 1)
+        model = en.EsdModel(config, 1)
         ctx = en.LossContext(model, table, rfs)
         x_in, targets = en.network_inputs(model, batch)
         x = ad.Tensor(x_in)
@@ -190,7 +192,7 @@ class TestLoss:
                    ("enc0_0_w", "enc0_0_gamma", "enc0_0_beta", "head_w")]
 
         def loss(tape):
-            bn_backup = {k: s.copy() for k, s in model.bn.items()}
+            bn_backup = copy.deepcopy(model.bn)
             out = model.forward(tape, x, training=True)
             total, _ = en.esd_loss(tape, model, out, targets, ctx)
             model.bn.update(bn_backup)
@@ -201,11 +203,12 @@ class TestLoss:
 
 class TestTrainInfer:
     def run_train(self, seed=3):
-        batch, table = tiny_dataset(n=12, snr=30)
-        val, _ = tiny_dataset(n=6, seed=9, snr=30)
+        # validation voxels share the training set's gradient table
+        data, table = tiny_dataset(n=18, snr=30)
+        batch, val = data.subset(np.arange(12)), data.subset(np.arange(12, 18))
         rfs = {"wm": tensor_response(sh.ShBasis(4), table)}
         config = en.EsdConfig(**TINY)
-        model = en.build_model(config, 1)
+        model = en.EsdModel(config, 1)
         result = en.train(model, batch, val, rfs)
         return model, result, batch, rfs
 
@@ -242,11 +245,31 @@ class TestTrainInfer:
         with pytest.raises(InvalidArgumentError):
             en.infer(model, other)
 
+    @pytest.mark.parametrize("change", ["directions", "b0_count", "shells"])
+    def test_rejects_val_table_mismatch(self, change, monkeypatch):
+        batch, table = tiny_dataset(n=6)
+        if change == "directions":
+            val, _ = tiny_dataset(n=4, seed=9)
+        elif change == "b0_count":
+            val = batch.subset(np.arange(4))
+            val.gradients = sm.GradientTable(table.shells, dict(table.directions),
+                                             b0_count=table.b0_count + 1)
+        else:
+            val, _ = tiny_dataset(n=4, shells=(3000.0, 1000.0))
+        model = en.EsdModel(en.EsdConfig(**TINY), 1)
+
+        def never(*args, **kwargs):
+            raise AssertionError("computed before checking the validation table")
+
+        monkeypatch.setattr(en, "network_inputs", never)
+        with pytest.raises(InvalidArgumentError, match="gradient table"):
+            en.train(model, batch, val, {"wm": tensor_response(sh.ShBasis(4), table)})
+
     def test_nan_diagnostic_names_term(self):
         batch, table = tiny_dataset(n=4)
         config = en.EsdConfig(**TINY)
         rfs = {"wm": tensor_response(sh.ShBasis(4), table)}
-        model = en.build_model(config, 1)
+        model = en.EsdModel(config, 1)
         model.params["head_w"].values[:] = np.inf
         ctx = en.LossContext(model, table, rfs)
         x_in, targets = en.network_inputs(model, batch)
@@ -259,7 +282,7 @@ class TestTrainInfer:
 class TestEquivariance:
     def test_model_commutes_with_quarter_turn(self):
         config = en.EsdConfig(seed=2, channels=(8, 8, 8))
-        model = en.build_model(config, 1)
+        model = en.EsdModel(config, 1)
         grid = model.grids[0]
         perm = sg.z_rotation_permutation(grid, 1)
         rng = np.random.default_rng(3)
@@ -272,7 +295,7 @@ class TestEquivariance:
 def test_eval_forward_matches_dense_laplacian(monkeypatch):
     # a freshly built default model has a live ReLU head, so the outputs
     # compared below are not all zero
-    model = en.build_model(en.EsdConfig(), 1)
+    model = en.EsdModel(en.EsdConfig(), 1)
     x = ad.Tensor(np.abs(np.random.default_rng(0).standard_normal((768, 4, 1))))
     out = model.forward(None, x, training=False).values
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -157,7 +158,19 @@ class TestConfigValidation:
         with pytest.raises(io_cli.ConfigError):
             io_cli.validate_config({"seed": "zero"})
         with pytest.raises(io_cli.ConfigError):
-            io_cli.validate_config({"model": {"use_csd_input": 1}})
+            io_cli.validate_config({"model": {"channels": 3}})
+
+    def test_schema_matches_dataclasses(self):
+        # every schema key reaches a dataclass field, and every field a
+        # user may set has a schema key
+        def names(cls, *drop):
+            return {f.name for f in dataclasses.fields(cls)} - set(drop)
+
+        schema = io_cli._SCHEMA
+        assert set(schema["model"]) == names(en.EsdConfig, "seed", "head_gain")
+        assert set(schema["csd"]) == names(ccsd.CsdConfig)
+        assert set(schema["dataset"]) == names(sm.SimConfig, "seed")
+        assert set(schema["dataset"]["tensor"]) == names(sm.TensorParams)
 
     @settings(max_examples=40, deadline=None)
     @given(st.text(min_size=1, max_size=12))
@@ -364,7 +377,7 @@ class TestCliPipeline:
     def test_checkpoint_round_trip(self, esd_run, tmp_path):
         data = esd_run["data"]
         config = json.loads(esd_run["cfg"].read_text())
-        model = en.build_model(io_cli._model_config(config), 1)
+        model = en.EsdModel(io_cli._model_config(config), 1)
         en.train(model, io_cli.read_dataset(data / "train.sdv"),
                  io_cli.read_dataset(data / "val.sdv"), io_cli.read_response(esd_run["rf"]))
         expect = en.infer(model, io_cli.read_dataset(data / "test.sdv")).coeffs["wm"]
@@ -389,6 +402,93 @@ class TestCliPipeline:
         old = tmp_path / "old.ckpt"
         io_cli.write_container(old, dict(header, adam_step=4), extra)
         assert np.array_equal(infer(old, "b.fodf"), expect)
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_checkpoint_with_csd_input_flag(self, esd_run, tmp_path, capsys, flag):
+        # checkpoints written before the CSD input channel was removed store
+        # its flag in the model config
+        data = esd_run["data"]
+        header, blocks = io_cli.read_container(esd_run["ckpt"])
+        config = dict(header["config"])
+        config["model"] = dict(config["model"], use_csd_input=flag)
+        old = tmp_path / "old.ckpt"
+        io_cli.write_container(old, dict(header, config=config), list(blocks.items()))
+
+        def infer(ckpt, name):
+            out = tmp_path / name
+            code = run_cli("esd-infer", "--checkpoint", str(ckpt),
+                           "--dataset", str(data / "test.sdv"), "--out", str(out))
+            return code, out
+
+        capsys.readouterr()
+        code, out = infer(old, "old.fodf")
+        if flag:
+            lines = capsys.readouterr().err.splitlines()
+            assert code == 2
+            assert len(lines) == 1 and lines[0].startswith("error: config: ")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert out.read_bytes() == infer(esd_run["ckpt"], "plain.fodf")[1].read_bytes()
+
+    def test_esd_train_rejects_val_table_mismatch(self, tmp_path, monkeypatch, capsys):
+        # a 32-gradient validation set next to a 64-gradient training set
+        def simulate(name, n_grad, split):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(json.dumps({"seed": 4, "dataset": {
+                "shells": [3000.0], "gradients_per_shell": n_grad, "n_voxels": sum(split),
+                "split": split, "snr": None, "fiber_count_probs": [1.0, 0.0, 0.0],
+            }}))
+            assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / name)) == 0
+
+        simulate("g64", 64, [12, 0, 0])
+        simulate("g32", 32, [0, 4, 0])
+        train, val = tmp_path / "g64" / "train.sdv", tmp_path / "g32" / "val.sdv"
+        rf = tmp_path / "wm.rf"
+        assert run_cli("response", "--dataset", str(train), "--out", str(rf)) == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError("computed before checking the validation table")
+
+        monkeypatch.setattr(en, "network_inputs", never)
+        ckpt = tmp_path / "model.ckpt"
+        capsys.readouterr()
+        code = run_cli("esd-train", "--train", str(train), "--val", str(val),
+                       "--response", str(rf), "--out", str(ckpt))
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: ")
+        assert "gradient table" in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("corruption", ["cut_in_header", "cut_in_payload",
+                                            "cut_to_6_bytes", "bad_header_byte",
+                                            "negative_block_dim"])
+    def test_corrupt_dataset_exits_1(self, sim_dir, tmp_path, corruption, capsys):
+        raw = bytearray((sim_dir / "data" / "test.sdv").read_bytes())
+        hlen = int(np.frombuffer(bytes(raw), "<u4", count=1, offset=8)[0])
+        payload = 12 + hlen + (-(12 + hlen)) % 32
+        # same header length: the signals block's voxel count turns negative
+        negative = raw[12 : 12 + hlen].replace(b'["signals",[8,17]]', b'["signals",[-8,7]]')
+        raw = {
+            "cut_in_header": raw[: 12 + hlen // 2],
+            "cut_in_payload": raw[: payload + 40],
+            "cut_to_6_bytes": raw[:6],
+            "bad_header_byte": raw[:17] + b"\xff" + raw[18:],
+            "negative_block_dim": raw[:12] + negative + raw[12 + hlen :],
+        }[corruption]
+        assert corruption != "negative_block_dim" or b"[-8,7]" in raw
+        path = tmp_path / "corrupt.sdv"
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = run_cli("response", "--dataset", str(path), "--out", str(tmp_path / "r.rf"))
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io: ")
+        assert "Traceback" not in captured.err
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),

@@ -5,6 +5,8 @@ from sphdecon import harmonics as sh
 from sphdecon import signal_model as sm
 from sphdecon.errors import InvalidArgumentError
 
+from test_harmonics import eval_sh
+
 
 def make_table(n=64, shells=(3000.0,), b0=1, seed=0):
     dirs = {b: sm.generate_gradients(n, seed) for b in shells}
@@ -63,7 +65,7 @@ class TestForward:
         basis = sh.ShBasis(8)
         rf = tensor_response(basis, table)
         # band-limited delta at +z: coefficients Y_l^m(z)
-        delta = np.array([sh.eval_sh(l, m, [0, 0, 1]) for l, m in basis.degrees])
+        delta = np.array([eval_sh(l, m, [0, 0, 1]) for l, m in basis.degrees])
         F = {"wm": delta[None, :]}
         pred = sm.forward(F, {"wm": rf}, basis, table)
         # oracle: direct zonal evaluation of the RF at the gradients
@@ -102,8 +104,8 @@ class TestForward:
         pts = np.asarray(
             sm.generate_gradients(256, 9), dtype=np.float64
         )
-        vals = sh.evaluate_shc(sh.ShCoeffs(basis, coeffs), pts)
-        rotated = sh.fit_shc(vals, pts @ rot.T, basis.l_max).values
+        vals = coeffs @ sh.design_matrix(basis, pts)
+        rotated = sh.fit_matrix(pts @ rot.T, basis.l_max) @ vals
         pred_rot = sm.forward({"wm": rotated[None]}, {"wm": rf}, basis, table)
         # oracle: predict from original coefficients at inverse-rotated gradients
         table2 = sm.GradientTable(
