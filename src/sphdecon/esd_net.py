@@ -19,18 +19,22 @@ from . import signal_model as sm
 from . import sphere_grid as sg
 from .errors import InvalidArgumentError, NumericalError
 
+# fixed output gain: fODF lobes live at ~10-20x the unit scale of
+# normalized features, and Adam is slow to grow raw magnitudes
+_HEAD_GAIN = 12.0
+
+
 @dataclass
 class EsdConfig:
     nside_in: int = 8
     depth: int = 3
-    channels: tuple = (16, 32, 64)
+    channels: tuple[int, ...] = (16, 32, 64)
     poly_order: int = 4
     tissues: int = 1
     fodf_degree: int = 20
     lambda_sparsity: float = 1e-4
     sigma_cauchy: float = 1e-4
     lambda_nonneg: float = 1.0
-    head_gain: float = 12.0
     batch_size: int = 32
     lr: float = 1e-2
     plateau_factor: float = 0.5
@@ -39,7 +43,6 @@ class EsdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.channels = tuple(self.channels)
         if len(self.channels) != self.depth:
             raise InvalidArgumentError(
                 f"channels {self.channels} must have one entry per level (depth {self.depth})"
@@ -84,7 +87,7 @@ class EsdModel:
             self._add_block(rng, f"dec{lvl}_0", ch[lvl + 1] + ch[lvl], ch[lvl])
             self._add_block(rng, f"dec{lvl}_1", ch[lvl], ch[lvl])
         # small head init: the output starts near zero (but alive through
-        # the rectifier) and head_gain supplies the eventual fODF scale
+        # the rectifier) and _HEAD_GAIN supplies the eventual fODF scale
         self.params["head_w"] = ad.Tensor(
             0.05 * self._init_weights(rng, ch[0], config.tissues), requires_grad=True
         )
@@ -146,9 +149,7 @@ class EsdModel:
             h = self._block(tape, f"dec{lvl}_1", h, lvl, training)
         h = ad.graph_conv(tape, h, self.params["head_w"], self.laps[0])
         h = ad.softplus(tape, h) if config.tissues > 1 else ad.relu(tape, h)
-        # fixed output gain: fODF lobes live at ~10-20x the unit scale of
-        # normalized features, and Adam is slow to grow raw magnitudes
-        return ad.scale(tape, h, config.head_gain)
+        return ad.scale(tape, h, _HEAD_GAIN)
 
 
 def heads_to_fodf(outputs: np.ndarray, grid, l_max: int = 20) -> ccsd.FodfField:
@@ -225,20 +226,6 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
     return total, terms
 
 
-def b0_normalize(batch: sm.VoxelBatch):
-    """Divide every voxel's samples by its mean b=0 signal.
-
-    Returns (normalized signals dict, per-voxel norms). Voxels without
-    b=0 samples keep scale 1.
-    """
-    if 0 in batch.signals:
-        norms = batch.signals[0].mean(axis=1)
-        norms = np.where(norms > 0, norms, 1.0)
-    else:
-        norms = np.ones(batch.n_voxels)
-    return {b: s / norms[:, None] for b, s in batch.signals.items()}, norms
-
-
 def network_inputs(model: EsdModel, batch: sm.VoxelBatch) -> tuple:
     """Resample a batch onto the input grid; returns (x array, targets).
 
@@ -246,7 +233,7 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch) -> tuple:
     targets is the (V, samples) normalized samples in the system matrix's
     row order (b=0 first, then the shells).
     """
-    signals, _ = b0_normalize(batch)
+    batch = batch.b0_normalized()
     grid = model.grids[0]
     shells = sorted(batch.gradients.shells)
     if model.shells is not None and [float(b) for b in shells] != sorted(model.shells):
@@ -254,15 +241,14 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch) -> tuple:
             f"batch shells {shells} do not match the model's {sorted(model.shells)}"
         )
     channels = [
-        sh.resample(signals[b], batch.gradients.directions[b], grid) for b in shells
+        sh.resample(batch.signals[b], batch.gradients.directions[b], grid) for b in shells
     ]
     x = np.stack([c.T for c in channels], axis=-1)
     if x.shape[2] != model.in_channels:
         raise InvalidArgumentError(
             f"batch yields {x.shape[2]} input channels, model expects {model.in_channels}"
         )
-    normalized = sm.VoxelBatch(signals, batch.gradients)
-    return x, ccsd.stack_samples(normalized, ccsd.sample_keys(batch.gradients))
+    return x, ccsd.stack_samples(batch, ccsd.sample_keys(batch.gradients))
 
 
 @dataclass

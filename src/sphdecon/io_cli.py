@@ -1,4 +1,4 @@
-"""File formats, configuration schema, and the command-line interface.
+"""File formats, configuration sections, and the command-line interface.
 
 All binary files share one container: magic "SDV1", a version field, a
 JSON text header, then 32-byte-aligned little-endian float64 payload
@@ -10,11 +10,14 @@ Exit codes: 0 ok, 1 I/O failure, 2 config/validation failure,
 """
 
 import argparse
+import dataclasses
 import errno
 import hashlib
 import json
 import os
 import sys
+import types
+import typing
 
 import numpy as np
 
@@ -69,10 +72,23 @@ def write_container(path, header: dict, blocks: list):
             fh.write(b"\0" * _pad(len(data)))
 
 
-def read_container(path):
+class _Entries(dict):
+    """Header objects and the block table: a missing entry is a FormatError."""
+
+    def __init__(self, path, what, items=()):
+        super().__init__(items)
+        self.path, self.what = path, what
+
+    def __missing__(self, key):
+        raise FormatError(f"{self.path}: no {self.what} {key!r}")
+
+
+def read_container(path, kind=None):
     """Read a container, checking its length against the header and blocks.
 
-    A truncated file or an undecodable header raises FormatError.
+    A truncated file, an undecodable header or a header of another kind
+    than `kind` (when given) raises FormatError, and so does looking up a
+    header key or block that the file lacks.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -89,14 +105,17 @@ def read_container(path):
             f"{path}: truncated at {len(raw)} bytes, inside the {hlen}-byte header"
         )
     try:
-        header = json.loads(raw[12 : 12 + hlen].decode())
+        header = json.loads(raw[12 : 12 + hlen].decode(),
+                            object_hook=lambda obj: _Entries(path, "header key", obj))
         specs = [(name, [int(n) for n in shape]) for name, shape in header.pop("blocks")]
         if any(n < 0 for _, shape in specs for n in shape):
             raise ValueError("negative block dimension")
     except (ValueError, TypeError, KeyError, AttributeError) as err:
         raise FormatError(f"{path}: corrupt header: {err}") from err
+    if kind is not None and header.get("kind") != kind:
+        raise FormatError(f"{path}: a {header.get('kind')!r} file, expected {kind!r}")
     offset = 12 + hlen + _pad(12 + hlen)
-    blocks = {}
+    blocks = _Entries(path, "block")
     for name, shape in specs:
         nbytes = 8 * (int(np.prod(shape)) if shape else 1)
         if len(raw) < offset + nbytes:
@@ -144,9 +163,7 @@ def write_dataset(path, batch: sm.VoxelBatch, seed=None):
 
 
 def read_dataset(path) -> sm.VoxelBatch:
-    header, blocks = read_container(path)
-    if header.get("kind") != "dataset":
-        raise FormatError(f"{path}: not a dataset file")
+    header, blocks = read_container(path, "dataset")
     shells = [float(b) for b in header["shells"]]
     directions = {b: np.array(header["directions"][str(b)]) for b in shells}
     table = sm.GradientTable(shells, directions, b0_count=header["b0_count"])
@@ -234,9 +251,7 @@ def write_response(path, rfs: dict):
 
 
 def read_response(path) -> dict:
-    header, blocks = read_container(path)
-    if header.get("kind") != "response":
-        raise FormatError(f"{path}: not a response file")
+    header, blocks = read_container(path, "response")
     shells = [float(b) for b in header["shells"]]
     out = {}
     for t in header["tissues"]:
@@ -261,9 +276,7 @@ def write_fodf(path, field: ccsd.FodfField):
 
 
 def read_fodf(path) -> ccsd.FodfField:
-    header, blocks = read_container(path)
-    if header.get("kind") != "fodf":
-        raise FormatError(f"{path}: not an fODF file")
+    header, blocks = read_container(path, "fodf")
     coeffs = {t: blocks[t] for t in header["tissues"]}
     return ccsd.FodfField(
         coeffs, sh.ShBasis(header["degree"]), blocks["converged"] > 0.5
@@ -283,9 +296,7 @@ def write_peaks(path, peak_sets: list):
 
 
 def read_peaks(path) -> list:
-    header, blocks = read_container(path)
-    if header.get("kind") != "peaks":
-        raise FormatError(f"{path}: not a peaks file")
+    header, blocks = read_container(path, "peaks")
     arr = blocks["peaks"]
     out = []
     for v in range(arr.shape[0]):
@@ -323,18 +334,22 @@ def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: d
 
 
 def read_checkpoint(path):
-    header, blocks = read_container(path)
-    if header.get("kind") != "checkpoint":
-        raise FormatError(f"{path}: not a checkpoint file")
-    config = dict(header["config"])
+    header, blocks = read_container(path, "checkpoint")
+    # only the seed and the model section are read back; the rest of a
+    # stored config may hold keys that older versions had
+    stored = header["config"]
+    config = {"seed": stored.get("seed", 0), "model": dict(stored.get("model", {}))}
     # checkpoints from before the CSD input channel was removed store its
     # flag; false is the only value the network still supports
-    config["model"] = dict(config.get("model", {}))
     if config["model"].pop("use_csd_input", False):
         raise ConfigError(
             f"{path}: the network takes a CSD input channel, which is no longer supported"
         )
-    model = en.EsdModel(_model_config(config), header["in_channels"])
+    try:
+        validate_config(config)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: stored {err}") from err
+    model = en.EsdModel(build_config(config, "model"), header["in_channels"])
     model.shells = header["shells"]
     for n in header["param_names"]:
         model.params[n].values[...] = blocks[f"param/{n}"]
@@ -345,87 +360,69 @@ def read_checkpoint(path):
 
 
 # ---------------------------------------------------------------------------
-# configuration schema
+# configuration: one dataclass per section, whose fields are the schema
 
 
-_TENSOR_SCHEMA = {
-    "lambda_parallel": float,
-    "lambda_perp": float,
-    "d_gm": float,
-    "d_csf": float,
+SECTIONS = {
+    "dataset": sm.SimConfig,
+    "model": en.EsdConfig,
+    "csd": ccsd.CsdConfig,
+    "peaks": pm.PeakConfig,
+    "response": sm.ResponseConfig,
 }
-_SCHEMA = {
-    "seed": int,
-    "dataset": {
-        "shells": list,
-        "gradients_per_shell": int,
-        "n_voxels": int,
-        "split": list,
-        "snr": float,
-        "tissues": int,
-        "b0_count": int,
-        "fiber_count_probs": list,
-        "min_crossing_angle_deg": float,
-        "pure_voxel_prob": float,
-        "min_fiber_fraction": float,
-        "tensor": _TENSOR_SCHEMA,
-    },
-    "model": {
-        "nside_in": int,
-        "depth": int,
-        "channels": list,
-        "poly_order": int,
-        "tissues": int,
-        "fodf_degree": int,
-        "lambda_sparsity": float,
-        "sigma_cauchy": float,
-        "lambda_nonneg": float,
-        "batch_size": int,
-        "lr": float,
-        "plateau_factor": float,
-        "plateau_patience": int,
-        "max_epochs": int,
-    },
-    "csd": {
-        "lambda_sparsity": float,
-        "nonneg_threshold": float,
-        "max_iters": int,
-        "tol": float,
-        "constraint_grid_nside": int,
-        "wm_degree": int,
-        "ridge": float,
-    },
-    "peaks": {
-        "grid_nside": int,
-        "rel_threshold": float,
-        "min_separation_deg": float,
-    },
-    "response": {"degree": int},
-}
+_KINDS = {int: "an integer", float: "a number"}
 
 
-def validate_config(config, schema=None, prefix=""):
-    """Schema-check a nested config dict; unknown keys are rejected."""
-    schema = _SCHEMA if schema is None else schema
-    if not isinstance(config, dict):
-        raise ConfigError(f"config section '{prefix or '<root>'}' must be an object")
-    for key, value in config.items():
-        path = f"{prefix}{key}"
-        if key not in schema:
-            raise ConfigError(f"unknown config key '{path}'")
-        expected = schema[key]
-        if isinstance(expected, dict):
-            validate_config(value, expected, prefix=f"{path}.")
-        elif expected is float:
-            if value is not None and not isinstance(value, (int, float)):
-                raise ConfigError(f"config key '{path}' must be a number")
-        elif expected is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"config key '{path}' must be an integer")
-        elif expected is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"config key '{path}' must be a list")
+def _check(value, hint, path):
+    """Raise ConfigError unless a JSON value fits an annotation; dicts are sections."""
+    if dataclasses.is_dataclass(hint):  # the seed is a top-level key only
+        hint = {f.name: f.type for f in dataclasses.fields(hint) if f.name != "seed"}
+    if isinstance(hint, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section '{path or '<root>'}' must be an object")
+        for key, item in value.items():
+            name = f"{path}.{key}" if path else key
+            if key not in hint:
+                raise ConfigError(f"unknown config key '{name}'")
+            _check(item, hint[key], name)
+    elif typing.get_origin(hint) is types.UnionType:  # float | None
+        if value is not None:
+            _check(value, typing.get_args(hint)[0], path)
+    elif typing.get_origin(hint) in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key '{path}' must be a list")
+        for i, item in enumerate(value):
+            _check(item, typing.get_args(hint)[0], f"{path}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+        raise ConfigError(f"config key '{path}' must be {_KINDS[hint]}")
+
+
+def validate_config(config):
+    """Check a config document against the section dataclasses' fields."""
+    _check(config, {"seed": int, **SECTIONS}, "")
     return config
+
+
+def build_config(config: dict, section: str):
+    """A validated config's section as its dataclass, with the top-level seed."""
+    return _build(SECTIONS[section], config.get(section, {}), config.get("seed", 0), section)
+
+
+def _build(cls, values, seed, path):
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name == "seed":
+            kwargs["seed"] = seed
+        elif f.name in values:
+            value = values[f.name]
+            if dataclasses.is_dataclass(f.type):
+                value = _build(f.type, value, seed, f"{path}.{f.name}")
+            elif typing.get_origin(f.type) is tuple:
+                value = tuple(value)
+            kwargs[f.name] = value
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing config key '{path}.{f.name}'")
+    return cls(**kwargs)
 
 
 def load_config(path) -> dict:
@@ -437,41 +434,13 @@ def load_config(path) -> dict:
     return validate_config(raw)
 
 
-def _require(config, section, keys):
-    sub = config.get(section)
-    if sub is None:
-        raise ConfigError(f"missing config section '{section}'")
-    for key in keys:
-        if key not in sub:
-            raise ConfigError(f"missing config key '{section}.{key}'")
-    return sub
-
-
-def sim_config(config: dict) -> sm.SimConfig:
-    d = dict(_require(config, "dataset", ("shells", "gradients_per_shell", "n_voxels", "split")))
-    tensor = sm.TensorParams(**d.pop("tensor", {}))
-    return sm.SimConfig(
-        seed=config.get("seed", 0),
-        tensor=tensor,
-        split=tuple(d.pop("split")),
-        **d,
-    )
-
-
-def _model_config(config: dict) -> en.EsdConfig:
-    kwargs = dict(config.get("model", {}))
-    if "channels" in kwargs:
-        kwargs["channels"] = tuple(kwargs["channels"])
-    return en.EsdConfig(seed=config.get("seed", 0), **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_simulate(args):
     config = load_config(args.config)
-    sc = sim_config(config)
+    sc = build_config(config, "dataset")
     os.makedirs(args.out, exist_ok=True)
     manifest = sm.make_dataset(sc, args.out)
     print(json.dumps(manifest, sort_keys=True))
@@ -483,8 +452,8 @@ def cmd_response(args):
     batch = read_dataset(args.dataset)
     if batch.fibers is None:
         raise InvalidArgumentError("response estimation needs ground truth")
-    normalized = _normalized(batch)
-    degree = config.get("response", {}).get("degree", 16)
+    normalized = batch.b0_normalized()
+    degree = build_config(config, "response").degree
     n_grad = min(batch.gradients.n(b) for b in batch.gradients.shells)
     while degree // 2 + 1 > 0.8 * n_grad:
         degree -= 2
@@ -500,17 +469,11 @@ def cmd_response(args):
     return 0
 
 
-def _normalized(batch):
-    signals, _ = en.b0_normalize(batch)
-    return sm.VoxelBatch(signals, batch.gradients, batch.fibers,
-                         batch.fiber_fractions, batch.tissue_fractions)
-
-
 def cmd_csd(args):
     config = load_config(args.config) if args.config else {}
-    batch = _normalized(read_dataset(args.dataset))
+    batch = read_dataset(args.dataset).b0_normalized()
     rfs = read_response(args.response)
-    field = ccsd.csd_solve(batch, rfs, ccsd.CsdConfig(**config.get("csd", {})))
+    field = ccsd.csd_solve(batch, rfs, build_config(config, "csd"))
     write_fodf(args.out, field)
     print(json.dumps({"out": args.out, "voxels": field.n_voxels,
                       "converged": int(field.converged.sum())}))
@@ -530,7 +493,7 @@ def cmd_esd_train(args):
     train_batch = read_dataset(args.train)
     val_batch = read_dataset(args.val)
     rfs = read_response(args.response)
-    model = en.EsdModel(_model_config(config), len(train_batch.gradients.shells))
+    model = en.EsdModel(build_config(config, "model"), len(train_batch.gradients.shells))
     result = en.train(model, train_batch, val_batch, rfs)
     write_checkpoint(args.out, model, result, config)
     if args.log:
@@ -553,12 +516,9 @@ def cmd_esd_infer(args):
 
 def _peaks(field, config):
     """Peaks of a field's WM fODFs under the config's peaks section."""
-    pc = config.get("peaks", {})
-    return pm.peaks_for_batch(
-        field.coeffs["wm"], sg.build_grid(pc.get("grid_nside", 32)),
-        rel_threshold=pc.get("rel_threshold", 0.25),
-        min_separation_deg=pc.get("min_separation_deg", 15.0),
-    )
+    pc = build_config(config, "peaks")
+    return pm.peaks_for_batch(field.coeffs["wm"], sg.build_grid(pc.grid_nside),
+                              pc.rel_threshold, pc.min_separation_deg)
 
 
 def cmd_peaks(args):

@@ -30,6 +30,15 @@ def _grid_design(l_max, grid):
 
 
 @dataclass
+class PeakConfig:
+    """Peak extraction settings: the config's "peaks" section."""
+
+    grid_nside: int = 32
+    rel_threshold: float = 0.25
+    min_separation_deg: float = 15.0
+
+
+@dataclass
 class PeakSet:
     directions: np.ndarray  # (K, 3), descending amplitude, hemisphere reps
     amplitudes: np.ndarray  # (K,)
@@ -123,7 +132,7 @@ def detect_peaks(coeffs, grid_dense, rel_threshold: float = 0.1,
     return PeakSet(dirs[kept], amps[kept])
 
 
-def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold=0.1, min_separation_deg=15.0):
+def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold, min_separation_deg):
     """Detect peaks for every row of a (V, L) WM coefficient matrix.
 
     Grid values are evaluated 256 voxels at a time to bound memory on

@@ -10,7 +10,7 @@ All randomness is drawn from named substreams of a single seed so that
 results are independent of evaluation order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,6 +114,18 @@ class VoxelBatch:
 
     def n_fibers(self):
         return (np.linalg.norm(self.fibers, axis=2) > 0.5).sum(axis=1)
+
+    def b0_normalized(self):
+        """This batch with every voxel's samples divided by its mean b=0 signal.
+
+        Without b=0 samples, and in voxels whose mean is not positive, the
+        scale is 1.
+        """
+        if 0 not in self.signals:
+            return self
+        norms = self.signals[0].mean(axis=1)
+        norms = np.where(norms > 0, norms, 1.0)[:, None]
+        return replace(self, signals={b: s / norms for b, s in self.signals.items()})
 
     def subset(self, idx):
         return VoxelBatch(
@@ -288,17 +300,17 @@ def _scheme_force(pts):
 
 @dataclass
 class SimConfig:
-    """Synthetic dataset settings (see io_cli for the file schema)."""
+    """Synthetic dataset settings: the config's "dataset" section."""
 
-    shells: list
+    shells: list[float]
     gradients_per_shell: int
     n_voxels: int
-    split: tuple
+    split: tuple[int, ...]
     seed: int
     snr: float | None = 30.0
     tissues: int = 1
     b0_count: int = 1
-    fiber_count_probs: tuple = (0.3, 0.5, 0.2)
+    fiber_count_probs: tuple[float, ...] = (0.3, 0.5, 0.2)
     min_crossing_angle_deg: float = 20.0
     pure_voxel_prob: float = 0.06
     min_fiber_fraction: float = 0.2
@@ -403,6 +415,13 @@ def make_dataset(config: SimConfig, out_dir) -> dict:
         io_cli.write_dataset(path, batch, seed=config.seed)
         manifest["files"][name] = {"path": str(path), "n_voxels": int(hi - lo)}
     return manifest
+
+
+@dataclass
+class ResponseConfig:
+    """Response estimation settings: the config's "response" section."""
+
+    degree: int = 16  # WM response SH degree, lowered to what the shells can fit
 
 
 def estimate_response(batch: VoxelBatch, basis: sh.ShBasis) -> ResponseFunction:

@@ -172,7 +172,7 @@ class TestLoss:
 
         F = en.heads_to_fodf(outputs, model.grids[0], config.fodf_degree).coeffs
         pred = sm.forward(F, rfs, basis, table)
-        signals, _ = en.b0_normalize(batch)
+        signals = batch.b0_normalized().signals
         keys = [0, *table.shells]
         expect = sum(np.sum((pred[b] - signals[b]) ** 2) for b in keys)
         assert targets.shape == (5, table.total_samples)

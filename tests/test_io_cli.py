@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -17,8 +19,47 @@ from sphdecon import peaks_metrics as pm
 from sphdecon import signal_model as sm
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SIM_CONFIG = {
+    "seed": 9,
+    "dataset": {
+        "shells": [3000.0],
+        "gradients_per_shell": 16,
+        "n_voxels": 40,
+        "split": [28, 4, 8],
+        "snr": None,
+        "tissues": 1,
+        "fiber_count_probs": [1.0, 0.0, 0.0],
+    },
+}
+ESD_CONFIG = {"seed": 9, "model": {
+    "nside_in": 4, "depth": 2, "channels": [4, 6], "fodf_degree": 8,
+    "max_epochs": 2, "batch_size": 14, "lr": 0.001,
+}}
+
+
 def run_cli(*argv):
     return io_cli.main(list(argv))
+
+
+def shipped_configs():
+    """The README's configs, the benchmark workloads' and this file's fixtures'."""
+    readme = (ROOT / "README.md").read_text()
+    quickstart = json.loads(readme.split("cat > sim.cfg <<'EOF'\n")[1].split("\nEOF")[0])
+    multi_tissue = dict(quickstart, model={"tissues": 3}, dataset=dict(
+        quickstart["dataset"], shells=[1000.0, 2000.0, 3000.0], tissues=3))
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = {"readme_quickstart": quickstart, "readme_multi_tissue": multi_tissue,
+               "sim_fixture": SIM_CONFIG, "esd_fixture": ESD_CONFIG}
+    for name, w in workloads.WORKLOADS.items():
+        for size in w.splits:
+            configs[f"{name}_{size}"] = w.config(1, size)
+    return configs
+
+
+SHIPPED_CONFIGS = shipped_configs()
 
 
 def small_batch(seed=3, n=6, tissues=1, snr=30):
@@ -160,46 +201,60 @@ class TestConfigValidation:
         with pytest.raises(io_cli.ConfigError):
             io_cli.validate_config({"model": {"channels": 3}})
 
-    def test_schema_matches_dataclasses(self):
-        # every schema key reaches a dataclass field, and every field a
-        # user may set has a schema key
-        def names(cls, *drop):
-            return {f.name for f in dataclasses.fields(cls)} - set(drop)
-
-        schema = io_cli._SCHEMA
-        assert set(schema["model"]) == names(en.EsdConfig, "seed", "head_gain")
-        assert set(schema["csd"]) == names(ccsd.CsdConfig)
-        assert set(schema["dataset"]) == names(sm.SimConfig, "seed")
-        assert set(schema["dataset"]["tensor"]) == names(sm.TensorParams)
-
     @settings(max_examples=40, deadline=None)
     @given(st.text(min_size=1, max_size=12))
     def test_fuzzed_keys(self, key):
+        # the seed is the one top-level key that takes a number; the
+        # others are sections or unknown
         config = {key: 1}
-        if key in io_cli._SCHEMA and io_cli._SCHEMA[key] is int:
+        if key == "seed":
             io_cli.validate_config(config)
         else:
             with pytest.raises(io_cli.ConfigError):
                 io_cli.validate_config(config)
 
+    @pytest.mark.parametrize("name", list(SHIPPED_CONFIGS))
+    def test_shipped_configs_build(self, name):
+        config = io_cli.validate_config(SHIPPED_CONFIGS[name])
+        for section in io_cli.SECTIONS:
+            if section in config or section != "dataset":
+                assert dataclasses.is_dataclass(io_cli.build_config(config, section))
+
+    def test_empty_sections_build_defaults(self):
+        defaults = {
+            "model": {"nside_in": 8, "depth": 3, "channels": (16, 32, 64), "poly_order": 4,
+                      "tissues": 1, "fodf_degree": 20, "lambda_sparsity": 1e-4,
+                      "sigma_cauchy": 1e-4, "lambda_nonneg": 1.0, "batch_size": 32,
+                      "lr": 1e-2, "plateau_factor": 0.5, "plateau_patience": 5,
+                      "max_epochs": 30, "seed": 0},
+            "csd": {"lambda_sparsity": 1.0, "nonneg_threshold": 0.0, "max_iters": 50,
+                    "tol": 1e-8, "constraint_grid_nside": 16, "wm_degree": 8,
+                    "ridge": 1e-10},
+            "peaks": {"grid_nside": 32, "rel_threshold": 0.25, "min_separation_deg": 15.0},
+            "response": {"degree": 16},
+        }
+        for section, expect in defaults.items():
+            assert dataclasses.asdict(io_cli.build_config({}, section)) == expect
+        required = {"shells": [3000.0], "gradients_per_shell": 16, "n_voxels": 4,
+                    "split": [4, 0, 0]}
+        dataset = io_cli.build_config({"seed": 2, "dataset": required}, "dataset")
+        assert dataclasses.asdict(dataset) == dict(
+            required, split=(4, 0, 0), seed=2, snr=30.0, tissues=1, b0_count=1,
+            fiber_count_probs=(0.3, 0.5, 0.2), min_crossing_angle_deg=20.0,
+            pure_voxel_prob=0.06, min_fiber_fraction=0.2,
+            tensor={"lambda_parallel": 1.7e-3, "lambda_perp": 0.2e-3, "d_gm": 0.8e-3,
+                    "d_csf": 3.0e-3},
+        )
+        del required["n_voxels"]
+        with pytest.raises(io_cli.ConfigError, match="missing config key 'dataset.n_voxels'"):
+            io_cli.build_config({"dataset": required}, "dataset")
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim")
-    config = {
-        "seed": 9,
-        "dataset": {
-            "shells": [3000.0],
-            "gradients_per_shell": 16,
-            "n_voxels": 40,
-            "split": [28, 4, 8],
-            "snr": None,
-            "tissues": 1,
-            "fiber_count_probs": [1.0, 0.0, 0.0],
-        },
-    }
     cfg = out / "sim.cfg"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps(SIM_CONFIG))
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out / "data")) == 0
     return out
 
@@ -211,15 +266,21 @@ def esd_run(sim_dir):
     rf = sim_dir / "esd.rf"
     assert run_cli("response", "--dataset", str(data / "train.sdv"), "--out", str(rf)) == 0
     cfg = sim_dir / "esd.cfg"
-    cfg.write_text(json.dumps({"seed": 9, "model": {
-        "nside_in": 4, "depth": 2, "channels": [4, 6], "fodf_degree": 8,
-        "max_epochs": 2, "batch_size": 14, "lr": 0.001,
-    }}))
+    cfg.write_text(json.dumps(ESD_CONFIG))
     ckpt = sim_dir / "esd.ckpt"
     assert run_cli("esd-train", "--train", str(data / "train.sdv"),
                    "--val", str(data / "val.sdv"), "--response", str(rf),
                    "--out", str(ckpt), "--config", str(cfg)) == 0
     return {"data": data, "rf": rf, "cfg": cfg, "ckpt": ckpt}
+
+
+@pytest.fixture(scope="module")
+def csd_fodf(esd_run, sim_dir):
+    """A CSD fODF file of the simulated test set."""
+    fodf = sim_dir / "fixture.fodf"
+    assert run_cli("csd", "--dataset", str(esd_run["data"] / "test.sdv"),
+                   "--response", str(esd_run["rf"]), "--out", str(fodf)) == 0
+    return fodf
 
 
 class TestCliPipeline:
@@ -377,7 +438,7 @@ class TestCliPipeline:
     def test_checkpoint_round_trip(self, esd_run, tmp_path):
         data = esd_run["data"]
         config = json.loads(esd_run["cfg"].read_text())
-        model = en.EsdModel(io_cli._model_config(config), 1)
+        model = en.EsdModel(io_cli.build_config(config, "model"), 1)
         en.train(model, io_cli.read_dataset(data / "train.sdv"),
                  io_cli.read_dataset(data / "val.sdv"), io_cli.read_response(esd_run["rf"]))
         expect = en.infer(model, io_cli.read_dataset(data / "test.sdv")).coeffs["wm"]
@@ -430,6 +491,72 @@ class TestCliPipeline:
         else:
             assert code == 0
             assert out.read_bytes() == infer(esd_run["ckpt"], "plain.fodf")[1].read_bytes()
+
+    @pytest.mark.parametrize("stored", ["top_level_workers", "model_workers"])
+    def test_checkpoint_stored_config(self, esd_run, tmp_path, capsys, stored):
+        # the top-level config of an older checkpoint may hold the removed
+        # `workers` key, which loading ignores; its model section is checked
+        data = esd_run["data"]
+        header, blocks = io_cli.read_container(esd_run["ckpt"])
+        config = dict(header["config"])
+        if stored == "top_level_workers":
+            config["workers"] = 2
+        else:
+            config["model"] = dict(config["model"], workers=2)
+        old = tmp_path / "old.ckpt"
+        io_cli.write_container(old, dict(header, config=config), list(blocks.items()))
+
+        def infer(ckpt, name):
+            out = tmp_path / name
+            code = run_cli("esd-infer", "--checkpoint", str(ckpt),
+                           "--dataset", str(data / "test.sdv"), "--out", str(out))
+            return code, out
+
+        capsys.readouterr()
+        code, out = infer(old, "old.fodf")
+        captured = capsys.readouterr()
+        if stored == "top_level_workers":
+            assert code == 0
+            assert out.read_bytes() == infer(esd_run["ckpt"], "plain.fodf")[1].read_bytes()
+        else:
+            lines = captured.err.splitlines()
+            assert code == 2
+            assert len(lines) == 1 and lines[0].startswith("error: config: ")
+            assert "model.workers" in lines[0] and "Traceback" not in captured.err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        "model.lr=null", "model.lr=true", "csd.tol=null", "csd.ridge=null",
+        "peaks.rel_threshold=null", "dataset.tensor.d_gm=null", 'model.channels=["4","6"]',
+        'dataset.shells=["b3000"]', 'dataset.split=["28","4","8"]',
+    ])
+    def test_config_type_error_exits_2(self, esd_run, csd_fodf, tmp_path, capsys, case):
+        key, value = case.split("=")
+        config = json.loads(json.dumps({**SIM_CONFIG, **ESD_CONFIG}))
+        *sections, name = key.split(".")
+        node = config
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = json.loads(value)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(json.dumps(config))
+        data, rf = esd_run["data"], str(esd_run["rf"])
+        argv = {
+            "dataset": ["simulate"],
+            "model": ["esd-train", "--train", str(data / "train.sdv"),
+                      "--val", str(data / "val.sdv"), "--response", rf],
+            "csd": ["csd", "--dataset", str(data / "test.sdv"), "--response", rf],
+            "peaks": ["peaks", "--fodf", str(csd_fodf)],
+        }[sections[0]]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli(*argv, "--config", str(cfg), "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: ")
+        assert key in lines[0] and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_esd_train_rejects_val_table_mismatch(self, tmp_path, monkeypatch, capsys):
         # a 32-gradient validation set next to a 64-gradient training set
@@ -489,6 +616,34 @@ class TestCliPipeline:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: io: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("case", ["sdv_shells", "sdv_voxel_count", "fodf_degree",
+                                      "fodf_wm", "wrong_kind"])
+    def test_incomplete_header_exits_1(self, sim_dir, csd_fodf, tmp_path, case, capsys):
+        # one flipped byte turns a header key or block name the kind needs
+        # into another, still decodable one
+        sdv, response, peaks = sim_dir / "data" / "test.sdv", "response --dataset", "peaks --fodf"
+        source, name, command = {
+            "sdv_shells": (sdv, "shells", response),
+            "sdv_voxel_count": (sdv, "voxel_count", response),
+            "fodf_degree": (csd_fodf, "degree", peaks),
+            "fodf_wm": (csd_fodf, "wm", peaks),
+            "wrong_kind": (csd_fodf, None, response),
+        }[case]
+        raw = bytearray(source.read_bytes())
+        if name is not None:
+            at = raw.index(f'"{name}"'.encode()) + 1
+            raw[at] ^= 0x20  # swap the case of the name's first letter
+        path = tmp_path / source.name
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli(*command.split(), str(path), "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io: ")
+        assert "Traceback" not in captured.err and not out.exists()
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),
