@@ -42,15 +42,29 @@ def maxpool4(x):
 # Strict local maxima over a padded neighbor table (peak detection).
 
 
-def local_maxima(values, nbrs):
-    """Local-maximum candidates: >= every neighbor and > at least one.
+def local_maxima(values, nbrs, rows, cols):
+    """Strict local maxima: whether each values[rows[k], cols[k]] is >= every
+    neighbor in its row and > at least one.
 
-    Plateaus that tie a true maximum (e.g. the exact symmetry ring around
-    a Healpix pole) yield one candidate per tied vertex; callers collapse
-    those by angular suppression. A globally constant field yields none.
-    nbrs is (n, max_deg) with -1 padding for missing neighbors.
+    values is (V, n), one field per row; nbrs is (n, max_deg) with -1
+    padding for missing neighbors. Plateaus that tie a true maximum (e.g.
+    the exact symmetry ring around a Healpix pole) yield one candidate per
+    tied vertex; callers collapse those by angular suppression. A
+    constant row has none.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    lo = np.concatenate([values, [-np.inf]])
-    hi = np.concatenate([values, [np.inf]])
-    return (values >= lo[nbrs].max(axis=1)) & (values > hi[nbrs].min(axis=1))
+    flat = values.ravel()
+    base = rows * values.shape[1]
+    center = flat[base + cols]
+    # one neighbor slot at a time, dropping entries as soon as one fails;
+    # a missing neighbor stands in as the vertex itself, which passes >=
+    alive = np.arange(rows.size)
+    for slot in nbrs.T:
+        nb = slot[cols[alive]]
+        nb = np.where(nb >= 0, nb, cols[alive])
+        alive = alive[center[alive] >= flat[base[alive] + nb]]
+    nb = nbrs[cols[alive]]
+    nb = np.where(nb >= 0, nb, cols[alive, None])
+    strict = (center[alive, None] > flat[base[alive, None] + nb]).any(axis=1)
+    out = np.zeros(rows.size, bool)
+    out[alive[strict]] = True
+    return out

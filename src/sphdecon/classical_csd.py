@@ -5,7 +5,8 @@ iterated soft non-negativity constraint: grid points where the current
 fODF falls below the threshold contribute quadratic penalty rows, the
 augmented normal equations are re-solved, and the active set is updated
 until it stabilizes. Isotropic tissue coefficients are constrained
-nonnegative the same way.
+nonnegative the same way. The voxels of a batch iterate together, one
+stacked solve per step, until each has converged or run out of steps.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,9 @@ from . import sphere_grid as sg
 from .errors import IllConditionedError, InvalidArgumentError
 
 _Z_AXIS = np.array([[0.0, 0.0, 1.0]])
+# voxels that iterate together; bounds the per-step work arrays (the
+# stacked systems, the active-set masks and their penalty products)
+_CHUNK = 128
 
 
 @dataclass
@@ -40,12 +44,14 @@ class CsdConfig:
 class FodfField:
     """Per-voxel fODF coefficients per tissue (WM even-degree, iso scalar)."""
 
-    def __init__(self, coeffs: dict, basis: sh.ShBasis, converged=None):
+    def __init__(self, coeffs: dict, basis: sh.ShBasis, converged=None, iterations=None):
         self.coeffs = coeffs
         self.basis = basis
         v = coeffs["wm"].shape[0] if "wm" in coeffs else next(iter(coeffs.values())).shape[0]
         self.n_voxels = v
         self.converged = np.ones(v, bool) if converged is None else converged
+        # active-set solves per voxel, for fields that CSD computed
+        self.iterations = iterations
         if "wm" in coeffs and coeffs["wm"].shape[1] != basis.L:
             raise InvalidArgumentError(
                 f"wm coefficients have {coeffs['wm'].shape[1]} columns, basis wants {basis.L}"
@@ -99,14 +105,13 @@ def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None) 
 
     rfs maps tissue names to ResponseFunctions; which tissues take part is
     decided by the keys. Non-convergence is flagged per voxel, never
-    raised.
+    raised. Voxels iterate together, _CHUNK at a time: each active-set
+    step is one stacked solve over the voxels that have not converged yet.
     """
     config = config or CsdConfig()
     basis = sh.ShBasis(config.wm_degree)
     A, slices, keys = system_matrix(batch.gradients, rfs, basis)
     S = stack_samples(batch, keys)
-    grid = sg.build_grid(config.constraint_grid_nside)
-    B = sh.design_matrix(basis, grid.vertices).T  # (m, L_wm)
 
     n_rows, n_cols = A.shape
     ata = A.T @ A + config.ridge * np.eye(n_cols)
@@ -118,56 +123,83 @@ def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None) 
         )
     atb = A.T @ S.T  # (n_cols, V)
 
-    wm_sl = slices.get("wm")
+    wm_sl = slices.get("wm", slice(0, 0))
     iso_idx = [slices[t].start for t in sm.TISSUES[1:] if t in slices]
-    lam = config.lambda_sparsity
 
     # low-degree unconstrained fit seeds the active set
     init_deg = min(config.wm_degree, sh.default_fit_degree(n_rows))
     init_cols = [i for i, (l, _) in enumerate(basis.degrees) if l <= init_deg]
-    if wm_sl is not None:
+    if "wm" in slices:
         keep = np.array([wm_sl.start + i for i in init_cols]
                         + list(range(basis.L, n_cols)))
+        B, P, pair = _constraint_penalty(basis, config)
     else:
         keep = np.arange(n_cols)
-    ata_init = ata[np.ix_(keep, keep)]
-
+        B, P, pair = np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0), np.int64)
     V = batch.n_voxels
     coeffs = np.zeros((V, n_cols))
+    coeffs[:, keep] = np.linalg.solve(ata[np.ix_(keep, keep)], atb[keep]).T
+
     converged = np.zeros(V, bool)
-    thr = config.nonneg_threshold
-    for v in range(V):
-        c = np.zeros(n_cols)
-        c[keep] = np.linalg.solve(ata_init, atb[keep, v])
-        state = None
+    iterations = np.zeros(V, np.int64)
+    for lo in range(0, V, _CHUNK):
+        live = np.arange(lo, min(lo + _CHUNK, V))
+        state = None  # (active, pinned) of the live voxels at the last step
         for _ in range(config.max_iters):
-            active = (B @ c[wm_sl] < thr) if wm_sl is not None else None
+            if live.size == 0:
+                break
+            c = coeffs[live]
+            rhs = atb[:, live].T  # a fancy-indexed copy
+            # constraint grid points where the fODF is below the threshold
+            active = c[:, wm_sl] @ B.T < config.nonneg_threshold
             # isotropic coefficients are bound-constrained at 0: pin
             # negatives, release pins whose data gradient points inward
-            grad = ata @ c - atb[:, v]
-            pinned = frozenset(
-                i for i in iso_idx
-                if (c[i] < 0) or (c[i] == 0 and grad[i] >= 0)
-            )
-            M = ata.copy()
-            if wm_sl is not None and np.any(active):
-                Ba = B[active]
-                M[wm_sl, wm_sl] += lam * (Ba.T @ Ba)
-            rhs = atb[:, v].copy()
-            for i in pinned:
-                M[i, :] = 0.0
-                M[:, i] = 0.0
-                M[i, i] = 1.0
-                rhs[i] = 0.0
-            c_next = np.linalg.solve(M, rhs)
-            new_state = (active.tobytes() if active is not None else b"", pinned)
-            stable = state == new_state
-            delta = np.abs(c_next - c).max()
-            c, state = c_next, new_state
-            if stable or delta < config.tol:
-                converged[v] = True
-                break
-        coeffs[v] = c
+            grad = c @ ata[:, iso_idx] - rhs[:, iso_idx]
+            c_iso = c[:, iso_idx]
+            pinned = (c_iso < 0) | ((c_iso == 0) & (grad >= 0))
+            M = np.repeat(ata[None], live.size, axis=0)
+            M[:, wm_sl, wm_sl] += (active @ P)[:, pair]
+            for j, i in enumerate(iso_idx):
+                p = pinned[:, j]
+                M[p, i, :] = 0.0
+                M[p, :, i] = 0.0
+                M[p, i, i] = 1.0
+                rhs[p, i] = 0.0
+            c_next = np.linalg.solve(M, rhs[..., None])[..., 0]
+            stable = np.zeros(live.size, bool) if state is None else (
+                (active == state[0]).all(axis=1) & (pinned == state[1]).all(axis=1))
+            done = stable | (np.abs(c_next - c).max(axis=1) < config.tol)
+            coeffs[live] = c_next
+            iterations[live] += 1
+            converged[live[done]] = True
+            live, state = live[~done], (active[~done], pinned[~done])
 
     out = {t: coeffs[:, slices[t]] for t in slices}
-    return FodfField(out, basis, converged)
+    return FodfField(out, basis, converged, iterations)
+
+
+def _constraint_penalty(basis: sh.ShBasis, config: CsdConfig):
+    """The constraint grid's design rows and their packed penalty products.
+
+    The Healpix grid is closed under negation and the design rows of
+    antipodal vertices are bit-identical, so only the hemisphere that
+    fold_hemisphere keeps is used, each vertex weighing twice. Returns
+    (B, P, pair): B the (m, L) kept design rows, P the (m, L(L+1)/2)
+    products 2 lambda B[k, i] B[k, j] for i <= j, and pair the (L, L)
+    index of each (i, j) into P's columns, so that (active @ P)[:, pair]
+    is lambda B_a^T B_a for each row of an (n, m) active-set mask.
+    """
+    grid = sg.build_grid(config.constraint_grid_nside)
+    half = (sh.fold_hemisphere(grid.vertices) == grid.vertices).all(axis=1)
+    B = sh.design_matrix(basis, grid.vertices[half]).T
+    iu, ju = np.triu_indices(basis.L)
+    pair = np.empty((basis.L, basis.L), np.int64)
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    # one row of the packed upper triangle at a time, which holds the
+    # transient memory to a column block instead of two copies of P
+    P = np.empty((B.shape[0], iu.size))
+    for i in range(basis.L):
+        P[:, pair[i, i] : pair[i, i] + basis.L - i] = B[:, i : i + 1] * B[:, i:]
+    P *= 2.0 * config.lambda_sparsity
+    return B, P, pair
+

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 import types
 import typing
 
@@ -81,6 +82,14 @@ class _Entries(dict):
 
     def __missing__(self, key):
         raise FormatError(f"{self.path}: no {self.what} {key!r}")
+
+    def typed(self, key, hint):
+        """The entry under key, which must fit a type hint such as int or list[str]."""
+        try:
+            _check(self[key], hint, key, "header key")
+        except ConfigError as err:
+            raise FormatError(f"{self.path}: {err}") from err
+        return self[key]
 
 
 def read_container(path, kind=None):
@@ -164,12 +173,17 @@ def write_dataset(path, batch: sm.VoxelBatch, seed=None):
 
 def read_dataset(path) -> sm.VoxelBatch:
     header, blocks = read_container(path, "dataset")
-    shells = [float(b) for b in header["shells"]]
-    directions = {b: np.array(header["directions"][str(b)]) for b in shells}
-    table = sm.GradientTable(shells, directions, b0_count=header["b0_count"])
+    shells = [float(b) for b in header.typed("shells", list[float])]
+    directions = {}
+    for b in shells:
+        rows = header.typed("directions", dict).typed(str(b), list[list[float]])
+        if any(len(row) != 3 for row in rows):
+            raise FormatError(f"{path}: shell {b} directions are not 3-vectors")
+        directions[b] = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    table = sm.GradientTable(shells, directions, b0_count=header.typed("b0_count", int))
     sig = blocks["signals"]
     expected = table.total_samples
-    if sig.shape != (header["voxel_count"], expected):
+    if sig.shape != (header.typed("voxel_count", int), expected):
         raise FormatError(
             f"{path}: payload shape {sig.shape} does not match "
             f"(V={header['voxel_count']}, samples={expected})"
@@ -252,9 +266,9 @@ def write_response(path, rfs: dict):
 
 def read_response(path) -> dict:
     header, blocks = read_container(path, "response")
-    shells = [float(b) for b in header["shells"]]
+    shells = [float(b) for b in header.typed("shells", list[float])]
     out = {}
-    for t in header["tissues"]:
+    for t in header.typed("tissues", list[str]):
         mat = blocks[t]
         width = 1 if t in sm.TISSUES[1:] else mat.shape[1]
         out[t] = sm.ResponseFunction(
@@ -277,9 +291,14 @@ def write_fodf(path, field: ccsd.FodfField):
 
 def read_fodf(path) -> ccsd.FodfField:
     header, blocks = read_container(path, "fodf")
-    coeffs = {t: blocks[t] for t in header["tissues"]}
+    tissues = header.typed("tissues", list[str])
+    # CSD and ESD never write a non-finite coefficient
+    for name in [*tissues, "converged"]:
+        if not np.isfinite(blocks[name]).all():
+            raise FormatError(f"{path}: block {name!r} holds non-finite values")
+    coeffs = {t: blocks[t] for t in tissues}
     return ccsd.FodfField(
-        coeffs, sh.ShBasis(header["degree"]), blocks["converged"] > 0.5
+        coeffs, sh.ShBasis(header.typed("degree", int)), blocks["converged"] > 0.5
     )
 
 
@@ -337,8 +356,9 @@ def read_checkpoint(path):
     header, blocks = read_container(path, "checkpoint")
     # only the seed and the model section are read back; the rest of a
     # stored config may hold keys that older versions had
-    stored = header["config"]
-    config = {"seed": stored.get("seed", 0), "model": dict(stored.get("model", {}))}
+    stored = header.typed("config", dict)
+    model = dict(stored.typed("model", dict)) if "model" in stored else {}
+    config = {"seed": stored.get("seed", 0), "model": model}
     # checkpoints from before the CSD input channel was removed store its
     # flag; false is the only value the network still supports
     if config["model"].pop("use_csd_input", False):
@@ -349,11 +369,11 @@ def read_checkpoint(path):
         validate_config(config)
     except ConfigError as err:
         raise ConfigError(f"{path}: stored {err}") from err
-    model = en.EsdModel(build_config(config, "model"), header["in_channels"])
-    model.shells = header["shells"]
-    for n in header["param_names"]:
+    model = en.EsdModel(build_config(config, "model"), header.typed("in_channels", int))
+    model.shells = header.typed("shells", list[float])
+    for n in header.typed("param_names", list[str]):
         model.params[n].values[...] = blocks[f"param/{n}"]
-    for n in header["bn_names"]:
+    for n in header.typed("bn_names", list[str]):
         model.bn[n].running_mean[...] = blocks[f"bn_mean/{n}"]
         model.bn[n].running_var[...] = blocks[f"bn_var/{n}"]
     return model, header
@@ -370,10 +390,10 @@ SECTIONS = {
     "peaks": pm.PeakConfig,
     "response": sm.ResponseConfig,
 }
-_KINDS = {int: "an integer", float: "a number"}
+_KINDS = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
 
-def _check(value, hint, path):
+def _check(value, hint, path, what="config key"):
     """Raise ConfigError unless a JSON value fits an annotation; dicts are sections."""
     if dataclasses.is_dataclass(hint):  # the seed is a top-level key only
         hint = {f.name: f.type for f in dataclasses.fields(hint) if f.name != "seed"}
@@ -387,14 +407,14 @@ def _check(value, hint, path):
             _check(item, hint[key], name)
     elif typing.get_origin(hint) is types.UnionType:  # float | None
         if value is not None:
-            _check(value, typing.get_args(hint)[0], path)
+            _check(value, typing.get_args(hint)[0], path, what)
     elif typing.get_origin(hint) in (list, tuple):
         if not isinstance(value, list):
-            raise ConfigError(f"config key '{path}' must be a list")
+            raise ConfigError(f"{what} '{path}' must be a list")
         for i, item in enumerate(value):
-            _check(item, typing.get_args(hint)[0], f"{path}[{i}]")
+            _check(item, typing.get_args(hint)[0], f"{path}[{i}]", what)
     elif isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
-        raise ConfigError(f"config key '{path}' must be {_KINDS[hint]}")
+        raise ConfigError(f"{what} '{path}' must be {_KINDS[hint]}")
 
 
 def validate_config(config):
@@ -469,14 +489,22 @@ def cmd_response(args):
     return 0
 
 
+def _elapsed_ms(t0):
+    return round(1000.0 * (time.perf_counter() - t0), 3)
+
+
 def cmd_csd(args):
+    t0 = time.perf_counter()
     config = load_config(args.config) if args.config else {}
     batch = read_dataset(args.dataset).b0_normalized()
     rfs = read_response(args.response)
     field = ccsd.csd_solve(batch, rfs, build_config(config, "csd"))
     write_fodf(args.out, field)
-    print(json.dumps({"out": args.out, "voxels": field.n_voxels,
-                      "converged": int(field.converged.sum())}))
+    converged = int(field.converged.sum())
+    print(json.dumps({"out": args.out, "voxels": field.n_voxels, "converged": converged,
+                      "nonconverged": field.n_voxels - converged,
+                      "iterations": int(field.iterations.sum()),
+                      "elapsed_ms": _elapsed_ms(t0)}))
     return 0
 
 
@@ -522,10 +550,14 @@ def _peaks(field, config):
 
 
 def cmd_peaks(args):
+    t0 = time.perf_counter()
     config = load_config(args.config) if args.config else {}
     peak_sets = _peaks(read_fodf(args.fodf), config)
     write_peaks(args.out, peak_sets)
-    print(json.dumps({"out": args.out, "voxels": len(peak_sets)}))
+    n = len(peak_sets)
+    print(json.dumps({"out": args.out, "voxels": n,
+                      "peaks_per_voxel": sum(map(len, peak_sets)) / n if n else None,
+                      "elapsed_ms": _elapsed_ms(t0)}))
     return 0
 
 

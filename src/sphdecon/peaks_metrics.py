@@ -3,9 +3,10 @@
 Peaks are strict local maxima over the dense-grid 8-neighborhood, refined
 by one Newton step of a tangent-plane quadratic fit, antipodally merged,
 thresholded relative to the strongest peak, and greedily suppressed
-within a minimum separation. Matching against ground truth uses optimal
-assignment under a 25-degree cone; all angles treat directions as axes
-(arccos of |dot|).
+within a minimum separation. Candidates, refinement and amplitudes run
+on a chunk of voxels at once; only the final selection is per voxel.
+Matching against ground truth uses optimal assignment under a 25-degree
+cone; all angles treat directions as axes (arccos of |dot|).
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,8 @@ from . import signal_model as sm
 from .errors import InvalidArgumentError
 
 _UNMATCHABLE = 1e6
+# voxels per peak-extraction chunk; bounds the (chunk, grid) value matrix
+_CHUNK = 32
 _design_cache: dict = {}
 
 
@@ -64,70 +67,24 @@ def axis_angles_deg(u, v):
     return np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
 
 
-def _refine_direction(values, grid, vertex):
-    """One Newton step of a tangent-plane quadratic fit over the neighbors."""
-    nbrs = grid.neighbor_table[vertex]
-    nbrs = nbrs[nbrs >= 0]
-    center = grid.vertices[vertex]
-    pts = grid.vertices[np.concatenate([[vertex], nbrs])]
-    # gnomonic projection onto the tangent plane at the center vertex
-    e1 = np.cross(center, [0.0, 0.0, 1.0] if abs(center[2]) < 0.9 else [1.0, 0.0, 0.0])
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(center, e1)
-    proj = pts / (pts @ center)[:, None] - center
-    u = np.stack([proj @ e1, proj @ e2], axis=1)
-    f = values[np.concatenate([[vertex], nbrs])]
-    design = np.stack(
-        [np.ones(len(f)), u[:, 0], u[:, 1], u[:, 0] ** 2, u[:, 0] * u[:, 1], u[:, 1] ** 2],
-        axis=1,
-    )
-    beta, *_ = np.linalg.lstsq(design, f, rcond=None)
-    g = beta[1:3]
-    H = np.array([[2 * beta[3], beta[4]], [beta[4], 2 * beta[5]]])
-    try:
-        step = -np.linalg.solve(H, g)
-    except np.linalg.LinAlgError:
-        step = np.zeros(2)
-    radius = np.abs(u[1:]).max()
-    norm = np.linalg.norm(step)
-    if norm > radius:
-        step *= radius / max(norm, 1e-30)
-    refined = center + step[0] * e1 + step[1] * e2
-    return refined / np.linalg.norm(refined)
+def detect_peaks(dirs, amps, rel_threshold, min_separation_deg) -> PeakSet:
+    """Select one voxel's peaks from its refined candidates.
 
-
-def detect_peaks(coeffs, grid_dense, rel_threshold: float = 0.1,
-                 min_separation_deg: float = 15.0, _values=None) -> PeakSet:
-    """Extract fiber peaks from one (L,) row of even-degree fODF coefficients."""
-    if grid_dense.nside < 16:
-        raise InvalidArgumentError("peak grid must have nside >= 16")
-    basis = sh.ShBasis(_lmax_from_count(len(coeffs)))
-    if _values is None:
-        _values = coeffs @ _grid_design(basis.l_max, grid_dense)
-    mask = _kernels.local_maxima(_values, grid_dense.neighbor_table)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0 or _values[idx].max() <= 0:
+    dirs (K, 3) and amps (K,) hold the candidates in vertex order. The
+    strongest first, candidates below rel_threshold times the strongest
+    are dropped, then each one closer than min_separation_deg to a
+    stronger kept peak.
+    """
+    if len(amps) == 0:
         return PeakSet(np.zeros((0, 3)), np.zeros(0))
-    # refinement moves amplitudes only slightly: prune clearly
-    # sub-threshold candidates before the per-peak quadratic fits
-    idx = idx[_values[idx] >= 0.5 * rel_threshold * _values[idx].max()]
-
-    dirs = np.array([_refine_direction(_values, grid_dense, v) for v in idx])
-    amps = coeffs @ sh.design_matrix(basis, dirs)
-    # keep the vertex itself where refinement moved off the ridge
-    worse = amps < _values[idx]
-    dirs[worse] = grid_dense.vertices[idx[worse]]
-    amps[worse] = _values[idx[worse]]
-    dirs = sh.fold_hemisphere(dirs)
-
     order = np.argsort(-amps, kind="stable")
     dirs, amps = dirs[order], amps[order]
-    keep_mask = amps >= rel_threshold * amps[0]
-    dirs, amps = dirs[keep_mask], amps[keep_mask]
-
+    keep = amps >= rel_threshold * amps[0]
+    dirs, amps = dirs[keep], amps[keep]
+    angles = axis_angles_deg(dirs, dirs)
     kept = []
     for i in range(len(amps)):
-        if all(axis_angles_deg(dirs[i], dirs[j])[0, 0] >= min_separation_deg for j in kept):
+        if np.all(angles[i, kept] >= min_separation_deg):
             kept.append(i)
     return PeakSet(dirs[kept], amps[kept])
 
@@ -135,21 +92,84 @@ def detect_peaks(coeffs, grid_dense, rel_threshold: float = 0.1,
 def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold, min_separation_deg):
     """Detect peaks for every row of a (V, L) WM coefficient matrix.
 
-    Grid values are evaluated 256 voxels at a time to bound memory on
-    large batches.
+    Peaks are strict local maxima of the grid values, refined by one
+    Newton step of a tangent-plane quadratic fit over each vertex's
+    neighbors. Voxels are processed _CHUNK at a time: candidates,
+    refinement and amplitudes run on a whole chunk at once, and only the
+    selection (detect_peaks) runs per voxel.
     """
+    if grid_dense.nside < 16:
+        raise InvalidArgumentError("peak grid must have nside >= 16")
     wm_coeffs = np.asarray(wm_coeffs)
-    design = _grid_design(_lmax_from_count(wm_coeffs.shape[1]), grid_dense)
+    basis = sh.ShBasis(_lmax_from_count(wm_coeffs.shape[1]))
+    design = _grid_design(basis.l_max, grid_dense)
     out = []
-    for lo in range(0, wm_coeffs.shape[0], 256):
-        block = wm_coeffs[lo : lo + 256]
+    for lo in range(0, wm_coeffs.shape[0], _CHUNK):
+        block = wm_coeffs[lo : lo + _CHUNK]
         values = block @ design
-        out.extend(
-            detect_peaks(block[v], grid_dense, rel_threshold, min_separation_deg,
-                         _values=values[v])
-            for v in range(block.shape[0])
-        )
+        # only vertices at or above the pre-prune threshold, 0.5 *
+        # rel_threshold times the strongest local maximum, can be kept;
+        # that maximum is the global one unless the field is constant,
+        # and a constant field has no strict local maximum
+        top = values.max(axis=1)
+        above = (values >= 0.5 * rel_threshold * top[:, None]) & (top[:, None] > 0)
+        rows, verts = np.nonzero(above)
+        strict = _kernels.local_maxima(values, grid_dense.neighbor_table, rows, verts)
+        rows, verts = rows[strict], verts[strict]
+        dirs, amps = np.zeros((0, 3)), values[rows, verts]
+        if rows.size:
+            dirs = _refine(values, grid_dense, rows, verts)
+            refined = np.einsum("kl,lk->k", block[rows], sh.design_matrix(basis, dirs))
+            # keep the vertex itself where refinement moved off the ridge
+            worse = refined < amps
+            dirs[worse] = grid_dense.vertices[verts[worse]]
+            amps = np.where(worse, amps, refined)
+            dirs = sh.fold_hemisphere(dirs)
+        bounds = np.cumsum(np.bincount(rows, minlength=block.shape[0]))[:-1]
+        out.extend(detect_peaks(d, a, rel_threshold, min_separation_deg)
+                   for d, a in zip(np.split(dirs, bounds), np.split(amps, bounds)))
     return out
+
+
+def _refine(values, grid, rows, verts):
+    """One Newton step of a tangent-plane quadratic fit at each (row, vertex).
+
+    The fit's design depends only on the grid, so its pseudo-inverse is
+    computed once per distinct vertex. Vertices with 7 neighbors get a
+    zero design row (and value) in the 8th slot, which leaves the fit as
+    it is. Steps are clipped to the neighborhood's radius; a singular
+    Hessian takes no step. Returns the (K, 3) unit directions.
+    """
+    uniq, inv = np.unique(verts, return_inverse=True)
+    center = grid.vertices[uniq]
+    nbrs = grid.neighbor_table[uniq]
+    valid = np.concatenate([np.ones((uniq.size, 1), bool), nbrs >= 0], axis=1)
+    idx = np.where(valid, np.concatenate([uniq[:, None], nbrs], axis=1), uniq[:, None])
+    # gnomonic projection onto the tangent plane at the center vertex
+    ref = np.where((np.abs(center[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    e1 = np.cross(center, ref)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(center, e1)
+    pts = grid.vertices[idx]
+    proj = pts / np.einsum("nkd,nd->nk", pts, center)[..., None] - center[:, None]
+    u0 = np.einsum("nkd,nd->nk", proj, e1)
+    u1 = np.einsum("nkd,nd->nk", proj, e2)
+    design = np.stack([np.ones_like(u0), u0, u1, u0 ** 2, u0 * u1, u1 ** 2], axis=2)
+    pinv = np.linalg.pinv(design * valid[..., None])
+    radius = np.maximum(np.abs(u0[:, 1:]), np.abs(u1[:, 1:])).max(axis=1)
+
+    f = np.where(valid[inv], values[rows[:, None], idx[inv]], 0.0)
+    beta = np.einsum("kij,kj->ki", pinv[inv], f)
+    g0, g1 = beta[:, 1], beta[:, 2]
+    h00, h01, h11 = 2 * beta[:, 3], beta[:, 4], 2 * beta[:, 5]
+    det = (h00 * h11 - h01 * h01)[:, None]
+    step = -np.stack([h11 * g0 - h01 * g1, h00 * g1 - h01 * g0], axis=1)
+    step = np.divide(step, det, out=np.zeros_like(step), where=det != 0)
+    norm = np.linalg.norm(step, axis=1)
+    scale = np.where(norm > radius[inv], radius[inv] / np.maximum(norm, 1e-30), 1.0)
+    step *= scale[:, None]
+    refined = center[inv] + step[:, :1] * e1[inv] + step[:, 1:] * e2[inv]
+    return refined / np.linalg.norm(refined, axis=1, keepdims=True)
 
 
 def _lmax_from_count(L):

@@ -36,6 +36,75 @@ def objective(c, A, s, B, wm_sl, lam, thr):
     return val
 
 
+def reference_csd_solve(batch, rfs, config=None):
+    """Independent reference: the active-set iteration run one voxel at a time.
+
+    Returns the (V, n_cols) coefficients, the converged flags and the
+    per-voxel count of active-set solves.
+    """
+    config = config or csd.CsdConfig()
+    basis = sh.ShBasis(config.wm_degree)
+    A, slices, keys = csd.system_matrix(batch.gradients, rfs, basis)
+    S = csd.stack_samples(batch, keys)
+    grid = sg.build_grid(config.constraint_grid_nside)
+    B = sh.design_matrix(basis, grid.vertices).T  # (m, L_wm)
+
+    n_rows, n_cols = A.shape
+    ata = A.T @ A + config.ridge * np.eye(n_cols)
+    atb = A.T @ S.T  # (n_cols, V)
+
+    wm_sl = slices.get("wm")
+    iso_idx = [slices[t].start for t in sm.TISSUES[1:] if t in slices]
+    lam = config.lambda_sparsity
+
+    init_deg = min(config.wm_degree, sh.default_fit_degree(n_rows))
+    init_cols = [i for i, (l, _) in enumerate(basis.degrees) if l <= init_deg]
+    if wm_sl is not None:
+        keep = np.array([wm_sl.start + i for i in init_cols]
+                        + list(range(basis.L, n_cols)))
+    else:
+        keep = np.arange(n_cols)
+    ata_init = ata[np.ix_(keep, keep)]
+
+    V = batch.n_voxels
+    coeffs = np.zeros((V, n_cols))
+    converged = np.zeros(V, bool)
+    iterations = np.zeros(V, np.int64)
+    thr = config.nonneg_threshold
+    for v in range(V):
+        c = np.zeros(n_cols)
+        c[keep] = np.linalg.solve(ata_init, atb[keep, v])
+        state = None
+        for _ in range(config.max_iters):
+            iterations[v] += 1
+            active = (B @ c[wm_sl] < thr) if wm_sl is not None else None
+            grad = ata @ c - atb[:, v]
+            pinned = frozenset(
+                i for i in iso_idx
+                if (c[i] < 0) or (c[i] == 0 and grad[i] >= 0)
+            )
+            M = ata.copy()
+            if wm_sl is not None and np.any(active):
+                Ba = B[active]
+                M[wm_sl, wm_sl] += lam * (Ba.T @ Ba)
+            rhs = atb[:, v].copy()
+            for i in pinned:
+                M[i, :] = 0.0
+                M[:, i] = 0.0
+                M[i, i] = 1.0
+                rhs[i] = 0.0
+            c_next = np.linalg.solve(M, rhs)
+            new_state = (active.tobytes() if active is not None else b"", pinned)
+            stable = state == new_state
+            delta = np.abs(c_next - c).max()
+            c, state = c_next, new_state
+            if stable or delta < config.tol:
+                converged[v] = True
+                break
+        coeffs[v] = c
+    return coeffs, converged, iterations
+
+
 def wm_values(field, grid):
     """WM fODF values on a grid's vertices, (V, N)."""
     return field.coeffs["wm"] @ sh.design_matrix(field.basis, grid.vertices)
@@ -188,3 +257,82 @@ class TestFodfValues:
             ]
         )
         assert np.abs(vals - naive).max() < 1e-12
+
+
+def three_tissue_batch(n=24, seed=5):
+    """Noisy 3-shell, 3-tissue voxels with tensor WM and isotropic GM/CSF responses."""
+    config = sm.SimConfig(
+        shells=[1000.0, 2000.0, 3000.0], gradients_per_shell=32, n_voxels=n,
+        split=(n, 0, 0), seed=seed, snr=30, tissues=3,
+    )
+    table = sm.build_gradient_table(config)
+    batch = sm.generate_batch(config, table, np.arange(n)).b0_normalized()
+    params = sm.TensorParams()
+    rfs = {"wm": tensor_response(sh.ShBasis(8), table)}
+    for t, d in (("gm", params.d_gm), ("csf", params.d_csf)):
+        rfs[t] = sm.ResponseFunction(
+            t, {b: [np.sqrt(4 * np.pi) * np.exp(-b * d)] for b in [0.0, *table.shells]})
+    return batch, rfs
+
+
+class TestBatchedMatchesReference:
+    """csd_solve against the one-voxel-at-a-time reference iteration."""
+
+    def check(self, batch, rfs, config=None):
+        field = csd.csd_solve(batch, rfs, config)
+        coeffs, converged, iterations = reference_csd_solve(batch, rfs, config)
+        got = np.hstack([field.coeffs[t] for t in field.tissues])
+        assert got.shape == coeffs.shape
+        scale = np.abs(coeffs).max(axis=1)
+        assert np.all(np.abs(got - coeffs).max(axis=1, initial=0.0) <= 1e-10 * scale)
+        assert np.array_equal(field.converged, converged)
+        assert np.array_equal(field.iterations, iterations)
+        return field
+
+    def test_ssst(self):
+        config = sm.SimConfig(shells=[3000.0], gradients_per_shell=64, n_voxels=40,
+                              split=(40, 0, 0), seed=3, snr=20, tissues=1)
+        table = sm.build_gradient_table(config)
+        batch = sm.generate_batch(config, table, np.arange(40)).b0_normalized()
+        field = self.check(batch, {"wm": tensor_response(sh.ShBasis(8), table)})
+        assert field.converged.all() and field.iterations.max() > 2
+
+    def test_three_tissue_with_iso_pins(self):
+        batch, rfs = three_tissue_batch()
+        field = self.check(batch, rfs)
+        # a coefficient held at exactly 0 was pinned in the last solve
+        iso = np.hstack([field.coeffs["gm"], field.coeffs["csf"]])
+        assert np.any(iso == 0.0)
+
+    def test_voxel_chunks(self, monkeypatch):
+        monkeypatch.setattr(csd, "_CHUNK", 7)
+        batch, rfs = three_tissue_batch()
+        self.check(batch, rfs)
+
+    def test_iso_tissues_only(self):
+        # zero-mean noise makes the pins change from step to step; without
+        # a WM block they alone decide whether a step is stable
+        batch, rfs = three_tissue_batch(n=8)
+        rng = np.random.default_rng(0)
+        noise = {b: 0.3 * rng.standard_normal((60, s.shape[1])) for b, s in batch.signals.items()}
+        field = self.check(sm.VoxelBatch(noise, batch.gradients),
+                           {t: rfs[t] for t in ("gm", "csf")})
+        assert field.iterations.max() > 2
+
+    def test_one_iteration_flags_nonconverged(self):
+        batch, rfs = three_tissue_batch(n=12)
+        field = self.check(batch, rfs, csd.CsdConfig(max_iters=1))
+        assert not field.converged.any()
+        assert np.all(field.iterations == 1)
+
+    def test_zero_signal_voxel(self, wm_rf):
+        batch, _ = single_fiber_batch(n=4, snr=30)
+        for b in batch.signals:
+            batch.signals[b][2] = 0.0
+        field = self.check(batch, {"wm": wm_rf})
+        assert np.all(field.coeffs["wm"][2] == 0.0) and field.converged[2]
+
+    def test_empty_batch(self, wm_rf):
+        batch, _ = single_fiber_batch(n=2)
+        field = self.check(batch.subset(np.arange(0)), {"wm": wm_rf})
+        assert field.n_voxels == 0 and field.coeffs["wm"].shape == (0, 45)

@@ -645,6 +645,52 @@ class TestCliPipeline:
         assert len(lines) == 1 and lines[0].startswith("error: io: ")
         assert "Traceback" not in captured.err and not out.exists()
 
+    @pytest.mark.parametrize("case", ["fodf_degree_string", "fodf_wm_nan",
+                                      "checkpoint_config_list"])
+    def test_bad_header_value_or_payload_exits_1(self, esd_run, csd_fodf, tmp_path, case,
+                                                 capsys):
+        data = esd_run["data"]
+        source = esd_run["ckpt"] if case.startswith("checkpoint") else csd_fodf
+        header, blocks = io_cli.read_container(source)
+        if case == "fodf_degree_string":
+            header["degree"] = str(header["degree"])
+        elif case == "fodf_wm_nan":
+            blocks["wm"][1, 3] = np.nan
+        else:
+            header["config"] = [1]
+        path = tmp_path / source.name
+        io_cli.write_container(path, header, list(blocks.items()))
+        out = tmp_path / "out"
+        argv = (["esd-infer", "--checkpoint", str(path), "--dataset", str(data / "test.sdv")]
+                if case.startswith("checkpoint") else ["peaks", "--fodf", str(path)])
+        capsys.readouterr()
+        code = run_cli(*argv, "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io: ")
+        assert "Traceback" not in captured.err and not out.exists()
+
+    def test_stage_counters(self, esd_run, tmp_path, capsys):
+        data, rf = esd_run["data"], esd_run["rf"]
+        fodf, peaks = tmp_path / "c.fodf", tmp_path / "c.peaks"
+        capsys.readouterr()
+        assert run_cli("csd", "--dataset", str(data / "test.sdv"), "--response", str(rf),
+                       "--out", str(fodf)) == 0
+        csd_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert set(csd_line) == {"out", "voxels", "converged", "nonconverged", "iterations",
+                                 "elapsed_ms"}
+        assert csd_line["voxels"] == 8
+        assert csd_line["converged"] + csd_line["nonconverged"] == csd_line["voxels"]
+        assert csd_line["iterations"] >= csd_line["voxels"]
+        assert csd_line["elapsed_ms"] > 0
+        assert run_cli("peaks", "--fodf", str(fodf), "--out", str(peaks)) == 0
+        peaks_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert set(peaks_line) == {"out", "voxels", "peaks_per_voxel", "elapsed_ms"}
+        n_peaks = sum(len(p) for p in io_cli.read_peaks(peaks))
+        assert peaks_line["peaks_per_voxel"] == n_peaks / peaks_line["voxels"]
+        assert peaks_line["elapsed_ms"] > 0
+
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),
                        "--response", str(tmp_path / "nope.rf"),

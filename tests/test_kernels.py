@@ -80,11 +80,19 @@ class TestBackendsAgree:
         for grid, _, _ in levels:
             nbrs = grid.neighbor_table
             # the second field is mostly ones, so it has plateaus of tied maxima
-            for v in (rng.standard_normal(grid.n_vertices),
-                      (rng.random(grid.n_vertices) < 0.9).astype(float)):
-                assert np.array_equal(K.local_maxima(v, nbrs), brute_local_maxima(v, nbrs))
+            values = np.stack([rng.standard_normal(grid.n_vertices),
+                               (rng.random(grid.n_vertices) < 0.9).astype(float)])
+            rows, cols = np.nonzero(np.ones_like(values, bool))
+            got = K.local_maxima(values, nbrs, rows, cols).reshape(values.shape)
+            for v, mask in zip(values, got):
+                assert np.array_equal(mask, brute_local_maxima(v, nbrs))
+            # a subset of the entries, in any order, gets the same answers
+            pick = rng.permutation(rows.size)[: rows.size // 3]
+            assert np.array_equal(K.local_maxima(values, nbrs, rows[pick], cols[pick]),
+                                  got.ravel()[pick])
 
     def test_local_maxima_constant_none(self, levels):
         grid = levels[1][0]
-        v = np.ones(grid.n_vertices)
-        assert not K.local_maxima(v, grid.neighbor_table).any()
+        v = np.ones((1, grid.n_vertices))
+        cols = np.arange(grid.n_vertices)
+        assert not K.local_maxima(v, grid.neighbor_table, 0 * cols, cols).any()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -44,6 +45,84 @@ def random_axes(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def one_voxel_peaks(coeffs, grid, rel_threshold=0.1, min_separation_deg=15.0):
+    """peaks_for_batch on a single (L,) coefficient row."""
+    return pm.peaks_for_batch(coeffs[None], grid, rel_threshold, min_separation_deg)[0]
+
+
+def reference_local_maxima(values, nbrs):
+    lo = np.concatenate([values, [-np.inf]])
+    hi = np.concatenate([values, [np.inf]])
+    return (values >= lo[nbrs].max(axis=1)) & (values > hi[nbrs].min(axis=1))
+
+
+def reference_refine(values, grid, vertex):
+    """One Newton step of a tangent-plane quadratic fit over the neighbors."""
+    nbrs = grid.neighbor_table[vertex]
+    nbrs = nbrs[nbrs >= 0]
+    center = grid.vertices[vertex]
+    pts = grid.vertices[np.concatenate([[vertex], nbrs])]
+    e1 = np.cross(center, [0.0, 0.0, 1.0] if abs(center[2]) < 0.9 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    proj = pts / (pts @ center)[:, None] - center
+    u = np.stack([proj @ e1, proj @ e2], axis=1)
+    f = values[np.concatenate([[vertex], nbrs])]
+    design = np.stack(
+        [np.ones(len(f)), u[:, 0], u[:, 1], u[:, 0] ** 2, u[:, 0] * u[:, 1], u[:, 1] ** 2],
+        axis=1,
+    )
+    beta, *_ = np.linalg.lstsq(design, f, rcond=None)
+    g = beta[1:3]
+    H = np.array([[2 * beta[3], beta[4]], [beta[4], 2 * beta[5]]])
+    try:
+        step = -np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        step = np.zeros(2)
+    radius = np.abs(u[1:]).max()
+    norm = np.linalg.norm(step)
+    if norm > radius:
+        step *= radius / max(norm, 1e-30)
+    refined = center + step[0] * e1 + step[1] * e2
+    return refined / np.linalg.norm(refined)
+
+
+@functools.lru_cache(maxsize=None)
+def grid_design(l_max, nside):
+    return sh.design_matrix(sh.ShBasis(l_max), sg.build_grid(nside).vertices)
+
+
+@functools.lru_cache(maxsize=None)
+def grid_fit(l_max, nside):
+    grid = sg.build_grid(nside)
+    return sh.fit_matrix(grid.vertices, l_max, tikhonov=1e-10)
+
+
+def reference_detect_peaks(coeffs, grid, rel_threshold, min_separation_deg):
+    """Independent reference: one voxel's peaks, candidate by candidate."""
+    basis = sh.ShBasis(pm._lmax_from_count(len(coeffs)))
+    values = coeffs @ grid_design(basis.l_max, grid.nside)
+    idx = np.flatnonzero(reference_local_maxima(values, grid.neighbor_table))
+    if idx.size == 0 or values[idx].max() <= 0:
+        return pm.PeakSet(np.zeros((0, 3)), np.zeros(0))
+    idx = idx[values[idx] >= 0.5 * rel_threshold * values[idx].max()]
+    dirs = np.array([reference_refine(values, grid, v) for v in idx])
+    amps = coeffs @ sh.design_matrix(basis, dirs)
+    worse = amps < values[idx]
+    dirs[worse] = grid.vertices[idx[worse]]
+    amps[worse] = values[idx[worse]]
+    dirs = sh.fold_hemisphere(dirs)
+    order = np.argsort(-amps, kind="stable")
+    dirs, amps = dirs[order], amps[order]
+    keep_mask = amps >= rel_threshold * amps[0]
+    dirs, amps = dirs[keep_mask], amps[keep_mask]
+    kept = []
+    for i in range(len(amps)):
+        if all(pm.axis_angles_deg(dirs[i], dirs[j])[0, 0] >= min_separation_deg for j in kept):
+            kept.append(i)
+    return pm.PeakSet(dirs[kept], amps[kept])
+
+
 class TestDetectPeaks:
     def test_single_lobe_within_one_degree(self):
         # oracle: dense argmax at nside=64
@@ -52,7 +131,7 @@ class TestDetectPeaks:
         vals = coeffs @ sh.design_matrix(sh.ShBasis(20), dense.vertices)
         oracle_dir = dense.vertices[np.argmax(vals)]
         grid = sg.build_grid(32)
-        peaks = pm.detect_peaks(coeffs, grid, rel_threshold=0.5)
+        peaks = one_voxel_peaks(coeffs, grid, rel_threshold=0.5)
         assert len(peaks) == 1
         assert pm.axis_angles_deg(peaks.directions[0], [0, 0, 1])[0, 0] < 1.0
         assert pm.axis_angles_deg(peaks.directions[0], oracle_dir)[0, 0] < 1.0
@@ -62,39 +141,105 @@ class TestDetectPeaks:
         coeffs2 = cap_fodf([1, 0, 0])
         both = coeffs + coeffs2
         grid = sg.build_grid(32)
-        peaks = pm.detect_peaks(both, grid, rel_threshold=0.5)
+        peaks = one_voxel_peaks(both, grid, rel_threshold=0.5)
         assert len(peaks) == 2
         ang = pm.axis_angles_deg(peaks.directions[0], peaks.directions[1])[0, 0]
         assert abs(ang - 90.0) < 2.0
 
     def test_constant_fodf_no_peaks(self):
         coeffs = np.r_[1.0, np.zeros(44)]
-        peaks = pm.detect_peaks(coeffs, sg.build_grid(16), rel_threshold=0.5)
+        peaks = one_voxel_peaks(coeffs, sg.build_grid(16), rel_threshold=0.5)
         assert len(peaks) <= 1
 
     def test_zero_fodf_empty(self):
         coeffs = np.zeros(45)
-        assert len(pm.detect_peaks(coeffs, sg.build_grid(16))) == 0
+        assert len(one_voxel_peaks(coeffs, sg.build_grid(16))) == 0
 
     def test_rejects_coarse_grid(self):
         coeffs = np.zeros(15)
         with pytest.raises(Exception):
-            pm.detect_peaks(coeffs, sg.build_grid(8))
+            one_voxel_peaks(coeffs, sg.build_grid(8))
 
     def test_quarter_turn_equivariance(self):
         grid = sg.build_grid(32)
         coeffs = cap_fodf([0.6, 0.3, np.sqrt(1 - 0.45)])
-        peaks = pm.detect_peaks(coeffs, grid, rel_threshold=0.5)
+        peaks = one_voxel_peaks(coeffs, grid, rel_threshold=0.5)
         perm = sg.z_rotation_permutation(grid, 1)
         vals = coeffs @ sh.design_matrix(sh.ShBasis(20), grid.vertices)
         rotated_coeffs = sh.fit_matrix(grid.vertices, 20, tikhonov=1e-10) @ vals[perm]
-        rot_peaks = pm.detect_peaks(rotated_coeffs, grid, rel_threshold=0.5)
+        rot_peaks = one_voxel_peaks(rotated_coeffs, grid, rel_threshold=0.5)
         ang = np.pi / 2
         rot = np.array([[np.cos(ang), -np.sin(ang), 0], [np.sin(ang), np.cos(ang), 0], [0, 0, 1]])
         expect = sh.fold_hemisphere(peaks.directions @ rot.T)
         got = sh.fold_hemisphere(rot_peaks.directions)
         assert len(rot_peaks) == len(peaks)
         assert pm.axis_angles_deg(expect, got).diagonal().max() < 0.2
+
+
+def lobes(axes, weights, l_max):
+    """A sum of narrow lobes about the given axes, fitted at degree l_max."""
+    grid = sg.build_grid(32)
+    vals = sum(w * np.exp(-8.0 * (1 - (grid.vertices @ a) ** 2)) for w, a in zip(weights, axes))
+    return grid_fit(l_max, 32) @ vals
+
+
+def rotated_lobes(rng, l_max, n_voxels):
+    """Sums of 1-3 narrow lobes about random axes, fitted at degree l_max."""
+    rows = []
+    for _ in range(n_voxels):
+        axes = random_axes(rng, rng.integers(1, 4))
+        rows.append(lobes(axes, rng.uniform(0.5, 1.0, len(axes)), l_max))
+    return np.array(rows)
+
+
+class TestBatchedMatchesReference:
+    """peaks_for_batch against the candidate-by-candidate reference."""
+
+    @pytest.mark.parametrize("nside", [16, 32])
+    @pytest.mark.parametrize("l_max", [8, 20])
+    def test_random_rotated_constant_zero(self, nside, l_max):
+        rng = np.random.default_rng(nside + l_max)
+        basis = sh.ShBasis(l_max)
+        constant = np.zeros((1, basis.L))
+        constant[0, 0] = 1.0
+        grid = sg.build_grid(nside)
+        # lobes next to vertices with 7 neighbors, whose fits have one row less
+        corners = grid.vertices[(grid.neighbor_table < 0).any(axis=1)][::6]
+        corners = corners + 0.01 * random_axes(rng, len(corners))
+        corners /= np.linalg.norm(corners, axis=1, keepdims=True)
+        coeffs = np.vstack([
+            rng.standard_normal((6, basis.L)) / (1 + np.arange(basis.L)),  # many maxima
+            rotated_lobes(rng, l_max, 12),
+            [lobes([a], [1.0], l_max) for a in corners],
+            constant,
+            np.zeros((1, basis.L)),
+        ])
+        got = pm.peaks_for_batch(coeffs, grid, 0.25, 15.0)
+        assert len(got) == len(coeffs)
+        n_peaks = 0
+        for row, peaks in zip(coeffs, got):
+            ref = reference_detect_peaks(row, grid, 0.25, 15.0)
+            assert len(peaks) == len(ref)
+            assert np.abs(peaks.directions - ref.directions).max(initial=0.0) <= 1e-9
+            assert np.abs(peaks.amplitudes - ref.amplitudes).max(initial=0.0) <= 1e-9
+            n_peaks += len(ref)
+        assert len(got[-2]) == len(got[-1]) == 0
+        assert n_peaks > len(coeffs)
+
+    def test_voxel_chunks(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        coeffs = np.vstack([rotated_lobes(rng, 8, 11), np.zeros((1, 45))])
+        grid = sg.build_grid(16)
+        whole = pm.peaks_for_batch(coeffs, grid, 0.25, 15.0)
+        monkeypatch.setattr(pm, "_CHUNK", 5)
+        chunked = pm.peaks_for_batch(coeffs, grid, 0.25, 15.0)
+        assert len(chunked) == len(whole) == len(coeffs)
+        for a, b in zip(chunked, whole):
+            assert len(a) == len(b)
+            assert np.abs(a.directions - b.directions).max(initial=0.0) <= 1e-9
+
+    def test_empty_batch(self):
+        assert pm.peaks_for_batch(np.zeros((0, 45)), sg.build_grid(16), 0.25, 15.0) == []
 
 
 class TestMatchFibers:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from sphdecon import harmonics as sh
 from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError
 
@@ -91,6 +92,21 @@ def test_build_grid_deterministic():
 def test_build_grid_rejects_bad_nside(nside):
     with pytest.raises(InvalidArgumentError):
         sg.build_grid(nside)
+
+
+@pytest.mark.parametrize("nside", [16, 32, 64])
+def test_antipodal_symmetry_bit_exact(nside):
+    # CSD's constraint penalty uses one hemisphere at twice the weight
+    grid = sg.build_grid(nside)
+    v = grid.vertices
+    index = {tuple(p): i for i, p in enumerate(v)}
+    antipode = np.array([index.get(tuple(-p), -1) for p in v])
+    assert np.all(antipode >= 0)
+    kept = (sh.fold_hemisphere(v) == v).all(axis=1)
+    assert kept.sum() == grid.n_vertices // 2
+    assert np.all(kept != kept[antipode])
+    Y = sh.design_matrix(sh.ShBasis(8), v)
+    assert np.array_equal(Y, Y[:, antipode])
 
 
 def test_vertices_unit_norm():
