@@ -40,9 +40,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def item(self):
-        return float(self.values)
-
 
 class Tape:
     """Ordered record of executed ops; backward visits each exactly once."""
@@ -243,20 +240,8 @@ def softplus(tape, x: Tensor) -> Tensor:
     return _track(tape, out, (x,), backward)
 
 
-def linear(tape, x: Tensor, matrix: np.ndarray) -> Tensor:
-    """Right-multiply by a constant matrix on the last axis."""
-    out = Tensor(x.values @ matrix)
-
-    def backward():
-        x.ensure_grad()[...] += out.grad @ matrix.T
-
-    return _track(tape, out, (x,), backward)
-
-
 def concat(tape, parts) -> Tensor:
-    """Join tensors along the last (channel) axis; one part is returned as is."""
-    if len(parts) == 1:
-        return parts[0]
+    """Join tensors along the last (channel) axis."""
     out = Tensor(np.concatenate([p.values for p in parts], axis=-1))
     splits = np.cumsum([p.values.shape[-1] for p in parts])[:-1]
 
@@ -268,78 +253,11 @@ def concat(tape, parts) -> Tensor:
     return _track(tape, out, tuple(parts), backward)
 
 
-def take_channel(tape, x: Tensor, idx: int) -> Tensor:
-    """Select one channel of (N, V, C) as the loss's per-voxel (V, N) layout."""
-    out = Tensor(x.values[:, :, idx].T.copy())
-
-    def backward():
-        x.ensure_grad()[:, :, idx] += out.grad.T
-
-    return _track(tape, out, (x,), backward)
-
-
-def reduce_max(tape, x: Tensor) -> Tensor:
-    """Max over the last axis, kept at length 1; gradient routes to the (first) argmax."""
-    arg = np.argmax(x.values, axis=-1)[..., None]
-    out = Tensor(np.take_along_axis(x.values, arg, axis=-1))
-
-    def backward():
-        g = x.ensure_grad()
-        np.put_along_axis(g, arg, np.take_along_axis(g, arg, axis=-1) + out.grad, axis=-1)
-
-    return _track(tape, out, (x,), backward)
-
-
-def add(tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.values + b.values)
-
-    def backward():
-        if a.requires_grad:
-            a.ensure_grad()[...] += out.grad
-        if b.requires_grad:
-            b.ensure_grad()[...] += out.grad
-
-    return _track(tape, out, (a, b), backward)
-
-
 def scale(tape, x: Tensor, s: float) -> Tensor:
     out = Tensor(x.values * s)
 
     def backward():
         x.ensure_grad()[...] += out.grad * s
-
-    return _track(tape, out, (x,), backward)
-
-
-def sq_err_sum(tape, x: Tensor, target: np.ndarray) -> Tensor:
-    """Sum of squared errors against a constant target (any shapes equal)."""
-    diff = x.values - target
-    out = Tensor(np.sum(diff * diff))
-
-    def backward():
-        x.ensure_grad()[...] += 2.0 * diff * out.grad
-
-    return _track(tape, out, (x,), backward)
-
-
-def cauchy_sum(tape, x: Tensor, sigma: float) -> Tensor:
-    """Heavy-tailed sparsity penalty: sum log(1 + x^2 / (2 sigma^2))."""
-    two_s2 = 2.0 * sigma * sigma
-    out = Tensor(np.sum(np.log1p(x.values * x.values / two_s2)))
-
-    def backward():
-        x.ensure_grad()[...] += out.grad * (2.0 * x.values) / (two_s2 + x.values * x.values)
-
-    return _track(tape, out, (x,), backward)
-
-
-def neg_part_sq_sum(tape, x: Tensor) -> Tensor:
-    """Sum of squared negative parts: ||min(x, 0)||^2."""
-    neg = np.minimum(x.values, 0.0)
-    out = Tensor(np.sum(neg * neg))
-
-    def backward():
-        x.ensure_grad()[...] += 2.0 * neg * out.grad
 
     return _track(tape, out, (x,), backward)
 

@@ -192,33 +192,49 @@ class LossContext:
 
 def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
              ctx: LossContext):
-    """Three-term objective; returns (loss tensor, logged term values).
+    """Three-term objective as one op; returns (loss tensor, logged term values).
 
     targets is (V, samples) in the system matrix's row order, as
-    network_inputs returns it.
+    network_inputs returns it. The WM channel refit to SH coefficients and
+    each isotropic channel's (first) maximum reconstruct the samples; the
+    sparsity and negativity terms act on the refit WM fODF on the grid.
     """
     config = model.config
-    f_wm = ad.linear(tape, ad.take_channel(tape, outputs, 0), ctx.fit_t)
-    coeffs = [f_wm] + [
-        ad.reduce_max(tape, ad.take_channel(tape, outputs, i))
-        for i in range(1, config.tissues)
-    ]
-    recon = ad.sq_err_sum(tape, ad.linear(tape, ad.concat(tape, coeffs), ctx.a_t), targets)
-
-    grid_vals = ad.linear(tape, f_wm, ctx.y_grid)
-    sparsity = ad.cauchy_sum(tape, grid_vals, config.sigma_cauchy)
-    negativity = ad.neg_part_sq_sum(tape, grid_vals)
-
-    total = ad.add(
-        tape,
-        ad.add(tape, recon, ad.scale(tape, sparsity, config.lambda_sparsity)),
-        ad.scale(tape, negativity, config.lambda_nonneg),
+    two_s2 = 2.0 * config.sigma_cauchy * config.sigma_cauchy
+    vals = outputs.values
+    f_wm = vals[:, :, 0].T.copy() @ ctx.fit_t
+    arg = np.argmax(vals[:, :, 1:], axis=0)  # (V, T - 1)
+    iso = np.take_along_axis(vals[:, :, 1:], arg[None], axis=0)[0]
+    diff = np.concatenate([f_wm, iso], axis=1) @ ctx.a_t - targets
+    recon = np.sum(diff * diff)
+    grid = f_wm @ ctx.y_grid
+    sparsity = np.sum(np.log1p(grid * grid / two_s2))
+    neg = np.minimum(grid, 0.0)
+    negativity = np.sum(neg * neg)
+    total = ad.Tensor(
+        recon + sparsity * config.lambda_sparsity + negativity * config.lambda_nonneg
     )
+
+    def backward():
+        s = total.grad
+        d_coeffs = (2.0 * diff * s) @ ctx.a_t.T
+        d_grid = 2.0 * neg * (s * config.lambda_nonneg)
+        d_grid += (s * config.lambda_sparsity) * (2.0 * grid) / (two_s2 + grid * grid)
+        d_wm = d_grid @ ctx.y_grid.T
+        d_wm += d_coeffs[:, : f_wm.shape[1]]
+        g = outputs.ensure_grad()
+        g[:, :, 0] += (d_wm @ ctx.fit_t.T).T
+        rows = np.arange(vals.shape[1])[:, None]
+        g[arg, rows, np.arange(1, vals.shape[2])] += d_coeffs[:, f_wm.shape[1] :]
+
+    if tape is not None and outputs.requires_grad:
+        total.requires_grad = True
+        tape.record(backward)
     terms = {
-        "reconstruction": recon.item(),
-        "sparsity": sparsity.item(),
-        "negativity": negativity.item(),
-        "total": total.item(),
+        "reconstruction": float(recon),
+        "sparsity": float(sparsity),
+        "negativity": float(negativity),
+        "total": float(total.values),
     }
     for name in ("reconstruction", "sparsity", "negativity"):
         if not np.isfinite(terms[name]):

@@ -91,6 +91,15 @@ class _Entries(dict):
             raise FormatError(f"{self.path}: {err}") from err
         return self[key]
 
+    def shaped(self, key, *shape):
+        """The block under key, which must have this shape; None matches any length > 0."""
+        arr = self[key]
+        if arr.ndim != len(shape) or any(
+                n < 1 if w is None else n != w for n, w in zip(arr.shape, shape)):
+            want = ", ".join("any" if w is None else str(w) for w in shape)
+            raise FormatError(f"{self.path}: block {key!r} has shape {arr.shape}, not ({want})")
+        return arr
+
 
 def read_container(path, kind=None):
     """Read a container, checking its length against the header and blocks.
@@ -181,13 +190,8 @@ def read_dataset(path) -> sm.VoxelBatch:
             raise FormatError(f"{path}: shell {b} directions are not 3-vectors")
         directions[b] = np.array(rows, dtype=np.float64).reshape(-1, 3)
     table = sm.GradientTable(shells, directions, b0_count=header.typed("b0_count", int))
-    sig = blocks["signals"]
-    expected = table.total_samples
-    if sig.shape != (header.typed("voxel_count", int), expected):
-        raise FormatError(
-            f"{path}: payload shape {sig.shape} does not match "
-            f"(V={header['voxel_count']}, samples={expected})"
-        )
+    n = header.typed("voxel_count", int)
+    sig = blocks.shaped("signals", n, table.total_samples)
     signals = {}
     at = 0
     if table.b0_count:
@@ -196,50 +200,11 @@ def read_dataset(path) -> sm.VoxelBatch:
     for b in shells:
         signals[b] = sig[:, at : at + table.n(b)]
         at += table.n(b)
-    return sm.VoxelBatch(
-        signals,
-        table,
-        blocks.get("fibers"),
-        blocks.get("fiber_fractions"),
-        blocks.get("tissue_fractions"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# FSL-style gradient table text pair (bvals: one line; bvecs: x/y/z lines)
-
-_B0_THRESHOLD = 50.0
-
-
-def read_fsl_gradients(bvals_path, bvecs_path) -> sm.GradientTable:
-    bvals = np.loadtxt(bvals_path, ndmin=1)
-    bvecs = np.loadtxt(bvecs_path, ndmin=2)
-    if bvecs.shape[0] != 3:
-        raise FormatError(f"{bvecs_path}: expected 3 rows (x, y, z components)")
-    if bvecs.shape[1] != bvals.size:
-        raise FormatError(
-            f"gradient files disagree: {bvals.size} b-values vs {bvecs.shape[1]} columns"
-        )
-    is_b0 = bvals < _B0_THRESHOLD
-    directions = {}
-    for b in sorted(set(np.round(bvals[~is_b0], 6))):
-        cols = bvecs[:, np.abs(bvals - b) < 1e-6].T
-        directions[float(b)] = cols / np.linalg.norm(cols, axis=1, keepdims=True)
-    return sm.GradientTable(sorted(directions), directions, int(is_b0.sum()))
-
-
-def write_fsl_gradients(table: sm.GradientTable, bvals_path, bvecs_path):
-    bvals = [0.0] * table.b0_count
-    cols = [np.zeros((table.b0_count, 3))] if table.b0_count else []
-    for b in sorted(table.shells):
-        bvals.extend([float(b)] * table.n(b))
-        cols.append(table.directions[b])
-    vecs = np.vstack(cols) if cols else np.zeros((0, 3))
-    with open(bvals_path, "w") as fh:
-        fh.write(" ".join(repr(float(v)) for v in bvals) + "\n")
-    with open(bvecs_path, "w") as fh:
-        for axis in range(3):
-            fh.write(" ".join(repr(float(v)) for v in vecs[:, axis]) + "\n")
+    truth = [None] * 3
+    if "fibers" in blocks:
+        truth = [blocks.shaped("fibers", n, 3, 3), blocks.shaped("fiber_fractions", n, 3),
+                 blocks.shaped("tissue_fractions", n, 3)]
+    return sm.VoxelBatch(signals, table, *truth)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +234,7 @@ def read_response(path) -> dict:
     shells = [float(b) for b in header.typed("shells", list[float])]
     out = {}
     for t in header.typed("tissues", list[str]):
-        mat = blocks[t]
+        mat = blocks.shaped(t, len(shells), None)
         width = 1 if t in sm.TISSUES[1:] else mat.shape[1]
         out[t] = sm.ResponseFunction(
             t, {b: mat[i, :width] for i, b in enumerate(shells)}
@@ -291,15 +256,16 @@ def write_fodf(path, field: ccsd.FodfField):
 
 def read_fodf(path) -> ccsd.FodfField:
     header, blocks = read_container(path, "fodf")
-    tissues = header.typed("tissues", list[str])
+    n = header.typed("voxel_count", int)
+    basis = sh.ShBasis(header.typed("degree", int))
+    coeffs = {t: blocks.shaped(t, n, basis.L if t == "wm" else 1)
+              for t in header.typed("tissues", list[str])}
+    converged = blocks.shaped("converged", n)
     # CSD and ESD never write a non-finite coefficient
-    for name in [*tissues, "converged"]:
-        if not np.isfinite(blocks[name]).all():
+    for name, arr in [*coeffs.items(), ("converged", converged)]:
+        if not np.isfinite(arr).all():
             raise FormatError(f"{path}: block {name!r} holds non-finite values")
-    coeffs = {t: blocks[t] for t in tissues}
-    return ccsd.FodfField(
-        coeffs, sh.ShBasis(header.typed("degree", int)), blocks["converged"] > 0.5
-    )
+    return ccsd.FodfField(coeffs, basis, converged > 0.5)
 
 
 def write_peaks(path, peak_sets: list):
@@ -316,7 +282,7 @@ def write_peaks(path, peak_sets: list):
 
 def read_peaks(path) -> list:
     header, blocks = read_container(path, "peaks")
-    arr = blocks["peaks"]
+    arr = blocks.shaped("peaks", header.typed("voxel_count", int), None, 4)
     out = []
     for v in range(arr.shape[0]):
         amps = arr[v, :, 3]
@@ -371,11 +337,12 @@ def read_checkpoint(path):
         raise ConfigError(f"{path}: stored {err}") from err
     model = en.EsdModel(build_config(config, "model"), header.typed("in_channels", int))
     model.shells = header.typed("shells", list[float])
-    for n in header.typed("param_names", list[str]):
-        model.params[n].values[...] = blocks[f"param/{n}"]
-    for n in header.typed("bn_names", list[str]):
-        model.bn[n].running_mean[...] = blocks[f"bn_mean/{n}"]
-        model.bn[n].running_var[...] = blocks[f"bn_var/{n}"]
+    # the model built from the stored config names every block it needs
+    for n, p in model.params.items():
+        p.values[...] = blocks.shaped(f"param/{n}", *p.values.shape)
+    for n, bn in model.bn.items():
+        bn.running_mean[...] = blocks.shaped(f"bn_mean/{n}", *bn.running_mean.shape)
+        bn.running_var[...] = blocks.shaped(f"bn_var/{n}", *bn.running_var.shape)
     return model, header
 
 
@@ -535,10 +502,14 @@ def cmd_esd_train(args):
 
 def cmd_esd_infer(args):
     _check_out_dirs(args.out)
+    t0 = time.perf_counter()
     model, _ = read_checkpoint(args.checkpoint)
     field = en.infer(model, read_dataset(args.dataset))
     write_fodf(args.out, field)
-    print(json.dumps({"out": args.out, "voxels": field.n_voxels}))
+    live = np.any(field.coeffs["wm"] != 0, axis=1)
+    print(json.dumps({"out": args.out, "voxels": field.n_voxels,
+                      "live_frac": float(live.mean()) if live.size else None,
+                      "elapsed_ms": _elapsed_ms(t0)}))
     return 0
 
 

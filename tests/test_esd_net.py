@@ -114,10 +114,18 @@ class TestLoss:
         assert terms["total"] == 0.0
 
     def test_sparsity_probe_ln2(self):
-        sigma = en.EsdConfig(**TINY).sigma_cauchy
-        probe = ad.Tensor(np.array([sigma * np.sqrt(2)]))
-        val = ad.cauchy_sum(None, probe, sigma)
-        assert val.item() == pytest.approx(np.log(2), abs=1e-12)
+        # a constant field refits to the same constant on every vertex, so
+        # each of the 48 grid values costs log(1 + 1) = ln 2, and a negative
+        # one also costs its square in the negativity term
+        batch, table = tiny_dataset(n=1)
+        config = en.EsdConfig(**TINY)
+        model, ctx, _ = self.make_ctx(batch, table, config)
+        _, targets = en.network_inputs(model, batch)
+        for probe in np.array([1.0, -1.0]) * config.sigma_cauchy * np.sqrt(2):
+            outputs = ad.Tensor(np.full((48, 1, 1), probe))
+            _, terms = en.esd_loss(None, model, outputs, targets, ctx)
+            assert terms["sparsity"] == pytest.approx(48 * np.log(2), rel=1e-9)
+            assert terms["negativity"] == pytest.approx(48 * min(probe, 0.0) ** 2, rel=1e-9)
 
     def test_decomposition_identity(self):
         batch, table = tiny_dataset(n=6, snr=20)
@@ -147,16 +155,15 @@ class TestLoss:
             terms["reconstruction"] + terms["negativity"], abs=1e-12
         )
 
-    @pytest.mark.parametrize("tissues", [1, 3])
-    def test_reconstruction_matches_forward_model(self, tissues):
-        # reference: signal_model.forward on the fODF that heads_to_fodf
-        # reads off the same outputs (WM refit, isotropic maxima)
+    def multi_tissue(self, tissues):
+        """A two-shell batch with a b=0 sample, its model and loss context."""
         shells = (1000.0, 3000.0)
         sim = sm.SimConfig(shells=list(shells), gradients_per_shell=16, n_voxels=5,
                            split=(5, 0, 0), seed=2, snr=20, tissues=tissues, b0_count=2)
         table = sm.build_gradient_table(sim)
         batch = sm.generate_batch(sim, table, np.arange(5))
-        config = en.EsdConfig(**dict(TINY, tissues=tissues))
+        config = en.EsdConfig(**dict(TINY, tissues=tissues, lambda_sparsity=0.3,
+                                     sigma_cauchy=0.5, lambda_nonneg=2.0))
         basis = sh.ShBasis(config.fodf_degree)
         rfs = {"wm": tensor_response(basis, table)}
         for t, d in (("gm", 0.8e-3), ("csf", 3e-3)):
@@ -164,12 +171,20 @@ class TestLoss:
                 t, {b: [np.sqrt(4 * np.pi) * np.exp(-b * d)] for b in (0.0,) + shells}
             )
         model = en.EsdModel(config, len(shells))
-        ctx = en.LossContext(model, table, rfs)
         _, targets = en.network_inputs(model, batch)
+        return model, en.LossContext(model, table, rfs), rfs, batch, targets
+
+    @pytest.mark.parametrize("tissues", [1, 3])
+    def test_reconstruction_matches_forward_model(self, tissues):
+        # reference: signal_model.forward on the fODF that heads_to_fodf
+        # reads off the same outputs (WM refit, isotropic maxima)
+        model, ctx, rfs, batch, targets = self.multi_tissue(tissues)
         rng = np.random.default_rng(5)
         outputs = np.abs(rng.standard_normal((48, 5, tissues)))
         _, terms = en.esd_loss(None, model, ad.Tensor(outputs), targets, ctx)
 
+        config, table = model.config, batch.gradients
+        basis = sh.ShBasis(config.fodf_degree)
         F = en.heads_to_fodf(outputs, model.grids[0], config.fodf_degree).coeffs
         pred = sm.forward(F, rfs, basis, table)
         signals = batch.b0_normalized().signals
@@ -177,6 +192,29 @@ class TestLoss:
         expect = sum(np.sum((pred[b] - signals[b]) ** 2) for b in keys)
         assert targets.shape == (5, table.total_samples)
         assert terms["reconstruction"] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("tissues", [1, 3])
+    def test_gradient_check(self, tissues):
+        # signed outputs, so the refit WM fODF is negative on part of the
+        # grid, and one clear spike per isotropic channel and voxel
+        model, ctx, _, _, targets = self.multi_tissue(tissues)
+        rng = np.random.default_rng(6)
+        outputs = ad.Tensor(rng.standard_normal((48, 5, tissues)), requires_grad=True)
+        spikes = rng.integers(0, 48, size=(5, tissues))
+        for v in range(5):
+            for i in range(1, tissues):
+                outputs.values[spikes[v, i], v, i] = outputs.values[:, v, i].max() + 1.0
+
+        def loss(tape):
+            return en.esd_loss(tape, model, outputs, targets, ctx)[0]
+
+        _, terms = en.esd_loss(None, model, outputs, targets, ctx)
+        assert terms["sparsity"] > 0 and terms["negativity"] > 0
+        check_grad(loss, [outputs])
+        # each isotropic channel's gradient reaches only its maximum's vertex
+        for v in range(5):
+            for i in range(1, tissues):
+                assert np.flatnonzero(outputs.grad[:, v, i]).tolist() == [spikes[v, i]]
 
     def test_end_to_end_gradient_check(self):
         # toy model: nside_in=2, depth=1, 4 voxels
@@ -273,7 +311,9 @@ class TestTrainInfer:
         model.params["head_w"].values[:] = np.inf
         ctx = en.LossContext(model, table, rfs)
         x_in, targets = en.network_inputs(model, batch)
-        out = model.forward(None, ad.Tensor(x_in))
+        # the injected inf turns into NaN inside the network
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            out = model.forward(None, ad.Tensor(x_in))
         with pytest.raises(NumericalError) as err:
             en.esd_loss(None, model, out, targets, ctx)
         assert "reconstruction" in str(err.value)

@@ -121,31 +121,6 @@ class TestDatasetFile:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestFslGradients:
-    def test_round_trip(self, tmp_path):
-        batch = small_batch()
-        bvals, bvecs = tmp_path / "bvals", tmp_path / "bvecs"
-        io_cli.write_fsl_gradients(batch.gradients, bvals, bvecs)
-        table = io_cli.read_fsl_gradients(bvals, bvecs)
-        assert table.b0_count == batch.gradients.b0_count
-        assert np.allclose(
-            table.directions[3000.0], batch.gradients.directions[3000.0], atol=1e-15
-        )
-
-    def test_low_b_treated_as_b0(self, tmp_path):
-        (tmp_path / "bvals").write_text("0 49 1000 1000\n")
-        (tmp_path / "bvecs").write_text("0 0 1 0\n0 0 0 1\n1 1 0 0\n")
-        table = io_cli.read_fsl_gradients(tmp_path / "bvals", tmp_path / "bvecs")
-        assert table.b0_count == 2
-        assert table.n(1000.0) == 2
-
-    def test_mismatched_columns(self, tmp_path):
-        (tmp_path / "bvals").write_text("0 1000\n")
-        (tmp_path / "bvecs").write_text("0 0 1\n0 1 0\n1 0 0\n")
-        with pytest.raises(io_cli.FormatError):
-            io_cli.read_fsl_gradients(tmp_path / "bvals", tmp_path / "bvecs")
-
-
 class TestResponseAndFodfFiles:
     def test_response_round_trip(self, tmp_path):
         rfs = {
@@ -645,26 +620,55 @@ class TestCliPipeline:
         assert len(lines) == 1 and lines[0].startswith("error: io: ")
         assert "Traceback" not in captured.err and not out.exists()
 
-    @pytest.mark.parametrize("case", ["fodf_degree_string", "fodf_wm_nan",
-                                      "checkpoint_config_list"])
+    @pytest.mark.parametrize("case", [
+        "fodf_degree_string", "fodf_wm_nan", "checkpoint_config_list",
+        # blocks whose shapes do not fit the header or the model
+        "response_1d", "response_rows", "response_width0", "fodf_converged", "fodf_wm_rows",
+        "fodf_wm_width", "checkpoint_head_w", "checkpoint_bn", "dataset_fibers",
+        "dataset_fiber_fractions", "dataset_tissue_fractions", "peaks_voxels", "peaks_columns",
+    ])
     def test_bad_header_value_or_payload_exits_1(self, esd_run, csd_fodf, tmp_path, case,
                                                  capsys):
-        data = esd_run["data"]
-        source = esd_run["ckpt"] if case.startswith("checkpoint") else csd_fodf
+        test_sdv = esd_run["data"] / "test.sdv"
+        peaks = tmp_path / "good.peaks"
+        assert run_cli("peaks", "--fodf", str(csd_fodf), "--out", str(peaks)) == 0
+        source, argv = {
+            "fodf": (csd_fodf, ["peaks", "--fodf"]),
+            "checkpoint": (esd_run["ckpt"],
+                           ["esd-infer", "--dataset", str(test_sdv), "--checkpoint"]),
+            "response": (esd_run["rf"], ["csd", "--dataset", str(test_sdv), "--response"]),
+            "dataset": (test_sdv, ["response", "--dataset"]),
+            "peaks": (peaks, ["evaluate", "--dataset", str(test_sdv), "--peaks"]),
+        }[case.split("_")[0]]
         header, blocks = io_cli.read_container(source)
         if case == "fodf_degree_string":
             header["degree"] = str(header["degree"])
         elif case == "fodf_wm_nan":
             blocks["wm"][1, 3] = np.nan
-        else:
+        elif case == "checkpoint_config_list":
             header["config"] = [1]
+        else:
+            name, cut = {
+                "response_1d": ("wm", lambda a: a[0]),
+                "response_rows": ("wm", lambda a: np.vstack([a, a])),
+                "response_width0": ("wm", lambda a: a[:, :0]),
+                "fodf_converged": ("converged", lambda a: a[:3]),
+                "fodf_wm_rows": ("wm", lambda a: a[:3]),
+                "fodf_wm_width": ("wm", lambda a: a[:, :-1]),
+                "checkpoint_head_w": ("param/head_w", lambda a: a[:1]),
+                "checkpoint_bn": ("bn_mean/enc0_0", lambda a: a[:1]),
+                "dataset_fibers": ("fibers", lambda a: a[:, :1]),
+                "dataset_fiber_fractions": ("fiber_fractions", lambda a: a[:, :2]),
+                "dataset_tissue_fractions": ("tissue_fractions", lambda a: a[:, :1]),
+                "peaks_voxels": ("peaks", lambda a: a[:3]),
+                "peaks_columns": ("peaks", lambda a: a[:, :, :3]),
+            }[case]
+            blocks[name] = cut(blocks[name])
         path = tmp_path / source.name
         io_cli.write_container(path, header, list(blocks.items()))
         out = tmp_path / "out"
-        argv = (["esd-infer", "--checkpoint", str(path), "--dataset", str(data / "test.sdv")]
-                if case.startswith("checkpoint") else ["peaks", "--fodf", str(path)])
         capsys.readouterr()
-        code = run_cli(*argv, "--out", str(out))
+        code = run_cli(*argv, str(path), "--out", str(out))
         captured = capsys.readouterr()
         assert code == 1
         lines = captured.err.splitlines()
@@ -690,6 +694,23 @@ class TestCliPipeline:
         n_peaks = sum(len(p) for p in io_cli.read_peaks(peaks))
         assert peaks_line["peaks_per_voxel"] == n_peaks / peaks_line["voxels"]
         assert peaks_line["elapsed_ms"] > 0
+        # esd-infer counts the voxels whose WM coefficients are not all zero;
+        # a zero head makes every voxel dead
+        header, blocks = io_cli.read_container(esd_run["ckpt"])
+        blocks["param/head_w"][...] = 0.0
+        dead = tmp_path / "dead.ckpt"
+        io_cli.write_container(dead, header, list(blocks.items()))
+        for ckpt in (esd_run["ckpt"], dead):
+            out = tmp_path / "e.fodf"
+            assert run_cli("esd-infer", "--checkpoint", str(ckpt),
+                           "--dataset", str(data / "test.sdv"), "--out", str(out)) == 0
+            infer_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert set(infer_line) == {"out", "voxels", "live_frac", "elapsed_ms"}
+            wm = io_cli.read_fodf(out).coeffs["wm"]
+            assert infer_line["voxels"] == 8
+            assert infer_line["live_frac"] == np.any(wm != 0, axis=1).mean()
+            assert infer_line["elapsed_ms"] > 0
+        assert infer_line["live_frac"] == 0.0
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),
