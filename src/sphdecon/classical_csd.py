@@ -65,13 +65,12 @@ class FodfField:
 def system_matrix(gradients: sm.GradientTable, rfs: dict, basis: sh.ShBasis):
     """Stacked forward operator A with one column block per tissue.
 
-    Rows run over b=0 samples then each shell's gradient samples; the
-    tissue blocks are ordered wm, gm, csf (as present).
+    Rows follow the gradient table's columns (b=0 samples, then each
+    shell's); the tissue blocks are ordered wm, gm, csf (as present).
     """
     tissues = [t for t in sm.TISSUES if t in rfs]
     blocks = []
-    keys = sample_keys(gradients)
-    for b in keys:
+    for b in gradients.keys:
         if b == 0:
             dirs = np.repeat(_Z_AXIS, gradients.b0_count, axis=0)
         else:
@@ -88,16 +87,7 @@ def system_matrix(gradients: sm.GradientTable, rfs: dict, basis: sh.ShBasis):
         lt = sm.tissue_basis(basis, t).L
         slices[t] = slice(at, at + lt)
         at += lt
-    return A, slices, keys
-
-
-def sample_keys(gradients: sm.GradientTable):
-    """Row order of the stacked samples: b=0 (when present), then each shell."""
-    return ([0] if gradients.b0_count else []) + list(gradients.shells)
-
-
-def stack_samples(batch: sm.VoxelBatch, keys):
-    return np.hstack([batch.signals[b] for b in keys])
+    return A, slices
 
 
 def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None) -> FodfField:
@@ -110,8 +100,7 @@ def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None) 
     """
     config = config or CsdConfig()
     basis = sh.ShBasis(config.wm_degree)
-    A, slices, keys = system_matrix(batch.gradients, rfs, basis)
-    S = stack_samples(batch, keys)
+    A, slices = system_matrix(batch.gradients, rfs, basis)
 
     n_rows, n_cols = A.shape
     ata = A.T @ A + config.ridge * np.eye(n_cols)
@@ -121,7 +110,7 @@ def csd_solve(batch: sm.VoxelBatch, rfs: dict, config: CsdConfig | None = None) 
             f"normal matrix condition estimate {cond:.3e}; "
             "increase ridge or reduce wm_degree"
         )
-    atb = A.T @ S.T  # (n_cols, V)
+    atb = A.T @ batch.signals.T  # (n_cols, V)
 
     wm_sl = slices.get("wm", slice(0, 0))
     iso_idx = [slices[t].start for t in sm.TISSUES[1:] if t in slices]

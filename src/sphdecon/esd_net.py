@@ -66,10 +66,10 @@ class EsdConfig:
 class EsdModel:
     """Parameters, normalization state, and grid hierarchy of one network."""
 
-    def __init__(self, config: EsdConfig, in_channels: int):
+    def __init__(self, config: EsdConfig, shells):
         self.config = config
-        self.in_channels = in_channels
-        self.shells = None  # pinned on first training, checked at inference
+        # one input channel per shell, ascending as a GradientTable lists them
+        self.shells = [float(b) for b in shells]
         self.grids = [sg.build_grid(config.nside_in >> i) for i in range(config.depth)]
         self.laps = [
             ad.scaled_laplacian(g.laplacian, sg.estimate_lmax(g)) for g in self.grids
@@ -78,7 +78,7 @@ class EsdModel:
         self.bn: dict = {}
         rng = np.random.default_rng([config.seed, 77])
         ch = config.channels
-        self._add_block(rng, "enc0_0", in_channels, ch[0])
+        self._add_block(rng, "enc0_0", len(self.shells), ch[0])
         self._add_block(rng, "enc0_1", ch[0], ch[0])
         for lvl in range(1, config.depth):
             self._add_block(rng, f"enc{lvl}_0", ch[lvl - 1], ch[lvl])
@@ -182,7 +182,7 @@ class LossContext:
             )
         basis = sh.ShBasis(config.fodf_degree)
         grid = model.grids[0]
-        A, _, _ = ccsd.system_matrix(
+        A, _ = ccsd.system_matrix(
             gradients, {t: rfs[t] for t in config.tissue_names}, basis
         )
         self.a_t = np.ascontiguousarray(A.T)  # (L + T - 1, samples)
@@ -246,25 +246,19 @@ def network_inputs(model: EsdModel, batch: sm.VoxelBatch) -> tuple:
     """Resample a batch onto the input grid; returns (x array, targets).
 
     x is (N, V, C_in) with one channel per shell in ascending order.
-    targets is the (V, samples) normalized samples in the system matrix's
-    row order (b=0 first, then the shells).
+    targets is the (V, samples) b=0-normalized signal matrix, whose columns
+    are the system matrix's rows.
     """
     batch = batch.b0_normalized()
-    grid = model.grids[0]
-    shells = sorted(batch.gradients.shells)
-    if model.shells is not None and [float(b) for b in shells] != sorted(model.shells):
+    table = batch.gradients
+    if table.shells != model.shells:
         raise InvalidArgumentError(
-            f"batch shells {shells} do not match the model's {sorted(model.shells)}"
+            f"batch shells {table.shells} do not match the model's {model.shells}"
         )
     channels = [
-        sh.resample(batch.signals[b], batch.gradients.directions[b], grid) for b in shells
+        sh.resample(batch.shell(b), table.directions[b], model.grids[0]) for b in table.shells
     ]
-    x = np.stack([c.T for c in channels], axis=-1)
-    if x.shape[2] != model.in_channels:
-        raise InvalidArgumentError(
-            f"batch yields {x.shape[2]} input channels, model expects {model.in_channels}"
-        )
-    return x, ccsd.stack_samples(batch, ccsd.sample_keys(batch.gradients))
+    return np.stack([c.T for c in channels], axis=-1), batch.signals
 
 
 @dataclass
@@ -301,11 +295,6 @@ def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
     return _summarize(model.config, sums, max(len(indices), 1))
 
 
-def _same_table(a: sm.GradientTable, b: sm.GradientTable) -> bool:
-    return (a.b0_count == b.b0_count and sorted(a.shells) == sorted(b.shells)
-            and all(np.array_equal(a.directions[s], b.directions[s]) for s in a.shells))
-
-
 def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
           rfs: dict) -> TrainResult:
     """Optimize the model on one dataset; deterministic for a fixed seed.
@@ -313,7 +302,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
     The validation loss uses the training set's forward operator, so the
     two sets must share one gradient table.
     """
-    if not _same_table(train_batch.gradients, val_batch.gradients):
+    if train_batch.gradients != val_batch.gradients:
         raise InvalidArgumentError(
             "the validation set's gradient table (b=0 count, shells or directions) "
             "differs from the training set's"
@@ -332,7 +321,6 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
     wait = 0
     log = []
     n_train = x_train.shape[1]
-    model.shells = [float(b) for b in sorted(train_batch.gradients.shells)]
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, 13, epoch]).permutation(n_train)
         train_sums = np.zeros(3)

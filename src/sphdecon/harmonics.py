@@ -31,12 +31,6 @@ class ShBasis:
         self.L = len(self.degrees)
         assert self.L == (l_max // 2 + 1) * (l_max + 1)
 
-    def __eq__(self, other):
-        return isinstance(other, ShBasis) and other.l_max == self.l_max
-
-    def __repr__(self):
-        return f"ShBasis(l_max={self.l_max})"
-
 
 def _check_unit(points):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))

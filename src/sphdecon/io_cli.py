@@ -156,21 +156,16 @@ def dataset_path(out_dir, name):
 
 def write_dataset(path, batch: sm.VoxelBatch, seed=None):
     table = batch.gradients
-    shells = sorted(table.shells)
     header = {
         "kind": "dataset",
         "voxel_count": batch.n_voxels,
-        "shells": [float(b) for b in shells],
-        "directions": {str(float(b)): table.directions[b].tolist() for b in shells},
+        "shells": [float(b) for b in table.shells],
+        "directions": {str(float(b)): table.directions[b].tolist() for b in table.shells},
         "b0_count": table.b0_count,
         "seed": seed,
         "has_ground_truth": batch.fibers is not None,
     }
-    cols = []
-    if table.b0_count:
-        cols.append(batch.signals[0])
-    cols.extend(batch.signals[b] for b in shells)
-    blocks = [("signals", np.hstack(cols))]
+    blocks = [("signals", batch.signals)]
     if batch.fibers is not None:
         blocks += [
             ("fibers", batch.fibers),
@@ -190,21 +185,14 @@ def read_dataset(path) -> sm.VoxelBatch:
             raise FormatError(f"{path}: shell {b} directions are not 3-vectors")
         directions[b] = np.array(rows, dtype=np.float64).reshape(-1, 3)
     table = sm.GradientTable(shells, directions, b0_count=header.typed("b0_count", int))
+    if table.shells != shells:
+        raise FormatError(f"{path}: shells {shells} are not in ascending order")
     n = header.typed("voxel_count", int)
-    sig = blocks.shaped("signals", n, table.total_samples)
-    signals = {}
-    at = 0
-    if table.b0_count:
-        signals[0] = sig[:, : table.b0_count]
-        at = table.b0_count
-    for b in shells:
-        signals[b] = sig[:, at : at + table.n(b)]
-        at += table.n(b)
     truth = [None] * 3
     if "fibers" in blocks:
         truth = [blocks.shaped("fibers", n, 3, 3), blocks.shaped("fiber_fractions", n, 3),
                  blocks.shaped("tissue_fractions", n, 3)]
-    return sm.VoxelBatch(signals, table, *truth)
+    return sm.VoxelBatch(blocks.shaped("signals", n, table.total_samples), table, *truth)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +245,10 @@ def write_fodf(path, field: ccsd.FodfField):
 def read_fodf(path) -> ccsd.FodfField:
     header, blocks = read_container(path, "fodf")
     n = header.typed("voxel_count", int)
-    basis = sh.ShBasis(header.typed("degree", int))
+    try:
+        basis = sh.ShBasis(header.typed("degree", int))
+    except InvalidArgumentError as err:
+        raise FormatError(f"{path}: header degree: {err}") from err
     coeffs = {t: blocks.shaped(t, n, basis.L if t == "wm" else 1)
               for t in header.typed("tissues", list[str])}
     converged = blocks.shaped("converged", n)
@@ -298,21 +289,16 @@ def config_hash(config: dict) -> str:
 
 
 def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: dict):
-    names = sorted(model.params)
-    bn_names = sorted(model.bn)
     header = {
         "kind": "checkpoint",
         "config": config,
         "config_hash": config_hash(config),
         "epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
-        "in_channels": model.in_channels,
         "shells": model.shells,
-        "param_names": names,
-        "bn_names": bn_names,
     }
-    blocks = [(f"param/{n}", model.params[n].values) for n in names]
-    for n in bn_names:
+    blocks = [(f"param/{n}", model.params[n].values) for n in sorted(model.params)]
+    for n in sorted(model.bn):
         blocks.append((f"bn_mean/{n}", model.bn[n].running_mean))
         blocks.append((f"bn_var/{n}", model.bn[n].running_var))
     write_container(path, header, blocks)
@@ -335,9 +321,9 @@ def read_checkpoint(path):
         validate_config(config)
     except ConfigError as err:
         raise ConfigError(f"{path}: stored {err}") from err
-    model = en.EsdModel(build_config(config, "model"), header.typed("in_channels", int))
-    model.shells = header.typed("shells", list[float])
-    # the model built from the stored config names every block it needs
+    # the model built from the stored config and shells names every block it
+    # needs; older checkpoints' in_channels, param_names and bn_names go unread
+    model = en.EsdModel(build_config(config, "model"), header.typed("shells", list[float]))
     for n, p in model.params.items():
         p.values[...] = blocks.shaped(f"param/{n}", *p.values.shape)
     for n, bn in model.bn.items():
@@ -425,16 +411,22 @@ def load_config(path) -> dict:
 # commands
 
 
+def _elapsed_ms(t0):
+    return round(1000.0 * (time.perf_counter() - t0), 3)
+
+
 def cmd_simulate(args):
+    t0 = time.perf_counter()
     config = load_config(args.config)
     sc = build_config(config, "dataset")
     os.makedirs(args.out, exist_ok=True)
     manifest = sm.make_dataset(sc, args.out)
-    print(json.dumps(manifest, sort_keys=True))
+    print(json.dumps({**manifest, "elapsed_ms": _elapsed_ms(t0)}, sort_keys=True))
     return 0
 
 
 def cmd_response(args):
+    t0 = time.perf_counter()
     config = load_config(args.config) if args.config else {}
     batch = read_dataset(args.dataset)
     if batch.fibers is None:
@@ -452,12 +444,9 @@ def cmd_response(args):
         if np.any(sel):
             rfs[t] = sm.isotropic_response(normalized.subset(sel), t)
     write_response(args.out, rfs)
-    print(json.dumps({"out": args.out, "tissues": sorted(rfs), "degree": degree}))
+    print(json.dumps({"out": args.out, "tissues": sorted(rfs), "degree": degree,
+                      "elapsed_ms": _elapsed_ms(t0)}))
     return 0
-
-
-def _elapsed_ms(t0):
-    return round(1000.0 * (time.perf_counter() - t0), 3)
 
 
 def cmd_csd(args):
@@ -484,11 +473,12 @@ def _check_out_dirs(*paths):
 
 def cmd_esd_train(args):
     _check_out_dirs(args.out, args.log)
+    t0 = time.perf_counter()
     config = load_config(args.config) if args.config else {}
     train_batch = read_dataset(args.train)
     val_batch = read_dataset(args.val)
     rfs = read_response(args.response)
-    model = en.EsdModel(build_config(config, "model"), len(train_batch.gradients.shells))
+    model = en.EsdModel(build_config(config, "model"), train_batch.gradients.shells)
     result = en.train(model, train_batch, val_batch, rfs)
     write_checkpoint(args.out, model, result, config)
     if args.log:
@@ -496,7 +486,8 @@ def cmd_esd_train(args):
             for record in result.log:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(json.dumps({"out": args.out, "best_epoch": result.best_epoch,
-                      "best_val_loss": result.best_val_loss}, allow_nan=False))
+                      "best_val_loss": result.best_val_loss,
+                      "elapsed_ms": _elapsed_ms(t0)}, allow_nan=False))
     return 0
 
 

@@ -27,7 +27,12 @@ _STREAM_NOISE = 303
 
 @dataclass
 class GradientTable:
-    """Acquisition geometry: per-shell unit directions plus b=0 count."""
+    """Acquisition geometry: per-shell unit directions plus b=0 count.
+
+    It owns the sample layout: a voxel's samples are the b=0 samples (when
+    present), then each shell's in ascending b. `keys` lists them in that
+    order (0 for b=0) and `columns(b)` is one key's slice of the samples.
+    """
 
     shells: list
     directions: dict
@@ -36,20 +41,33 @@ class GradientTable:
     def __post_init__(self):
         if not self.shells and self.b0_count == 0:
             raise InvalidArgumentError("gradient table needs at least one shell")
+        self.shells = list(self.shells)
+        self.shells.sort()
+        widths = {0: self.b0_count} if self.b0_count else {}
         for b in self.shells:
-            if b < 0:
-                raise InvalidArgumentError(f"negative b-value {b}")
+            if b <= 0:  # key 0 is the b=0 samples, which b0_count counts
+                raise InvalidArgumentError(f"shell b-value {b} is not positive")
             d = np.asarray(self.directions[b], dtype=np.float64)
             if np.any(np.abs(np.linalg.norm(d, axis=1) - 1) > 1e-6):
                 raise InvalidArgumentError(f"shell {b} directions are not unit vectors")
             self.directions[b] = d
+            widths[b] = d.shape[0]
+        self.keys = list(widths)
+        ends = np.cumsum([0, *widths.values()]).tolist()
+        self._columns = {b: slice(lo, hi) for b, lo, hi in zip(widths, ends, ends[1:])}
+        self.total_samples = ends[-1]
 
     def n(self, b):
         return self.directions[b].shape[0]
 
-    @property
-    def total_samples(self):
-        return self.b0_count + sum(self.n(b) for b in self.shells)
+    def columns(self, b):
+        return self._columns[b]
+
+    def __eq__(self, other):
+        return (isinstance(other, GradientTable) and self.b0_count == other.b0_count
+                and self.shells == other.shells
+                and all(np.array_equal(self.directions[b], other.directions[b])
+                        for b in self.shells))
 
 
 @dataclass
@@ -91,18 +109,18 @@ class TensorParams:
 
 @dataclass
 class VoxelBatch:
-    """Sampled signals per shell, with optional ground truth."""
+    """Sampled signals, one row per voxel, with optional ground truth."""
 
-    signals: dict  # b -> (V, n_b); key 0 holds b=0 samples
+    signals: np.ndarray  # (V, total_samples) in the gradient table's column order
     gradients: GradientTable
     fibers: np.ndarray | None = None  # (V, 3, 3) unit rows, zero-padded
     fiber_fractions: np.ndarray | None = None  # (V, 3), zero-padded
     tissue_fractions: np.ndarray | None = None  # (V, 3) wm/gm/csf
 
     def __post_init__(self):
-        rows = {v.shape[0] for v in self.signals.values()}
-        if len(rows) > 1:
-            raise InvalidArgumentError(f"inconsistent voxel counts across shells: {rows}")
+        if self.signals.ndim != 2 or self.signals.shape[1] != self.gradients.total_samples:
+            raise InvalidArgumentError(f"signals of shape {self.signals.shape} do not have "
+                                       f"the table's {self.gradients.total_samples} columns")
         if self.tissue_fractions is not None:
             sums = self.tissue_fractions.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > 1e-9):
@@ -110,7 +128,11 @@ class VoxelBatch:
 
     @property
     def n_voxels(self):
-        return next(iter(self.signals.values())).shape[0]
+        return self.signals.shape[0]
+
+    def shell(self, b):
+        """The (V, n_b) samples of one key of the table (0 for b=0), as a view."""
+        return self.signals[:, self.gradients.columns(b)]
 
     def n_fibers(self):
         return (np.linalg.norm(self.fibers, axis=2) > 0.5).sum(axis=1)
@@ -121,15 +143,15 @@ class VoxelBatch:
         Without b=0 samples, and in voxels whose mean is not positive, the
         scale is 1.
         """
-        if 0 not in self.signals:
+        if not self.gradients.b0_count:
             return self
-        norms = self.signals[0].mean(axis=1)
+        norms = self.shell(0).mean(axis=1)
         norms = np.where(norms > 0, norms, 1.0)[:, None]
-        return replace(self, signals={b: s / norms for b, s in self.signals.items()})
+        return replace(self, signals=self.signals / norms)
 
     def subset(self, idx):
         return VoxelBatch(
-            {b: v[idx] for b, v in self.signals.items()},
+            self.signals[idx],
             self.gradients,
             None if self.fibers is None else self.fibers[idx],
             None if self.fiber_fractions is None else self.fiber_fractions[idx],
@@ -158,11 +180,11 @@ def tissue_basis(basis, tissue):
     return basis if tissue == "wm" else _ISO_BASIS
 
 
-def forward(F: dict, rfs: dict, basis: sh.ShBasis, gradients: GradientTable) -> dict:
-    """Predict per-shell signals from fODF coefficients.
+def forward(F: dict, rfs: dict, basis: sh.ShBasis, gradients: GradientTable) -> np.ndarray:
+    """Predict signals from fODF coefficients.
 
     F maps tissue name to a (V, L_t) coefficient matrix (L_t = basis.L for
-    wm, 1 for gm/csf). Returns {b: (V, n_b)} including b=0 when present.
+    wm, 1 for gm/csf). Returns (V, total_samples) in the table's column order.
     """
     n_vox = None
     for t, coeffs in F.items():
@@ -176,21 +198,20 @@ def forward(F: dict, rfs: dict, basis: sh.ShBasis, gradients: GradientTable) -> 
         elif coeffs.shape[0] != n_vox:
             raise InvalidArgumentError("tissue fODF matrices disagree on voxel count")
 
-    out = {}
+    out = np.zeros((n_vox, gradients.total_samples))
     for b in gradients.shells:
-        acc = np.zeros((n_vox, gradients.n(b)))
+        acc = out[:, gradients.columns(b)]
         for t, coeffs in F.items():
             tb = tissue_basis(basis, t)
             Y = sh.design_matrix(tb, gradients.directions[b])
             acc += (coeffs * rf_diagonal(rfs[t], tb, b)) @ Y
-        out[b] = acc
     if gradients.b0_count > 0:
         col = np.zeros((n_vox, 1))
         for t, coeffs in F.items():
             tb = tissue_basis(basis, t)
             d0 = rf_diagonal(rfs[t], tb, 0)[0]
             col += coeffs[:, :1] * (d0 / np.sqrt(4 * np.pi))
-        out[0] = np.repeat(col, gradients.b0_count, axis=1)
+        out[:, gradients.columns(0)] = col
     return out
 
 
@@ -336,11 +357,10 @@ class SimConfig:
 
 
 def build_gradient_table(config: SimConfig) -> GradientTable:
-    dirs = {
-        float(b): generate_gradients(config.gradients_per_shell, config.seed)
-        for b in config.shells
-    }
-    return GradientTable(sorted(dirs), dirs, b0_count=config.b0_count)
+    """Every shell samples the same scheme, computed once."""
+    scheme = generate_gradients(config.gradients_per_shell, config.seed)
+    shells = [float(b) for b in config.shells]
+    return GradientTable(shells, {b: scheme for b in shells}, b0_count=config.b0_count)
 
 
 def _axis_angles_deg(dirs):
@@ -377,9 +397,7 @@ def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -
     fibers = np.zeros((n, 3, 3))
     fiber_fracs = np.zeros((n, 3))
     tissue_fracs = np.zeros((n, 3))
-    signals = {b: np.zeros((n, gradients.n(b))) for b in gradients.shells}
-    if gradients.b0_count:
-        signals[0] = np.zeros((n, gradients.b0_count))
+    signals = np.zeros((n, gradients.total_samples))
     sigma = 0.0 if not config.snr else 1.0 / config.snr
     for row, vox in enumerate(voxel_indices):
         rng = np.random.default_rng([config.seed, _STREAM_VOXEL, int(vox)])
@@ -394,9 +412,9 @@ def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -
         clean = simulate_voxel(
             list(zip(dirs, fracs)), tissue, gradients, config.tensor
         )
-        for b, s in clean.items():
-            signals[b][row] = add_rician_noise(
-                s, sigma, [config.seed, _STREAM_NOISE, int(vox), int(b)]
+        for b in gradients.keys:
+            signals[row, gradients.columns(b)] = add_rician_noise(
+                clean[b], sigma, [config.seed, _STREAM_NOISE, int(vox), int(b)]
             )
     return VoxelBatch(signals, gradients, fibers, fiber_fracs, tissue_fracs)
 
@@ -442,23 +460,24 @@ def estimate_response(batch: VoxelBatch, basis: sh.ShBasis) -> ResponseFunction:
     degrees = np.arange(0, basis.l_max + 1, 2)
     r = {}
     for b in batch.gradients.shells:
+        samples = batch.shell(b)
         acc = np.zeros(len(degrees))
         for v in range(batch.n_voxels):
             rot = rotation_to_z(batch.fibers[v, 0])
             rotated = batch.gradients.directions[b] @ rot.T
-            acc += _zonal_fit(batch.signals[b][v], rotated, degrees)
+            acc += _zonal_fit(samples[v], rotated, degrees)
         r[b] = acc / batch.n_voxels
     if batch.gradients.b0_count:
         r[0] = np.zeros(len(degrees))
-        r[0][0] = np.sqrt(4 * np.pi) * float(np.mean(batch.signals[0]))
+        r[0][0] = np.sqrt(4 * np.pi) * float(np.mean(batch.shell(0)))
     return ResponseFunction("wm", r)
 
 
 def isotropic_response(batch: VoxelBatch, tissue: str) -> ResponseFunction:
     """Degree-0 response of an isotropic compartment from pure voxels."""
     r = {}
-    for b, s in batch.signals.items():
-        r[b] = np.array([np.sqrt(4 * np.pi) * float(np.mean(s))])
+    for b in batch.gradients.keys:
+        r[b] = np.array([np.sqrt(4 * np.pi) * float(np.mean(batch.shell(b)))])
     return ResponseFunction(tissue, r)
 
 

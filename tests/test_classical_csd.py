@@ -44,8 +44,8 @@ def reference_csd_solve(batch, rfs, config=None):
     """
     config = config or csd.CsdConfig()
     basis = sh.ShBasis(config.wm_degree)
-    A, slices, keys = csd.system_matrix(batch.gradients, rfs, basis)
-    S = csd.stack_samples(batch, keys)
+    A, slices = csd.system_matrix(batch.gradients, rfs, basis)
+    S = batch.signals
     grid = sg.build_grid(config.constraint_grid_nside)
     B = sh.design_matrix(basis, grid.vertices).T  # (m, L_wm)
 
@@ -135,8 +135,7 @@ class TestCsdSolve:
 
     def test_zero_signal_zero_fodf(self, wm_rf):
         batch, _ = single_fiber_batch(n=2)
-        for b in batch.signals:
-            batch.signals[b][:] = 0.0
+        batch.signals[:] = 0.0
         field = csd.csd_solve(batch, {"wm": wm_rf})
         assert np.abs(field.coeffs["wm"]).max() < 1e-10
 
@@ -151,8 +150,8 @@ class TestCsdSolve:
         pred = sm.forward({"wm": c_gt[None]}, {"wm": wm_rf}, basis, table)
         batch = sm.VoxelBatch(pred, table)
         field = csd.csd_solve(batch, {"wm": wm_rf})
-        A, slices, keys = csd.system_matrix(table, {"wm": wm_rf}, basis)
-        s = csd.stack_samples(batch, keys)[0]
+        A, slices = csd.system_matrix(table, {"wm": wm_rf}, basis)
+        s = batch.signals[0]
         r_hat = np.linalg.norm(A @ field.coeffs["wm"][0] - s)
         r_gt = np.linalg.norm(A @ c_gt - s)
         assert r_hat <= r_gt + 1e-6
@@ -168,8 +167,8 @@ class TestCsdSolve:
     def test_objective_nonincreasing(self, wm_rf, constraint_grid):
         batch, table = single_fiber_batch(n=1, snr=20)
         basis = sh.ShBasis(8)
-        A, slices, keys = csd.system_matrix(table, {"wm": wm_rf}, basis)
-        s = csd.stack_samples(batch, keys)[0]
+        A, slices = csd.system_matrix(table, {"wm": wm_rf}, basis)
+        s = batch.signals[0]
         B = sh.design_matrix(basis, constraint_grid.vertices).T
         config = csd.CsdConfig()
         # re-run the iteration manually, tracking the objective
@@ -314,10 +313,25 @@ class TestBatchedMatchesReference:
         # a WM block they alone decide whether a step is stable
         batch, rfs = three_tissue_batch(n=8)
         rng = np.random.default_rng(0)
-        noise = {b: 0.3 * rng.standard_normal((60, s.shape[1])) for b, s in batch.signals.items()}
+        table = batch.gradients
+        noise = np.zeros((60, table.total_samples))
+        for b in [*table.shells, 0]:  # drawn shells first, then b=0
+            cols = table.columns(b)
+            noise[:, cols] = 0.3 * rng.standard_normal((60, cols.stop - cols.start))
         field = self.check(sm.VoxelBatch(noise, batch.gradients),
                            {t: rfs[t] for t in ("gm", "csf")})
         assert field.iterations.max() > 2
+
+    def test_descending_shells_same_coefficients(self):
+        batch, rfs = three_tissue_batch(n=12)
+        table = batch.gradients
+        descending = sm.GradientTable(table.shells[::-1], dict(table.directions),
+                                      b0_count=table.b0_count)
+        field = csd.csd_solve(batch, rfs)
+        other = csd.csd_solve(sm.VoxelBatch(batch.signals, descending), rfs)
+        for t in sm.TISSUES:
+            assert np.array_equal(other.coeffs[t], field.coeffs[t])
+        assert np.array_equal(other.iterations, field.iterations)
 
     def test_one_iteration_flags_nonconverged(self):
         batch, rfs = three_tissue_batch(n=12)
@@ -327,8 +341,7 @@ class TestBatchedMatchesReference:
 
     def test_zero_signal_voxel(self, wm_rf):
         batch, _ = single_fiber_batch(n=4, snr=30)
-        for b in batch.signals:
-            batch.signals[b][2] = 0.0
+        batch.signals[2] = 0.0
         field = self.check(batch, {"wm": wm_rf})
         assert np.all(field.coeffs["wm"][2] == 0.0) and field.converged[2]
 

@@ -31,14 +31,14 @@ TINY = dict(nside_in=2, depth=2, channels=(4, 6), fodf_degree=4, max_epochs=2,
 class TestBuildModel:
     def test_default_output_shape(self):
         config = en.EsdConfig(tissues=3, seed=0)
-        model = en.EsdModel(config, in_channels=3)
+        model = en.EsdModel(config, [1000.0, 2000.0, 3000.0])
         x = ad.Tensor(np.random.default_rng(0).standard_normal((768, 2, 3)))
         out = model.forward(None, x)
         assert out.values.shape == (768, 2, 3)
         assert np.all(out.values >= 0)  # softplus head
 
     def test_single_tissue_relu_head(self):
-        model = en.EsdModel(en.EsdConfig(**TINY), 1)
+        model = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
         x = ad.Tensor(np.random.default_rng(1).standard_normal((48, 3, 1)))
         out = model.forward(None, x)
         assert out.values.shape == (48, 3, 1)
@@ -46,10 +46,23 @@ class TestBuildModel:
         assert np.any(out.values == 0)  # relu clips
 
     def test_same_seed_same_parameters(self):
-        a = en.EsdModel(en.EsdConfig(**TINY), 1)
-        b = en.EsdModel(en.EsdConfig(**TINY), 1)
+        a = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
+        b = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
         for k in a.params:
             assert np.array_equal(a.params[k].values, b.params[k].values)
+
+    def test_one_input_channel_per_shell(self):
+        batch, _ = tiny_dataset(n=3, shells=(3000.0, 1000.0))
+        model = en.EsdModel(en.EsdConfig(**TINY), [1000.0, 3000.0])
+        assert model.params["enc0_0_w"].values.shape == (5, 2, 4)
+        x, targets = en.network_inputs(model, batch)
+        assert x.shape == (48, 3, 2) and targets.shape == (3, batch.gradients.total_samples)
+
+    def test_untrained_model_refuses_other_shells(self):
+        batch, _ = tiny_dataset(n=3, shells=(1000.0,))
+        model = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
+        with pytest.raises(InvalidArgumentError, match="shells"):
+            en.network_inputs(model, batch)
 
     def test_depth_too_large(self):
         with pytest.raises(InvalidArgumentError):
@@ -89,7 +102,7 @@ class TestHeadsToFodf:
 class TestLoss:
     def make_ctx(self, batch, table, config):
         rfs = {"wm": tensor_response(sh.ShBasis(config.fodf_degree), table)}
-        model = en.EsdModel(config, 1)
+        model = en.EsdModel(config, [3000.0])
         return model, en.LossContext(model, table, rfs), rfs
 
     def test_zero_output_zero_fodf_terms(self):
@@ -170,7 +183,7 @@ class TestLoss:
             rfs[t] = sm.ResponseFunction(
                 t, {b: [np.sqrt(4 * np.pi) * np.exp(-b * d)] for b in (0.0,) + shells}
             )
-        model = en.EsdModel(config, len(shells))
+        model = en.EsdModel(config, shells)
         _, targets = en.network_inputs(model, batch)
         return model, en.LossContext(model, table, rfs), rfs, batch, targets
 
@@ -187,9 +200,7 @@ class TestLoss:
         basis = sh.ShBasis(config.fodf_degree)
         F = en.heads_to_fodf(outputs, model.grids[0], config.fodf_degree).coeffs
         pred = sm.forward(F, rfs, basis, table)
-        signals = batch.b0_normalized().signals
-        keys = [0, *table.shells]
-        expect = sum(np.sum((pred[b] - signals[b]) ** 2) for b in keys)
+        expect = np.sum((pred - batch.b0_normalized().signals) ** 2)
         assert targets.shape == (5, table.total_samples)
         assert terms["reconstruction"] == pytest.approx(expect, rel=1e-12)
 
@@ -222,7 +233,7 @@ class TestLoss:
         config = en.EsdConfig(nside_in=2, depth=1, channels=(4,), fodf_degree=4,
                               seed=1, lambda_sparsity=0.01, sigma_cauchy=0.3)
         rfs = {"wm": tensor_response(sh.ShBasis(4), table)}
-        model = en.EsdModel(config, 1)
+        model = en.EsdModel(config, [3000.0])
         ctx = en.LossContext(model, table, rfs)
         x_in, targets = en.network_inputs(model, batch)
         x = ad.Tensor(x_in)
@@ -246,7 +257,7 @@ class TestTrainInfer:
         batch, val = data.subset(np.arange(12)), data.subset(np.arange(12, 18))
         rfs = {"wm": tensor_response(sh.ShBasis(4), table)}
         config = en.EsdConfig(**TINY)
-        model = en.EsdModel(config, 1)
+        model = en.EsdModel(config, [3000.0])
         result = en.train(model, batch, val, rfs)
         return model, result, batch, rfs
 
@@ -294,7 +305,7 @@ class TestTrainInfer:
                                              b0_count=table.b0_count + 1)
         else:
             val, _ = tiny_dataset(n=4, shells=(3000.0, 1000.0))
-        model = en.EsdModel(en.EsdConfig(**TINY), 1)
+        model = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
 
         def never(*args, **kwargs):
             raise AssertionError("computed before checking the validation table")
@@ -307,7 +318,7 @@ class TestTrainInfer:
         batch, table = tiny_dataset(n=4)
         config = en.EsdConfig(**TINY)
         rfs = {"wm": tensor_response(sh.ShBasis(4), table)}
-        model = en.EsdModel(config, 1)
+        model = en.EsdModel(config, [3000.0])
         model.params["head_w"].values[:] = np.inf
         ctx = en.LossContext(model, table, rfs)
         x_in, targets = en.network_inputs(model, batch)
@@ -322,7 +333,7 @@ class TestTrainInfer:
 class TestEquivariance:
     def test_model_commutes_with_quarter_turn(self):
         config = en.EsdConfig(seed=2, channels=(8, 8, 8))
-        model = en.EsdModel(config, 1)
+        model = en.EsdModel(config, [3000.0])
         grid = model.grids[0]
         perm = sg.z_rotation_permutation(grid, 1)
         rng = np.random.default_rng(3)
@@ -335,7 +346,7 @@ class TestEquivariance:
 def test_eval_forward_matches_dense_laplacian(monkeypatch):
     # a freshly built default model has a live ReLU head, so the outputs
     # compared below are not all zero
-    model = en.EsdModel(en.EsdConfig(), 1)
+    model = en.EsdModel(en.EsdConfig(), [3000.0])
     x = ad.Tensor(np.abs(np.random.default_rng(0).standard_normal((768, 4, 1))))
     out = model.forward(None, x, training=False).values
 

@@ -104,8 +104,7 @@ class TestDatasetFile:
         path = tmp_path / "d.sdv"
         io_cli.write_dataset(path, batch, seed=3)
         back = io_cli.read_dataset(path)
-        for b in batch.signals:
-            assert np.array_equal(back.signals[b], batch.signals[b])
+        assert np.array_equal(back.signals, batch.signals)
         assert np.array_equal(back.fibers, batch.fibers)
         assert np.array_equal(back.tissue_fractions, batch.tissue_fractions)
         for b in batch.gradients.shells:
@@ -119,6 +118,24 @@ class TestDatasetFile:
         io_cli.write_dataset(p1, batch, seed=3)
         io_cli.write_dataset(p2, batch, seed=3)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_payload_in_table_column_order(self, tmp_path):
+        config = sm.SimConfig(shells=[3000.0, 1000.0], gradients_per_shell=8, n_voxels=3,
+                              split=(3, 0, 0), seed=1, b0_count=2)
+        batch = sm.generate_batch(config, sm.build_gradient_table(config), np.arange(3))
+        path = tmp_path / "d.sdv"
+        io_cli.write_dataset(path, batch)
+        header, blocks = io_cli.read_container(path)
+        assert header["shells"] == [1000.0, 3000.0]
+        signals = blocks["signals"]
+        assert np.array_equal(signals[:, :2], batch.shell(0))
+        assert np.array_equal(signals[:, 2:10], batch.shell(1000.0))
+        assert np.array_equal(signals[:, 10:], batch.shell(3000.0))
+        # a header that lists the shells in another order is refused
+        header["shells"] = [3000.0, 1000.0]
+        io_cli.write_container(path, header, list(blocks.items()))
+        with pytest.raises(io_cli.FormatError, match="ascending"):
+            io_cli.read_dataset(path)
 
 
 class TestResponseAndFodfFiles:
@@ -413,9 +430,10 @@ class TestCliPipeline:
     def test_checkpoint_round_trip(self, esd_run, tmp_path):
         data = esd_run["data"]
         config = json.loads(esd_run["cfg"].read_text())
-        model = en.EsdModel(io_cli.build_config(config, "model"), 1)
-        en.train(model, io_cli.read_dataset(data / "train.sdv"),
-                 io_cli.read_dataset(data / "val.sdv"), io_cli.read_response(esd_run["rf"]))
+        train = io_cli.read_dataset(data / "train.sdv")
+        model = en.EsdModel(io_cli.build_config(config, "model"), train.gradients.shells)
+        en.train(model, train, io_cli.read_dataset(data / "val.sdv"),
+                 io_cli.read_response(esd_run["rf"]))
         expect = en.infer(model, io_cli.read_dataset(data / "test.sdv")).coeffs["wm"]
         assert np.abs(expect).max() > 0
 
@@ -430,13 +448,19 @@ class TestCliPipeline:
         header, blocks = io_cli.read_container(esd_run["ckpt"])
         assert not any(name.startswith("adam_") for name in blocks)
         assert not any(key.startswith("adam_") for key in header)
-        # older checkpoints also carry Adam moments; loading ignores them
+        assert not {"in_channels", "param_names", "bn_names"} & set(header)
+        # older checkpoints also carry Adam moments, the input channel count
+        # and the block names; loading ignores them
+        names = [k.split("/", 1)[1] for k in blocks if k.startswith("param/")]
+        bn_names = [k.split("/", 1)[1] for k in blocks if k.startswith("bn_mean/")]
+        assert sorted(names) == sorted(model.params) and sorted(bn_names) == sorted(model.bn)
         extra = list(blocks.items())
-        for n in header["param_names"]:
+        for n in names:
             extra += [(f"adam_m/{n}", blocks[f"param/{n}"] * 0.5),
                       (f"adam_v/{n}", blocks[f"param/{n}"] ** 2)]
         old = tmp_path / "old.ckpt"
-        io_cli.write_container(old, dict(header, adam_step=4), extra)
+        io_cli.write_container(old, dict(header, adam_step=4, in_channels=1, param_names=names,
+                                         bn_names=bn_names), extra)
         assert np.array_equal(infer(old, "b.fodf"), expect)
 
     @pytest.mark.parametrize("flag", [False, True])
@@ -621,7 +645,8 @@ class TestCliPipeline:
         assert "Traceback" not in captured.err and not out.exists()
 
     @pytest.mark.parametrize("case", [
-        "fodf_degree_string", "fodf_wm_nan", "checkpoint_config_list",
+        "fodf_degree_string", "fodf_degree_odd", "fodf_degree_negative", "fodf_wm_nan",
+        "checkpoint_config_list",
         # blocks whose shapes do not fit the header or the model
         "response_1d", "response_rows", "response_width0", "fodf_converged", "fodf_wm_rows",
         "fodf_wm_width", "checkpoint_head_w", "checkpoint_bn", "dataset_fibers",
@@ -643,6 +668,10 @@ class TestCliPipeline:
         header, blocks = io_cli.read_container(source)
         if case == "fodf_degree_string":
             header["degree"] = str(header["degree"])
+        elif case == "fodf_degree_odd":
+            header["degree"] = 7  # no even-degree basis has it
+        elif case == "fodf_degree_negative":
+            header["degree"] = -2
         elif case == "fodf_wm_nan":
             blocks["wm"][1, 3] = np.nan
         elif case == "checkpoint_config_list":
@@ -679,6 +708,26 @@ class TestCliPipeline:
         data, rf = esd_run["data"], esd_run["rf"]
         fodf, peaks = tmp_path / "c.fodf", tmp_path / "c.peaks"
         capsys.readouterr()
+        # simulate, response and esd-train add elapsed_ms to their summaries
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(json.dumps(SIM_CONFIG))
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "d")) == 0
+        sim_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert set(sim_line) == {"seed", "files", "elapsed_ms"}
+        assert sim_line["files"]["train"]["n_voxels"] == 28
+        assert run_cli("response", "--dataset", str(data / "train.sdv"),
+                       "--out", str(tmp_path / "r.rf")) == 0
+        rf_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert set(rf_line) == {"out", "tissues", "degree", "elapsed_ms"}
+        assert rf_line["tissues"] == ["wm"]
+        assert run_cli("esd-train", "--train", str(data / "train.sdv"),
+                       "--val", str(data / "val.sdv"), "--response", str(rf),
+                       "--out", str(tmp_path / "m.ckpt"), "--config", str(esd_run["cfg"])) == 0
+        train_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert set(train_line) == {"out", "best_epoch", "best_val_loss", "elapsed_ms"}
+        assert 0 <= train_line["best_epoch"] < ESD_CONFIG["model"]["max_epochs"]
+        for line in (sim_line, rf_line, train_line):
+            assert line["elapsed_ms"] > 0
         assert run_cli("csd", "--dataset", str(data / "test.sdv"), "--response", str(rf),
                        "--out", str(fodf)) == 0
         csd_line = json.loads(capsys.readouterr().out.splitlines()[-1])

@@ -72,14 +72,14 @@ class TestForward:
         degrees = np.arange(0, 10, 2)
         Z = sh.zonal_design(degrees, table.directions[3000.0])
         direct = rf.r[3000.0] @ Z
-        assert np.abs(pred[3000.0][0] - direct).max() < 1e-6
+        assert np.abs(pred[0, table.columns(3000.0)] - direct).max() < 1e-6
 
     def test_zero_fodf(self):
         table = make_table(32)
         basis = sh.ShBasis(8)
         rf = tensor_response(basis, table)
         pred = sm.forward({"wm": np.zeros((3, basis.L))}, {"wm": rf}, basis, table)
-        assert all(np.all(v == 0) for v in pred.values())
+        assert pred.shape == (3, table.total_samples) and np.all(pred == 0)
 
     def test_linearity(self):
         table = make_table(32)
@@ -90,8 +90,7 @@ class TestForward:
         p1 = sm.forward({"wm": f1}, {"wm": rf}, basis, table)
         p2 = sm.forward({"wm": f2}, {"wm": rf}, basis, table)
         p12 = sm.forward({"wm": 2 * f1 + 3 * f2}, {"wm": rf}, basis, table)
-        for b in p12:
-            assert np.abs(p12[b] - 2 * p1[b] - 3 * p2[b]).max() < 1e-10
+        assert np.abs(p12 - 2 * p1 - 3 * p2).max() < 1e-10
 
     def test_rotation_equivariance(self):
         # rotating the fODF (via refit of rotated samples) rotates the signal
@@ -114,7 +113,8 @@ class TestForward:
             table.b0_count,
         )
         pred_back = sm.forward({"wm": coeffs[None]}, {"wm": rf}, basis, table2)
-        assert np.abs(pred_rot[3000.0] - pred_back[3000.0]).max() < 1e-5
+        cols = table.columns(3000.0)
+        assert np.abs(pred_rot[:, cols] - pred_back[:, cols]).max() < 1e-5
 
 
 class TestSimulateVoxel:
@@ -177,6 +177,69 @@ class TestGradients:
         assert np.array_equal(sm.generate_gradients(16, 5), sm.generate_gradients(16, 5))
 
 
+class TestSampleLayout:
+    def table(self, shells=(3000.0, 1000.0, 2000.0), b0=2):
+        widths = {1000.0: 8, 2000.0: 32, 3000.0: 16}
+        dirs = {b: sm.generate_gradients(widths[b], 1) for b in shells}
+        return sm.GradientTable(list(shells), dirs, b0_count=b0)
+
+    def test_shells_sorted(self):
+        table = self.table()
+        assert table.shells == [1000.0, 2000.0, 3000.0]
+        assert table.keys == [0, 1000.0, 2000.0, 3000.0]
+        assert self.table(b0=0).keys == [1000.0, 2000.0, 3000.0]
+
+    def test_columns_tile_samples_in_key_order(self):
+        for b0 in (0, 2):
+            table = self.table(b0=b0)
+            cols = [np.arange(table.total_samples)[table.columns(b)] for b in table.keys]
+            assert np.array_equal(np.concatenate(cols), np.arange(table.total_samples))
+            widths = [len(c) for c in cols]
+            assert widths == [b0] * bool(b0) + [table.n(b) for b in table.shells]
+        assert self.table().total_samples == 2 + 8 + 32 + 16
+
+    def test_equality(self):
+        table = self.table()
+        assert table == self.table(shells=(1000.0, 2000.0, 3000.0))
+        assert table != self.table(b0=1)
+        dirs = dict(table.directions)
+        assert table != sm.GradientTable([1000.0, 2000.0], dirs, b0_count=2)
+        dirs[2000.0] = dirs[2000.0].copy()
+        dirs[2000.0][5] *= -1
+        assert table != sm.GradientTable(list(dirs), dirs, b0_count=2)
+        assert table != "table"
+
+    def test_rejects_nonpositive_shell(self):
+        dirs = sm.generate_gradients(8, 1)
+        for b in (0.0, -1000.0):
+            with pytest.raises(InvalidArgumentError, match="not positive"):
+                sm.GradientTable([b], {b: dirs}, b0_count=1)
+
+    def test_every_shell_gets_the_scheme(self):
+        config = sm.SimConfig(shells=[3000.0, 1000.0], gradients_per_shell=16, n_voxels=3,
+                              split=(1, 1, 1), seed=4)
+        table = sm.build_gradient_table(config)
+        assert table.shells == [1000.0, 3000.0]
+        for b in table.shells:
+            assert np.array_equal(table.directions[b], sm.generate_gradients(16, 4))
+
+    def test_batch_rejects_wrong_width(self):
+        table = self.table()
+        sm.VoxelBatch(np.zeros((4, table.total_samples)), table)
+        for shape in [(4, table.total_samples - 1), (4, table.total_samples + 1),
+                      (table.total_samples,)]:
+            with pytest.raises(InvalidArgumentError, match="columns"):
+                sm.VoxelBatch(np.zeros(shape), table)
+
+    def test_shell_is_a_view_of_its_columns(self):
+        table = self.table()
+        batch = sm.VoxelBatch(np.arange(3.0 * table.total_samples).reshape(3, -1), table)
+        for b in table.keys:
+            assert np.array_equal(batch.shell(b), batch.signals[:, table.columns(b)])
+            assert np.shares_memory(batch.shell(b), batch.signals)
+        assert batch.shell(0).shape == (3, 2)
+
+
 class TestBatchGeneration:
     def config(self, **kw):
         base = dict(
@@ -206,8 +269,8 @@ class TestBatchGeneration:
         table = sm.build_gradient_table(config)
         full = sm.generate_batch(config, table, np.arange(10))
         part = sm.generate_batch(config, table, [7, 3])
-        assert np.array_equal(part.signals[3000.0][0], full.signals[3000.0][7])
-        assert np.array_equal(part.signals[3000.0][1], full.signals[3000.0][3])
+        assert np.array_equal(part.signals[0], full.signals[7])
+        assert np.array_equal(part.signals[1], full.signals[3])
 
     def test_tissue_fractions_sum(self):
         config = self.config(tissues=3)
@@ -243,7 +306,7 @@ class TestEstimateResponse:
                 batch.fibers[v, 0] = [0, 0, 1]
                 clean = sm.simulate_voxel([([0, 0, 1], 1.0)], (1, 0, 0), table)
                 for b in clean:
-                    batch.signals[b][v] = clean[b]
+                    batch.signals[v, table.columns(b)] = clean[b]
         return batch, table
 
     def test_recovers_tensor_response(self):
@@ -262,14 +325,13 @@ class TestEstimateResponse:
         est = sm.estimate_response(batch, basis)
         degrees = np.arange(0, 10, 2)
         Z = sh.zonal_design(degrees, table.directions[3000.0])
-        mean_sig = batch.signals[3000.0].mean(axis=0)
+        mean_sig = batch.shell(3000.0).mean(axis=0)
         plain = np.linalg.solve(Z @ Z.T, Z @ mean_sig)
         assert np.abs(est.r[3000.0] - plain).max() < 1e-10
 
     def test_isotropic_input_zonal_only(self):
         batch, table = self.single_fiber_batch()
-        for b in batch.signals:
-            batch.signals[b][:] = 0.5
+        batch.signals[:] = 0.5
         est = sm.estimate_response(batch, sh.ShBasis(8))
         assert np.abs(est.r[3000.0][1:]).max() < 1e-6
 
