@@ -9,7 +9,11 @@ broadcasting.
 
 Network activations are (N, V, C): vertex, voxel, channel. Hot inner
 loops (sparse Laplacian products, pooling) go through the kernels
-module (numpy and scipy.sparse).
+module (numpy and scipy.sparse). graph_conv picks its product order from
+the weight shape: it applies the Laplacian after mixing channels when the
+filter narrows (C_out < C_in) and keeps nothing for backward but its
+input; otherwise it applies it to the input and keeps the monomial stack.
+Either way each dense product is one GEMM over all P+1 powers.
 """
 
 from dataclasses import dataclass
@@ -97,50 +101,80 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
     """Polynomial spectral filter: y = sum_p (L^p x) W_p over input channels.
 
     x is (N, V, C_in), weights (P+1, C_in, C_out); returns (N, V, C_out).
-    Vertices lead the layout, so the Laplacian acts on x viewed as
-    (N, V * C_in) with no copy. Exact gradients for both x and weights;
-    the monomial stack is kept for backward when recording.
+    Exact gradients for both x and weights. The Laplacian runs on the
+    narrower side of the filter, and each side takes one GEMM per product:
+
+    - C_out < C_in: one GEMM forms every u_p = x W_p, then Horner,
+      y = u_0 + L(u_1 + L(... u_P)), runs on C_out columns. Backward builds
+      the stack [g, Lg, ..., L^P g] on C_out columns and takes dW and dx
+      from one GEMM each. Nothing beyond x is kept for backward.
+    - otherwise: the monomial stack [x, Lx, ..., L^P x] is one
+      (N V, (P+1) C_in) matrix, and y is its product with W viewed as
+      ((P+1) C_in, C_out). The stack is kept when recording, so dW is one
+      GEMM; dx runs Horner on C_in columns.
     """
     if x.values.ndim != 3 or x.values.shape[0] != lap.n:
         raise InvalidArgumentError(
             f"graph_conv input shape {x.values.shape} does not match N={lap.n}"
         )
-    order = weights.values.shape[0] - 1
+    p1 = weights.values.shape[0]
     n, v, c_in = x.values.shape
     if weights.values.shape[1] != c_in:
         raise InvalidArgumentError(
             f"weights expect {weights.values.shape[1]} input channels, got {c_in}"
         )
     c_out = weights.values.shape[2]
-    recording = tape is not None and (x.requires_grad or weights.requires_grad)
+    x2 = x.values.reshape(n * v, c_in)
 
-    w = weights.values
-    y = np.zeros((n * v, c_out))
-    stack = np.empty((order + 1, n, v * c_in)) if recording else None
-    cur = x.values.reshape(n, v * c_in)
-    for p in range(order + 1):
-        if recording:
-            stack[p] = cur
-        y += cur.reshape(n * v, c_in) @ w[p]
-        if p < order:
-            cur = lap.matmul(cur)
-    out = Tensor(y.reshape(n, v, c_out))
+    if c_out < c_in:
+        w_cat = weights.values.transpose(1, 0, 2).reshape(c_in, p1 * c_out)
+        out = Tensor(_horner(lap, (x2 @ w_cat).reshape(n, v, p1, c_out)))
+
+        def backward():
+            g_stack = _powers(lap, out.grad, p1)
+            if weights.requires_grad:
+                dw = (x2.T @ g_stack).reshape(c_in, p1, c_out)
+                weights.ensure_grad()[...] += dw.transpose(1, 0, 2)
+            if x.requires_grad:
+                x.ensure_grad()[...] += (g_stack @ w_cat.T).reshape(n, v, c_in)
+
+        return _track(tape, out, (x, weights), backward)
+
+    w_cat = weights.values.reshape(p1 * c_in, c_out)
+    stack = _powers(lap, x.values, p1)
+    out = Tensor((stack @ w_cat).reshape(n, v, c_out))
 
     def backward():
         g = out.grad.reshape(n * v, c_out)
         if weights.requires_grad:
-            dw = weights.ensure_grad()
-            for p in range(order + 1):
-                dw[p] += stack[p].reshape(n * v, c_in).T @ g
+            weights.ensure_grad()[...] += (stack.T @ g).reshape(p1, c_in, c_out)
         if x.requires_grad:
-            # Horner form of sum_p L^p u_p with u_p = g W_p^T (L symmetric)
-            acc = (g @ w[order].T).reshape(n, v * c_in)
-            for p in range(order - 1, -1, -1):
-                acc = lap.matmul(acc)
-                acc += (g @ w[p].T).reshape(n, v * c_in)
-            x.ensure_grad()[...] += acc.reshape(n, v, c_in)
+            # L is symmetric: dx = sum_p L^p (g W_p^T)
+            x.ensure_grad()[...] += _horner(lap, (g @ w_cat.T).reshape(n, v, p1, c_in))
 
     return _track(tape, out, (x, weights), backward)
+
+
+def _powers(lap, x, p1):
+    """[x, Lx, ..., L^(p1-1) x] of an (N, V, C) array as one (N V, p1 C) matrix."""
+    n, v, c = x.shape
+    stack = np.empty((n, v, p1, c))
+    stack[:, :, 0] = x
+    cur = x.reshape(n, v * c)
+    for p in range(1, p1):
+        cur = lap.matmul(cur)
+        stack[:, :, p] = cur.reshape(n, v, c)
+    return stack.reshape(n * v, p1 * c)
+
+
+def _horner(lap, u):
+    """sum_p L^p u[:, :, p] of an (N, V, P+1, C) array, as (N, V, C)."""
+    n, v, p1, c = u.shape
+    acc = u[:, :, p1 - 1].copy()
+    for p in range(p1 - 2, -1, -1):
+        acc = lap.matmul(acc.reshape(n, v * c)).reshape(n, v, c)
+        acc += u[:, :, p]
+    return acc
 
 
 def healpix_maxpool(tape, x: Tensor):
@@ -189,35 +223,48 @@ class BatchNormState:
 
 def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               training: bool) -> Tensor:
-    """Per-channel normalization of (N, V, C) over the N and V axes."""
-    eps = state.eps
+    """Per-channel normalization of (N, V, C) over the N and V axes.
+
+    x is viewed as (N V, C). Each per-channel sum is a product with a ones
+    vector and each per-channel sum of products a column-wise einsum, both
+    several times faster than a numpy reduction over the two leading axes.
+    """
+    n, v, c = x.values.shape
+    m = n * v
+    ones = np.ones(m)
+    x2 = x.values.reshape(m, c)
+    # xhat holds x - mean until it is scaled in place
     if training:
-        mean = x.values.mean(axis=(0, 1))
-        var = x.values.var(axis=(0, 1))
+        mean = (ones @ x2) / m
+        xhat = x2 - mean
+        var = np.einsum("ij,ij->j", xhat, xhat) / m
         state.running_mean += state.momentum * (mean - state.running_mean)
         state.running_var += state.momentum * (var - state.running_var)
     else:
         mean, var = state.running_mean, state.running_var
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mean) * invstd
-    out = Tensor(gamma.values * xhat + beta.values)
+        xhat = x2 - mean
+    invstd = 1.0 / np.sqrt(var + state.eps)
+    xhat *= invstd
+    y = xhat * gamma.values
+    y += beta.values
+    out = Tensor(y.reshape(n, v, c))
 
     def backward():
-        g = out.grad
+        g = out.grad.reshape(m, c)
+        sum_g = ones @ g
+        sum_gx = np.einsum("ij,ij->j", g, xhat)
         if beta.requires_grad:
-            beta.ensure_grad()[...] += g.sum(axis=(0, 1))
+            beta.ensure_grad()[...] += sum_g
         if gamma.requires_grad:
-            gamma.ensure_grad()[...] += (g * xhat).sum(axis=(0, 1))
+            gamma.ensure_grad()[...] += sum_gx
         if x.requires_grad:
-            gx = g * gamma.values
             if training:
-                m = x.values.shape[0] * x.values.shape[1]
-                s1 = gx.sum(axis=(0, 1))
-                s2 = (gx * xhat).sum(axis=(0, 1))
-                dx = (invstd / m) * (m * gx - s1 - xhat * s2)
+                dx = g - xhat * (sum_gx / m)
+                dx -= sum_g / m
+                dx *= gamma.values * invstd
             else:
-                dx = gx * invstd
-            x.ensure_grad()[...] += dx
+                dx = g * (gamma.values * invstd)
+            x.ensure_grad()[...] += dx.reshape(n, v, c)
 
     return _track(tape, out, (x, gamma, beta), backward)
 

@@ -186,8 +186,8 @@ class LossContext:
             gradients, {t: rfs[t] for t in config.tissue_names}, basis
         )
         self.a_t = np.ascontiguousarray(A.T)  # (L + T - 1, samples)
-        self.fit_t = sh.fit_matrix(grid.vertices, config.fodf_degree).T  # (N, L)
         self.y_grid = sh.design_matrix(basis, grid.vertices)  # (L, N)
+        self.fit_t = sh.fit_from_design(self.y_grid).T  # (N, L)
 
 
 def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,

@@ -52,10 +52,14 @@ def fold_hemisphere(points):
     return np.where(flip[:, None], -points, points)
 
 
-def _sh_block(l, m, points):
-    """Y_l^m at each point, vectorized over points."""
+def _polar(points):
+    """cos(theta) and azimuth of each point's folded representative."""
     points = fold_hemisphere(points)
-    z = np.clip(points[:, 2], -1.0, 1.0)
+    return np.clip(points[:, 2], -1.0, 1.0), np.arctan2(points[:, 1], points[:, 0])
+
+
+def _sh_block(l, m, z, phi):
+    """Y_l^m at the points whose polar coordinates _polar returned."""
     am = abs(m)
     # lpmv carries the Condon-Shortley phase; (-1)^m removes it
     norm = (-1.0) ** am * np.sqrt(
@@ -64,7 +68,6 @@ def _sh_block(l, m, points):
     leg = norm * lpmv(am, l, z)
     if m == 0:
         return leg
-    phi = np.arctan2(points[:, 1], points[:, 0])
     if m > 0:
         return np.sqrt(2.0) * leg * np.cos(m * phi)
     return np.sqrt(2.0) * leg * np.sin(am * phi)
@@ -72,16 +75,16 @@ def _sh_block(l, m, points):
 
 def zonal_design(degrees, points) -> np.ndarray:
     """m=0 basis functions at a point set, one row per requested even degree."""
-    points = _check_unit(points)
-    return np.stack([_sh_block(l, 0, points) for l in degrees])
+    z, phi = _polar(_check_unit(points))
+    return np.stack([_sh_block(l, 0, z, phi) for l in degrees])
 
 
 def design_matrix(basis: ShBasis, points) -> np.ndarray:
     """Evaluate the whole basis at a point set: Y[(l,m), i] = Y_l^m(p_i), L x n."""
-    points = _check_unit(points)
-    Y = np.empty((basis.L, points.shape[0]), dtype=np.float64)
+    z, phi = _polar(_check_unit(points))
+    Y = np.empty((basis.L, z.shape[0]), dtype=np.float64)
     for row, (l, m) in enumerate(basis.degrees):
-        Y[row] = _sh_block(l, m, points)
+        Y[row] = _sh_block(l, m, z, phi)
     return Y
 
 
@@ -91,11 +94,14 @@ def fit_matrix(points, l_max: int, tikhonov: float = 0.0) -> np.ndarray:
     With tikhonov = 0 the normal equations must be well conditioned;
     otherwise a ridge term tikhonov * I is added.
     """
-    basis = ShBasis(l_max)
-    Y = design_matrix(basis, points)
-    gram = Y @ Y.T
+    return fit_from_design(design_matrix(ShBasis(l_max), points), tikhonov)
+
+
+def fit_from_design(Y, tikhonov: float = 0.0) -> np.ndarray:
+    """The fit_matrix of a point set, from its L x n design matrix Y."""
     if tikhonov < 0:
         raise InvalidArgumentError("tikhonov must be nonnegative")
+    gram = Y @ Y.T
     if tikhonov == 0.0:
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -104,7 +110,7 @@ def fit_matrix(points, l_max: int, tikhonov: float = 0.0) -> np.ndarray:
                 "supply more points or a positive tikhonov"
             )
         return np.linalg.solve(gram, Y)
-    return np.linalg.solve(gram + tikhonov * np.eye(basis.L), Y)
+    return np.linalg.solve(gram + tikhonov * np.eye(Y.shape[0]), Y)
 
 
 def default_fit_degree(n_gradients: int) -> int:

@@ -104,9 +104,10 @@ class _Entries(dict):
 def read_container(path, kind=None):
     """Read a container, checking its length against the header and blocks.
 
-    A truncated file, an undecodable header or a header of another kind
-    than `kind` (when given) raises FormatError, and so does looking up a
-    header key or block that the file lacks.
+    A truncated file, an undecodable header, a header of another kind
+    than `kind` (when given) or a block holding a non-finite value raises
+    FormatError (no writer stores one), and so does looking up a header key
+    or block that the file lacks.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -141,6 +142,8 @@ def read_container(path, kind=None):
                 f"{path}: truncated at {len(raw)} bytes, inside block '{name}'"
             )
         arr = np.frombuffer(raw, "<f8", count=nbytes // 8, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: block {name!r} holds non-finite values")
         blocks[name] = arr.copy()
         offset += nbytes + _pad(nbytes)
     return header, blocks
@@ -192,6 +195,12 @@ def read_dataset(path) -> sm.VoxelBatch:
     if "fibers" in blocks:
         truth = [blocks.shaped("fibers", n, 3, 3), blocks.shaped("fiber_fractions", n, 3),
                  blocks.shaped("tissue_fractions", n, 3)]
+        # fiber rows are unit directions, or zero padding; the entry bound
+        # comes first so that the norms cannot overflow
+        fibers = truth[0]
+        if np.abs(fibers).max(initial=0.0) > 1.0 + 1e-6 or np.any(
+                (np.abs(np.linalg.norm(fibers, axis=2) - 1.0) > 1e-6) & fibers.any(axis=2)):
+            raise FormatError(f"{path}: block 'fibers' holds rows that are neither unit nor zero")
     return sm.VoxelBatch(blocks.shaped("signals", n, table.total_samples), table, *truth)
 
 
@@ -245,17 +254,19 @@ def write_fodf(path, field: ccsd.FodfField):
 def read_fodf(path) -> ccsd.FodfField:
     header, blocks = read_container(path, "fodf")
     n = header.typed("voxel_count", int)
+    degree = header.typed("degree", int)
+    tissues = header.typed("tissues", list[str])
+    if "wm" not in tissues:
+        raise FormatError(f"{path}: tissues {tissues} lack 'wm'")
+    # the wm width is checked before a basis whose size grows with the
+    # square of the header's degree is built
+    width = (degree // 2 + 1) * (degree + 1)
+    coeffs = {t: blocks.shaped(t, n, width if t == "wm" else 1) for t in tissues}
     try:
-        basis = sh.ShBasis(header.typed("degree", int))
+        basis = sh.ShBasis(degree)
     except InvalidArgumentError as err:
         raise FormatError(f"{path}: header degree: {err}") from err
-    coeffs = {t: blocks.shaped(t, n, basis.L if t == "wm" else 1)
-              for t in header.typed("tissues", list[str])}
     converged = blocks.shaped("converged", n)
-    # CSD and ESD never write a non-finite coefficient
-    for name, arr in [*coeffs.items(), ("converged", converged)]:
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: block {name!r} holds non-finite values")
     return ccsd.FodfField(coeffs, basis, converged > 0.5)
 
 
@@ -288,7 +299,19 @@ def config_hash(config: dict) -> str:
     ).hexdigest()
 
 
+def _digest(blocks):
+    """SHA-256 of the blocks' payloads, in order."""
+    h = hashlib.sha256()
+    for arr in blocks:
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: dict):
+    blocks = [(f"param/{n}", model.params[n].values) for n in sorted(model.params)]
+    for n in sorted(model.bn):
+        blocks.append((f"bn_mean/{n}", model.bn[n].running_mean))
+        blocks.append((f"bn_var/{n}", model.bn[n].running_var))
     header = {
         "kind": "checkpoint",
         "config": config,
@@ -296,11 +319,10 @@ def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: d
         "epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
         "shells": model.shells,
+        # finite but absurd weights cannot be told apart from trained ones
+        # by value, so corruption is caught by the digest
+        "payload_sha256": _digest(arr for _, arr in blocks),
     }
-    blocks = [(f"param/{n}", model.params[n].values) for n in sorted(model.params)]
-    for n in sorted(model.bn):
-        blocks.append((f"bn_mean/{n}", model.bn[n].running_mean))
-        blocks.append((f"bn_var/{n}", model.bn[n].running_var))
     write_container(path, header, blocks)
 
 
@@ -329,6 +351,11 @@ def read_checkpoint(path):
     for n, bn in model.bn.items():
         bn.running_mean[...] = blocks.shaped(f"bn_mean/{n}", *bn.running_mean.shape)
         bn.running_var[...] = blocks.shaped(f"bn_var/{n}", *bn.running_var.shape)
+    # checkpoints written before the digest was added have none
+    if "payload_sha256" in header and header["payload_sha256"] != _digest(blocks.values()):
+        raise FormatError(f"{path}: payload does not match its SHA-256 digest")
+    if any(np.any(bn.running_var < 0) for bn in model.bn.values()):
+        raise FormatError(f"{path}: a batchnorm running variance is negative")
     return model, header
 
 

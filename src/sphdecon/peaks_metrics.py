@@ -105,7 +105,11 @@ def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold, min_separation_deg):
     design = _grid_design(basis.l_max, grid_dense)
     out = []
     for lo in range(0, wm_coeffs.shape[0], _CHUNK):
-        block = wm_coeffs[lo : lo + _CHUNK]
+        # each voxel's coefficients are scaled by a power of two that brings
+        # their largest magnitude into [0.5, 1): exact, so the peaks are the
+        # unscaled ones, and no product overflows however large they are
+        _, shift = np.frexp(np.abs(wm_coeffs[lo : lo + _CHUNK]).max(axis=1, initial=0.0))
+        block = np.ldexp(wm_coeffs[lo : lo + _CHUNK], -shift[:, None])
         values = block @ design
         # only vertices at or above the pre-prune threshold, 0.5 *
         # rel_threshold times the strongest local maximum, can be kept;
@@ -123,7 +127,7 @@ def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold, min_separation_deg):
             # keep the vertex itself where refinement moved off the ridge
             worse = refined < amps
             dirs[worse] = grid_dense.vertices[verts[worse]]
-            amps = np.where(worse, amps, refined)
+            amps = np.ldexp(np.where(worse, amps, refined), shift[rows])
             dirs = sh.fold_hemisphere(dirs)
         bounds = np.cumsum(np.bincount(rows, minlength=block.shape[0]))[:-1]
         out.extend(detect_peaks(d, a, rel_threshold, min_separation_deg)

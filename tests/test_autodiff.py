@@ -115,14 +115,33 @@ class TestGraphConv:
         with pytest.raises(InvalidArgumentError):
             ad.graph_conv(None, x, w, lap12)
 
-    def test_matches_dense_chebyshev_sum(self, lap48):
+    @pytest.mark.parametrize("narrow", [False, True])
+    @pytest.mark.parametrize("needs_grad", ["x", "weights", "both"])
+    def test_gradients_each_input(self, lap12, narrow, needs_grad):
+        # narrow (C_out < C_in) runs the Laplacian after the channel mix
+        c_in, c_out = (3, 2) if narrow else (2, 3)
+        rng = np.random.default_rng(3)
+        x = ad.Tensor(rng.standard_normal((12, 2, c_in)),
+                      requires_grad=needs_grad in ("x", "both"))
+        w = ad.Tensor(0.3 * rng.standard_normal((4, c_in, c_out)),
+                      requires_grad=needs_grad in ("weights", "both"))
+        target = rng.standard_normal((12, 2, c_out))
+
+        def loss(tape):
+            return sq_err(tape, ad.graph_conv(tape, x, w, lap12), target)
+
+        check_grad(loss, [t for t in (x, w) if t.requires_grad])
+        assert all((t.grad is None) == (not t.requires_grad) for t in (x, w))
+
+    @pytest.mark.parametrize("c_in, c_out", [(1, 4), (3, 3), (4, 2), (5, 1)])
+    def test_matches_dense_chebyshev_sum(self, lap48, c_in, c_out):
         # oracle: sum_p T^p x W_p with the dense scaled Laplacian T
         grid = sg.build_grid(2)
         lmax = sg.estimate_lmax(grid)
         dense = (2.0 / lmax) * grid.laplacian.toarray() - np.eye(48)
         rng = np.random.default_rng(13)
-        x = rng.standard_normal((48, 3, 2))
-        w = rng.standard_normal((5, 2, 4))
+        x = rng.standard_normal((48, 3, c_in))
+        w = rng.standard_normal((5, c_in, c_out))
         powers = [np.linalg.matrix_power(dense, p) for p in range(5)]
         expect = sum(np.einsum("nm,mvc,co->nvo", powers[p], x, w[p]) for p in range(5))
         y = ad.graph_conv(None, ad.Tensor(x), ad.Tensor(w), lap48)
@@ -235,6 +254,49 @@ class TestBatchNorm:
         ad.batchnorm(None, ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
                      state, training=True)
         assert state.running_mean[0] == pytest.approx(0.1 * x.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_axis_reductions(self, training):
+        # reference: the textbook forward and backward with numpy's
+        # mean, var and sum over the (N, V) axes
+        rng = np.random.default_rng(11)
+        x = ad.Tensor(2 + rng.standard_normal((48, 5, 3)), requires_grad=True)
+        gamma = ad.Tensor(1 + 0.1 * rng.standard_normal(3), requires_grad=True)
+        beta = ad.Tensor(0.1 * rng.standard_normal(3), requires_grad=True)
+        g = rng.standard_normal((48, 5, 3))
+        state = ad.BatchNormState(np.array([0.3, -0.2, 1.0]), np.array([1.5, 0.8, 2.0]))
+        ref_state = copy.deepcopy(state)
+
+        tape = ad.Tape()
+        out = ad.batchnorm(tape, x, gamma, beta, state, training)
+        # d(sum(out * g))/d(out) = g
+        tape.backward(scalar_loss(tape, out, lambda v: v * g, lambda v: g))
+
+        xv, m = x.values, 48 * 5
+        if training:
+            mean, var = xv.mean(axis=(0, 1)), xv.var(axis=(0, 1))
+            ref_state.running_mean += 0.1 * (mean - ref_state.running_mean)
+            ref_state.running_var += 0.1 * (var - ref_state.running_var)
+        else:
+            mean, var = ref_state.running_mean, ref_state.running_var
+        invstd = 1.0 / np.sqrt(var + state.eps)
+        xhat = (xv - mean) * invstd
+        gx = g * gamma.values
+        if training:
+            s1, s2 = gx.sum(axis=(0, 1)), (gx * xhat).sum(axis=(0, 1))
+            dx = (invstd / m) * (m * gx - s1 - xhat * s2)
+        else:
+            dx = gx * invstd
+        pairs = [
+            (out.values, gamma.values * xhat + beta.values),
+            (x.grad, dx),
+            (gamma.grad, (g * xhat).sum(axis=(0, 1))),
+            (beta.grad, g.sum(axis=(0, 1))),
+            (state.running_mean, ref_state.running_mean),
+            (state.running_var, ref_state.running_var),
+        ]
+        for got, expect in pairs:
+            assert np.abs(got - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1.0)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_gradients(self, training):

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -458,9 +460,12 @@ class TestCliPipeline:
         for n in names:
             extra += [(f"adam_m/{n}", blocks[f"param/{n}"] * 0.5),
                       (f"adam_v/{n}", blocks[f"param/{n}"] ** 2)]
+        # and no payload digest
+        old_header = dict(header, adam_step=4, in_channels=1, param_names=names,
+                          bn_names=bn_names)
+        del old_header["payload_sha256"]
         old = tmp_path / "old.ckpt"
-        io_cli.write_container(old, dict(header, adam_step=4, in_channels=1, param_names=names,
-                                         bn_names=bn_names), extra)
+        io_cli.write_container(old, old_header, extra)
         assert np.array_equal(infer(old, "b.fodf"), expect)
 
     @pytest.mark.parametrize("flag", [False, True])
@@ -646,7 +651,8 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("case", [
         "fodf_degree_string", "fodf_degree_odd", "fodf_degree_negative", "fodf_wm_nan",
-        "checkpoint_config_list",
+        "fodf_no_wm", "checkpoint_config_list", "checkpoint_digest", "checkpoint_bn_var",
+        "dataset_fibers_not_unit",
         # blocks whose shapes do not fit the header or the model
         "response_1d", "response_rows", "response_width0", "fodf_converged", "fodf_wm_rows",
         "fodf_wm_width", "checkpoint_head_w", "checkpoint_bn", "dataset_fibers",
@@ -674,8 +680,18 @@ class TestCliPipeline:
             header["degree"] = -2
         elif case == "fodf_wm_nan":
             blocks["wm"][1, 3] = np.nan
+        elif case == "fodf_no_wm":  # peaks reads the wm coefficients
+            header["tissues"] = ["gm"]
+            blocks["gm"] = blocks.pop("wm")[:, :1]
         elif case == "checkpoint_config_list":
             header["config"] = [1]
+        elif case == "checkpoint_digest":  # a finite, well-shaped, changed weight
+            blocks["param/head_w"][0, 0, 0] *= 1e200
+        elif case == "checkpoint_bn_var":  # older checkpoints carry no digest
+            del header["payload_sha256"]
+            blocks["bn_var/enc0_0"][0] = -1.0
+        elif case == "dataset_fibers_not_unit":
+            blocks["fibers"] *= 2.0
         else:
             name, cut = {
                 "response_1d": ("wm", lambda a: a[0]),
@@ -703,6 +719,32 @@ class TestCliPipeline:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: io: ")
         assert "Traceback" not in captured.err and not out.exists()
+
+    def test_huge_fodf_degree_fails_before_building_its_basis(self, csd_fodf, tmp_path,
+                                                              monkeypatch, capsys):
+        # a degree-1000 basis holds 501501 (l, m) pairs; the wm block's
+        # width disagrees with the degree before any is built
+        header, blocks = io_cli.read_container(csd_fodf)
+        header["degree"] = 1000
+        path = tmp_path / "huge.fodf"
+        io_cli.write_container(path, header, list(blocks.items()))
+        built = []
+
+        class RecordingBasis(sh.ShBasis):
+            def __init__(self, l_max):
+                built.append(l_max)
+                super().__init__(l_max)
+
+        monkeypatch.setattr(sh, "ShBasis", RecordingBasis)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli("peaks", "--fodf", str(path), "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io: ")
+        assert "block 'wm'" in lines[0] and "501501" in lines[0]
+        assert 1000 not in built and not out.exists()
 
     def test_stage_counters(self, esd_run, tmp_path, capsys):
         data, rf = esd_run["data"], esd_run["rf"]
@@ -745,10 +787,11 @@ class TestCliPipeline:
         assert peaks_line["elapsed_ms"] > 0
         # esd-infer counts the voxels whose WM coefficients are not all zero;
         # a zero head makes every voxel dead
-        header, blocks = io_cli.read_container(esd_run["ckpt"])
-        blocks["param/head_w"][...] = 0.0
+        model, header = io_cli.read_checkpoint(esd_run["ckpt"])
+        model.params["head_w"].values[...] = 0.0
         dead = tmp_path / "dead.ckpt"
-        io_cli.write_container(dead, header, list(blocks.items()))
+        io_cli.write_checkpoint(dead, model, en.TrainResult([], header["best_val_loss"],
+                                                            header["epoch"]), header["config"])
         for ckpt in (esd_run["ckpt"], dead):
             out = tmp_path / "e.fodf"
             assert run_cli("esd-infer", "--checkpoint", str(ckpt),
@@ -765,6 +808,77 @@ class TestCliPipeline:
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),
                        "--response", str(tmp_path / "nope.rf"),
                        "--out", str(tmp_path / "o.fodf")) == 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_cases(esd_run, csd_fodf):
+    """Valid containers, each with the CLI commands that read it.
+
+    A command is an argv builder taking the corrupted file's path and an
+    output path, which evaluate does not use.
+    """
+    sdv, rf, ckpt = str(esd_run["data"] / "test.sdv"), str(esd_run["rf"]), str(esd_run["ckpt"])
+    fodf = str(csd_fodf)
+    return {
+        "dataset": (esd_run["data"] / "test.sdv", [
+            lambda p, out: ["csd", "--dataset", p, "--response", rf, "--out", out],
+            lambda p, out: ["evaluate", "--fodf", fodf, "--dataset", p],
+            lambda p, out: ["esd-infer", "--checkpoint", ckpt, "--dataset", p, "--out", out],
+        ]),
+        "fodf": (csd_fodf, [
+            lambda p, out: ["peaks", "--fodf", p, "--out", out],
+            lambda p, out: ["evaluate", "--fodf", p, "--dataset", sdv],
+        ]),
+        "checkpoint": (esd_run["ckpt"], [
+            lambda p, out: ["esd-infer", "--checkpoint", p, "--dataset", sdv, "--out", out],
+        ]),
+    }
+
+
+class TestContainerFuzz:
+    # a position is taken modulo the header's end or the file's length, so
+    # half the corruptions land in the JSON header, which is a small share
+    # of each file
+    position = st.tuples(st.sampled_from(["header", "anywhere"]), st.integers(0, 2**20))
+    corruption = st.one_of(
+        st.tuples(st.just("flip"), position, st.integers(1, 255)),
+        st.tuples(st.just("truncate"), position),
+        st.tuples(st.just("insert"), position, st.binary(min_size=1, max_size=8)),
+    )
+
+    # derandomized: the same examples on every run, so tier-1 cannot flake
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["dataset", "fodf", "checkpoint"]), which=st.integers(0, 2),
+           corruption=corruption)
+    def test_corrupt_bytes_end_in_one_error_line(self, fuzz_cases, tmp_path_factory, kind,
+                                                 which, corruption):
+        source, commands = fuzz_cases[kind]
+        raw = bytearray(source.read_bytes())
+        hlen = int(np.frombuffer(bytes(raw), "<u4", count=1, offset=8)[0])
+        (region, pos), *rest = corruption[1:]
+        at = pos % (12 + hlen if region == "header" else len(raw))
+        if corruption[0] == "flip":
+            raw[at] ^= rest[0]
+        elif corruption[0] == "truncate":
+            del raw[at:]
+        else:
+            raw[at:at] = rest[0]
+        work = tmp_path_factory.mktemp("fuzz")
+        path, out = work / source.name, work / "out"
+        path.write_bytes(bytes(raw))
+        argv = commands[which % len(commands)](str(path), str(out))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = io_cli.main(argv)  # any exception is a traceback at the CLI
+        lines = stderr.getvalue().splitlines()
+        # a corruption inside a float payload or the trailing padding can leave
+        # a valid file; the command then succeeds like on any other input
+        if code == 0:
+            assert lines == []
+        else:
+            assert code in (1, 2), (code, lines)
+            assert len(lines) == 1 and lines[0].startswith(("error: io: ", "error: config: "))
+            assert "Traceback" not in stderr.getvalue()
 
 
 def test_entry_point_runs():

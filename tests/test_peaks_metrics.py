@@ -241,6 +241,18 @@ class TestBatchedMatchesReference:
     def test_empty_batch(self):
         assert pm.peaks_for_batch(np.zeros((0, 45)), sg.build_grid(16), 0.25, 15.0) == []
 
+    @pytest.mark.parametrize("power", [-60, 3, 900])
+    def test_power_of_two_scale_is_exact(self, power):
+        # a field scaled by 2**power has the same peaks, with amplitudes
+        # scaled exactly, also where the unscaled products would overflow
+        coeffs = rotated_lobes(np.random.default_rng(8), 8, 6)
+        grid = sg.build_grid(16)
+        base = pm.peaks_for_batch(coeffs, grid, 0.25, 15.0)
+        scaled = pm.peaks_for_batch(np.ldexp(coeffs, power), grid, 0.25, 15.0)
+        for a, b in zip(base, scaled):
+            assert np.array_equal(a.directions, b.directions)
+            assert np.array_equal(np.ldexp(a.amplitudes, power), b.amplitudes)
+
 
 class TestMatchFibers:
     def test_single_within_cone(self):
