@@ -41,6 +41,17 @@ class Tensor:
             self.grad = np.zeros_like(self.values)
         return self.grad
 
+    def add_grad(self, g):
+        """Add g to the gradient; with none yet, g becomes the gradient.
+
+        So g must be an array the caller allocated and no longer writes,
+        not a view of another array.
+        """
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
+
     def zero_grad(self):
         self.grad = None
 
@@ -57,7 +68,7 @@ class Tape:
     def backward(self, loss: Tensor):
         if loss.values.shape != ():
             raise InvalidArgumentError("backward starts from a scalar loss")
-        loss.ensure_grad()[...] = 1.0
+        loss.grad = np.ones_like(loss.values)
         for fn in reversed(self._records):
             fn()
 
@@ -134,9 +145,9 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
             g_stack = _powers(lap, out.grad, p1)
             if weights.requires_grad:
                 dw = (x2.T @ g_stack).reshape(c_in, p1, c_out)
-                weights.ensure_grad()[...] += dw.transpose(1, 0, 2)
+                weights.add_grad(dw.transpose(1, 0, 2))
             if x.requires_grad:
-                x.ensure_grad()[...] += (g_stack @ w_cat.T).reshape(n, v, c_in)
+                x.add_grad((g_stack @ w_cat.T).reshape(n, v, c_in))
 
         return _track(tape, out, (x, weights), backward)
 
@@ -147,10 +158,10 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
     def backward():
         g = out.grad.reshape(n * v, c_out)
         if weights.requires_grad:
-            weights.ensure_grad()[...] += (stack.T @ g).reshape(p1, c_in, c_out)
+            weights.add_grad((stack.T @ g).reshape(p1, c_in, c_out))
         if x.requires_grad:
             # L is symmetric: dx = sum_p L^p (g W_p^T)
-            x.ensure_grad()[...] += _horner(lap, (g @ w_cat.T).reshape(n, v, p1, c_in))
+            x.add_grad(_horner(lap, (g @ w_cat.T).reshape(n, v, p1, c_in)))
 
     return _track(tape, out, (x, weights), backward)
 
@@ -191,7 +202,7 @@ def healpix_maxpool(tape, x: Tensor):
     def backward():
         gx = np.zeros((n // 4, 4, v * c))
         np.put_along_axis(gx, arg[:, None], out.grad.reshape(n // 4, 1, v * c), axis=1)
-        x.ensure_grad()[...] += gx.reshape(n, v, c)
+        x.add_grad(gx.reshape(n, v, c))
 
     return _track(tape, out, (x,), backward), arg.reshape(n // 4, v, c)
 
@@ -202,7 +213,7 @@ def healpix_unpool(tape, x: Tensor) -> Tensor:
 
     def backward():
         n, v, c = x.values.shape
-        x.ensure_grad()[...] += out.grad.reshape(n, 4, v, c).sum(axis=1)
+        x.add_grad(out.grad.reshape(n, 4, v, c).sum(axis=1))
 
     return _track(tape, out, (x,), backward)
 
@@ -254,9 +265,9 @@ def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormStat
         sum_g = ones @ g
         sum_gx = np.einsum("ij,ij->j", g, xhat)
         if beta.requires_grad:
-            beta.ensure_grad()[...] += sum_g
+            beta.add_grad(sum_g)
         if gamma.requires_grad:
-            gamma.ensure_grad()[...] += sum_gx
+            gamma.add_grad(sum_gx)
         if x.requires_grad:
             if training:
                 dx = g - xhat * (sum_gx / m)
@@ -264,7 +275,7 @@ def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormStat
                 dx *= gamma.values * invstd
             else:
                 dx = g * (gamma.values * invstd)
-            x.ensure_grad()[...] += dx.reshape(n, v, c)
+            x.add_grad(dx.reshape(n, v, c))
 
     return _track(tape, out, (x, gamma, beta), backward)
 
@@ -273,7 +284,7 @@ def relu(tape, x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.values, 0.0))
 
     def backward():
-        x.ensure_grad()[...] += out.grad * (x.values > 0)
+        x.add_grad(out.grad * (x.values > 0))
 
     return _track(tape, out, (x,), backward)
 
@@ -282,7 +293,7 @@ def softplus(tape, x: Tensor) -> Tensor:
     out = Tensor(np.logaddexp(0.0, x.values))
 
     def backward():
-        x.ensure_grad()[...] += out.grad * expit(x.values)
+        x.add_grad(out.grad * expit(x.values))
 
     return _track(tape, out, (x,), backward)
 
@@ -295,7 +306,7 @@ def concat(tape, parts) -> Tensor:
     def backward():
         for p, g in zip(parts, np.split(out.grad, splits, axis=-1)):
             if p.requires_grad:
-                p.ensure_grad()[...] += g
+                p.add_grad(g.copy())  # g is a view of out.grad
 
     return _track(tape, out, tuple(parts), backward)
 
@@ -304,7 +315,7 @@ def scale(tape, x: Tensor, s: float) -> Tensor:
     out = Tensor(x.values * s)
 
     def backward():
-        x.ensure_grad()[...] += out.grad * s
+        x.add_grad(out.grad * s)
 
     return _track(tape, out, (x,), backward)
 

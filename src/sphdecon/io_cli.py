@@ -466,13 +466,15 @@ def cmd_response(args):
     nf = normalized.n_fibers()
     wm_sel = (nf == 1) & (normalized.tissue_fractions[:, 0] > 0.999)
     rfs = {"wm": sm.estimate_response(normalized.subset(wm_sel), sh.ShBasis(degree))}
+    voxels = {"wm": int(wm_sel.sum()), "gm": 0, "csf": 0}  # pure voxels each response used
     for i, t in enumerate(sm.TISSUES[1:], start=1):
         sel = normalized.tissue_fractions[:, i] > 0.999
         if np.any(sel):
             rfs[t] = sm.isotropic_response(normalized.subset(sel), t)
+            voxels[t] = int(sel.sum())
     write_response(args.out, rfs)
     print(json.dumps({"out": args.out, "tissues": sorted(rfs), "degree": degree,
-                      "elapsed_ms": _elapsed_ms(t0)}))
+                      "voxels": voxels, "elapsed_ms": _elapsed_ms(t0)}))
     return 0
 
 

@@ -106,6 +106,12 @@ class TensorParams:
     d_gm: float = 0.8e-3
     d_csf: float = 3.0e-3
 
+    def __post_init__(self):
+        # a negative diffusivity makes a signal grow without bound with b
+        for name, value in vars(self).items():
+            if not value >= 0:
+                raise InvalidArgumentError(f"tensor.{name} must be nonnegative, got {value}")
+
 
 @dataclass
 class VoxelBatch:
@@ -228,52 +234,72 @@ def rotation_to_z(direction) -> np.ndarray:
     return np.eye(3) + K + K @ K / (1 + c)
 
 
-def simulate_voxel(fibers, tissue_fractions, gradients: GradientTable,
-                   tensor_params: TensorParams | None = None) -> dict:
-    """Noiseless multi-tensor signals for one voxel.
+def tensor_signals(fibers, fiber_fractions, tissue_fractions, gradients: GradientTable,
+                   tensor_params: TensorParams | None = None) -> np.ndarray:
+    """Noiseless multi-tensor signals, (V, total_samples) in the table's column order.
 
-    fibers is a list of (direction, fraction) with fractions summing to 1
-    inside the WM compartment; tissue_fractions is (wm, gm, csf) summing
-    to 1. Returns {b: samples} including b=0 when the table has it.
+    fibers is (V, 3, 3): each voxel's fiber directions in its first rows,
+    then zero rows. fiber_fractions (V, 3) are the fibers' shares of the
+    WM compartment, and tissue_fractions (V, 3) the wm/gm/csf fractions,
+    which sum to 1. A voxel without fibers needs a WM fraction of 0.
+    Voxels are grouped by fiber count, so each group's products are one
+    stacked matmul that does each voxel's matrix products unchanged.
     """
     tensor_params = tensor_params or TensorParams()
-    wm, gm, csf = tissue_fractions
-    if min(wm, gm, csf) < -1e-12 or abs(wm + gm + csf - 1.0) > 1e-9:
+    if np.any(tissue_fractions < -1e-12) or np.any(
+            np.abs(tissue_fractions.sum(axis=1) - 1.0) > 1e-9):
         raise InvalidArgumentError("tissue fractions must be nonnegative and sum to 1")
-    if not 1 <= len(fibers) <= 3:
-        raise InvalidArgumentError(f"voxel must have 1..3 fibers, got {len(fibers)}")
-    dirs = np.array([np.asarray(d, float) / np.linalg.norm(d) for d, _ in fibers])
-    fracs = np.array([f for _, f in fibers], dtype=np.float64)
-    if np.any(fracs < -1e-12):
+    if np.any(fiber_fractions < -1e-12):
         raise InvalidArgumentError("fiber fractions must be nonnegative")
+    counts = fibers.any(axis=2).sum(axis=1)
+    if np.any((counts == 0) & (tissue_fractions[:, 0] != 0)):
+        raise InvalidArgumentError("a voxel with a WM fraction needs 1 to 3 fibers")
+    groups = []
+    for k in (1, 2, 3):
+        rows = np.flatnonzero(counts == k)
+        if rows.size:
+            dirs = fibers[rows, :k]
+            # sqrt of a row's dot product with itself is its 1-D np.linalg.norm
+            dirs = dirs / np.sqrt(np.vecdot(dirs, dirs))[..., None]
+            groups.append((rows, dirs.transpose(0, 2, 1), fiber_fractions[rows, :k, None]))
 
+    wm, gm, csf = (tissue_fractions[:, t, None] for t in range(3))
     lp, lt = tensor_params.lambda_parallel, tensor_params.lambda_perp
-    out = {}
+    out = np.empty((len(fibers), gradients.total_samples))
     for b in gradients.shells:
-        g = gradients.directions[b]
-        # g^T D g for an axially symmetric tensor
-        proj = (g @ dirs.T) ** 2
-        adc = lt + (lp - lt) * proj
-        wm_sig = np.exp(-b * adc) @ fracs
-        out[b] = wm * wm_sig + gm * np.exp(-b * tensor_params.d_gm) + csf * np.exp(
-            -b * tensor_params.d_csf
-        )
+        wm_sig = np.zeros((len(fibers), gradients.n(b)))  # stays 0 where wm is 0
+        for rows, dirs_t, fracs in groups:
+            # g^T D g for an axially symmetric tensor
+            proj = np.matmul(gradients.directions[b], dirs_t) ** 2
+            adc = lt + (lp - lt) * proj
+            wm_sig[rows] = np.matmul(np.exp(-b * adc), fracs)[..., 0]
+        out[:, gradients.columns(b)] = (wm * wm_sig + gm * np.exp(-b * tensor_params.d_gm)
+                                        + csf * np.exp(-b * tensor_params.d_csf))
     if gradients.b0_count > 0:
-        out[0] = np.full(gradients.b0_count, wm + gm + csf)
+        out[:, gradients.columns(0)] = wm + gm + csf
     return out
 
 
-def add_rician_noise(samples, sigma: float, rng_seed) -> np.ndarray:
-    """Magnitude-MR noise: sqrt((s + e1)^2 + e2^2), e ~ N(0, sigma^2)."""
-    samples = np.asarray(samples, dtype=np.float64)
+def rician_noise(clean, sigma: float, seed, voxel_indices,
+                 gradients: GradientTable) -> np.ndarray:
+    """Magnitude-MR noise on (V, samples) signals: sqrt((s + e1)^2 + e2^2), e ~ N(0, sigma^2).
+
+    Row v is voxel voxel_indices[v]. Its noise on each key b of the table
+    is one normal(0, sigma, 2 n_b) draw, e1 then e2, from the stream
+    [seed, 303, voxel, b], so it does not depend on the batch the voxel is
+    in.
+    """
     if sigma < 0:
         raise InvalidArgumentError("sigma must be nonnegative")
     if sigma == 0:
-        return np.abs(samples)
-    rng = np.random.default_rng(rng_seed)
-    e1 = rng.normal(0.0, sigma, samples.shape)
-    e2 = rng.normal(0.0, sigma, samples.shape)
-    return np.sqrt((samples + e1) ** 2 + e2**2)
+        return np.abs(clean)
+    keys = [(int(b), gradients.columns(b)) for b in gradients.keys]
+    noise = np.empty((2, *clean.shape))
+    for row, vox in enumerate(voxel_indices):
+        for b, cols in keys:
+            rng = np.random.default_rng([int(seed), _STREAM_NOISE, int(vox), b])
+            noise[:, row, cols] = rng.normal(0.0, sigma, (2, cols.stop - cols.start))
+    return np.sqrt((clean + noise[0]) ** 2 + noise[1] ** 2)
 
 
 def generate_gradients(n: int, seed) -> np.ndarray:
@@ -283,39 +309,40 @@ def generate_gradients(n: int, seed) -> np.ndarray:
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     if n == 1:
         return pts
+    iu = np.triu_indices(n, 1)
     step = 0.1
-    energy = _scheme_energy(pts)
+    energy, pairs = _scheme_energy(pts, iu)
+    force = _scheme_force(pts, *pairs)
     for _ in range(300):
-        force = _scheme_force(pts)
-        # project onto the tangent space and take a trial step
-        force -= (force * pts).sum(axis=1, keepdims=True) * pts
         trial = pts + step * force / np.abs(force).max()
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        e2 = _scheme_energy(trial)
+        e2, pairs = _scheme_energy(trial, iu)
         if e2 < energy:
             pts, energy, step = trial, e2, step * 1.1
-        else:
+            force = _scheme_force(pts, *pairs)
+        else:  # pts did not move, so neither did the force
             step *= 0.5
             if step < 1e-8:
                 break
     return pts
 
 
-def _scheme_energy(pts):
-    d1 = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    d2 = np.linalg.norm(pts[:, None] + pts[None, :], axis=2)
-    iu = np.triu_indices(len(pts), 1)
-    return (1 / d1[iu]).sum() + (1 / d2[iu]).sum() + (1 / d2.diagonal()).sum()
-
-
-def _scheme_force(pts):
+def _scheme_energy(pts, iu):
+    """Coulomb energy of the charges and their antipodes, and the pair arrays it used."""
     diff = pts[:, None] - pts[None, :]
+    anti = pts[:, None] + pts[None, :]
     d1 = np.linalg.norm(diff, axis=2)
+    d2 = np.linalg.norm(anti, axis=2)
+    energy = (1 / d1[iu]).sum() + (1 / d2[iu]).sum() + (1 / d2.diagonal()).sum()
+    return energy, (diff, d1, anti, d2)
+
+
+def _scheme_force(pts, diff, d1, anti, d2):
+    """The force on each charge, projected onto the sphere's tangent plane."""
     np.fill_diagonal(d1, np.inf)
     f = (diff / d1[:, :, None] ** 3).sum(axis=1)
-    anti = pts[:, None] + pts[None, :]
-    d2 = np.linalg.norm(anti, axis=2)
     f += (anti / d2[:, :, None] ** 3).sum(axis=1)
+    f -= (f * pts).sum(axis=1, keepdims=True) * pts
     return f
 
 
@@ -348,12 +375,33 @@ class SimConfig:
             raise InvalidArgumentError(f"shells must be a nonempty subset of {sorted(allowed_b)}")
         if self.tissues not in (1, 3):
             raise InvalidArgumentError("tissues must be 1 or 3")
-        if len(self.split) != 3 or sum(self.split) != self.n_voxels:
+        if len(self.split) != 3 or min(self.split) < 0 or sum(self.split) != self.n_voxels:
+            raise InvalidArgumentError(f"split {self.split} must be 3 nonnegative counts "
+                                       f"summing to n_voxels={self.n_voxels}")
+        # each check is written so that NaN fails it too
+        if self.snr is not None and not self.snr >= 0:
+            raise InvalidArgumentError(f"snr must be nonnegative or null, got {self.snr}")
+        if self.b0_count < 0:
+            raise InvalidArgumentError(f"b0_count must be nonnegative, got {self.b0_count}")
+        if not 0 <= self.pure_voxel_prob <= 1:
             raise InvalidArgumentError(
-                f"split {self.split} must be 3 counts summing to n_voxels={self.n_voxels}"
-            )
-        if abs(sum(self.fiber_count_probs) - 1.0) > 1e-9:
-            raise InvalidArgumentError("fiber_count_probs must sum to 1")
+                f"pure_voxel_prob must lie in [0, 1], got {self.pure_voxel_prob}")
+        probs = self.fiber_count_probs
+        if len(probs) != 3 or not all(p >= 0 for p in probs) or not abs(sum(probs) - 1) <= 1e-9:
+            raise InvalidArgumentError(
+                f"fiber_count_probs must be 3 nonnegative numbers summing to 1, got {list(probs)}")
+        # the draws are redone until they pass these floors: the smallest of
+        # k Dirichlet fractions is below 1/k, and two axes are at most 90
+        # degrees apart, so a floor at or past those bounds is never met
+        for k in (2, 3):
+            if probs[k - 1] > 0 and not self.min_fiber_fraction < 1 / k:
+                raise InvalidArgumentError(
+                    f"min_fiber_fraction {self.min_fiber_fraction} can never be met by "
+                    f"{k} fibers: it must be below 1/{k}")
+        if (probs[1] > 0 or probs[2] > 0) and not self.min_crossing_angle_deg < 90:
+            raise InvalidArgumentError(
+                f"min_crossing_angle_deg {self.min_crossing_angle_deg} can never be met: "
+                "it must be below 90 when crossings are drawn")
 
 
 def build_gradient_table(config: SimConfig) -> GradientTable:
@@ -363,10 +411,12 @@ def build_gradient_table(config: SimConfig) -> GradientTable:
     return GradientTable(shells, {b: scheme for b in shells}, b0_count=config.b0_count)
 
 
+_PAIRS = {k: np.triu_indices(k, 1) for k in (2, 3)}
+
+
 def _axis_angles_deg(dirs):
     dots = np.abs(dirs @ dirs.T)
-    iu = np.triu_indices(len(dirs), 1)
-    return np.degrees(np.arccos(np.clip(dots[iu], -1, 1)))
+    return np.degrees(np.arccos(np.clip(dots[_PAIRS[len(dirs)]], -1, 1)))
 
 
 def _draw_voxel(config: SimConfig, rng):
@@ -391,31 +441,27 @@ def _draw_voxel(config: SimConfig, rng):
 
 
 def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -> VoxelBatch:
-    """Simulate the voxels with the given global indices (order-independent)."""
+    """Simulate the voxels with the given global indices (order-independent).
+
+    Voxel v's fibers and tissue fractions are drawn from the stream
+    [seed, 202, v] and its noise from [seed, 303, v, b] per key b; only
+    the draws loop over voxels, the signals are computed for the batch.
+    """
     voxel_indices = np.asarray(voxel_indices)
     n = len(voxel_indices)
     fibers = np.zeros((n, 3, 3))
     fiber_fracs = np.zeros((n, 3))
     tissue_fracs = np.zeros((n, 3))
-    signals = np.zeros((n, gradients.total_samples))
-    sigma = 0.0 if not config.snr else 1.0 / config.snr
     for row, vox in enumerate(voxel_indices):
         rng = np.random.default_rng([config.seed, _STREAM_VOXEL, int(vox)])
         dirs, fracs, tissue = _draw_voxel(config, rng)
-        k = len(dirs)
-        if tissue[0] == 0.0:
-            # no WM compartment: keep fibers out of the ground truth
-            k = 0
-        fibers[row, :k] = dirs[:k]
-        fiber_fracs[row, :k] = fracs[:k]
+        if tissue[0] != 0.0:  # without a WM compartment the fibers are not ground truth
+            fibers[row, : len(dirs)] = dirs
+            fiber_fracs[row, : len(dirs)] = fracs
         tissue_fracs[row] = tissue
-        clean = simulate_voxel(
-            list(zip(dirs, fracs)), tissue, gradients, config.tensor
-        )
-        for b in gradients.keys:
-            signals[row, gradients.columns(b)] = add_rician_noise(
-                clean[b], sigma, [config.seed, _STREAM_NOISE, int(vox), int(b)]
-            )
+    clean = tensor_signals(fibers, fiber_fracs, tissue_fracs, gradients, config.tensor)
+    sigma = 0.0 if not config.snr else 1.0 / config.snr
+    signals = rician_noise(clean, sigma, config.seed, voxel_indices, gradients)
     return VoxelBatch(signals, gradients, fibers, fiber_fracs, tissue_fracs)
 
 

@@ -300,6 +300,65 @@ class TestCliPipeline:
         assert code == 2
         assert "shells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", [
+        # floors the redrawn fractions and directions can never meet
+        '{"min_fiber_fraction": 0.6}', '{"min_fiber_fraction": 0.34}',
+        '{"min_fiber_fraction": 0.5, "fiber_count_probs": [0.5, 0.5, 0.0]}',
+        '{"min_crossing_angle_deg": 95}', '{"min_crossing_angle_deg": 90}',
+        '{"min_crossing_angle_deg": 90, "fiber_count_probs": [0.9, 0.0, 0.1]}',
+        '{"fiber_count_probs": [1.5, -0.5, 0.0]}', '{"fiber_count_probs": [0.5, 0.5]}',
+        '{"fiber_count_probs": [0.5, 0.5, 0.5]}',
+        '{"b0_count": -1}', '{"pure_voxel_prob": 2.0}', '{"pure_voxel_prob": -0.1}',
+        '{"snr": -5}',
+        # settings that crashed or wrote non-finite signals
+        '{"split": [-4, 36, 8]}', '{"tensor": {"lambda_parallel": -1.0}}',
+    ])
+    def test_unsatisfiable_dataset_exits_2(self, tmp_path, capsys, case):
+        settings = json.loads(case)
+        dataset = {k: v for k, v in SIM_CONFIG["dataset"].items() if k != "fiber_count_probs"}
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(json.dumps({"seed": 1, "dataset": {**dataset, **settings}}))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: ")
+        assert next(iter(settings)) in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        '{"min_fiber_fraction": 0.45, "fiber_count_probs": [0.5, 0.5, 0.0]}',
+        '{"min_crossing_angle_deg": 95, "fiber_count_probs": [1.0, 0.0, 0.0]}',
+        '{"min_fiber_fraction": 0.9, "fiber_count_probs": [1.0, 0.0, 0.0]}',
+        '{"b0_count": 0, "pure_voxel_prob": 1.0, "snr": 0}',
+    ])
+    def test_dataset_bounds_that_can_be_met(self, tmp_path, case):
+        cfg = tmp_path / "ok.cfg"
+        dataset = {k: v for k, v in SIM_CONFIG["dataset"].items() if k != "fiber_count_probs"}
+        cfg.write_text(json.dumps({"seed": 1, "dataset": {**dataset, **json.loads(case)}}))
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
+    def test_response_reports_pure_voxels(self, tmp_path, capsys):
+        cfg = tmp_path / "msmt.cfg"
+        cfg.write_text(json.dumps({"seed": 3, "dataset": {
+            "shells": [1000.0, 3000.0], "gradients_per_shell": 16, "n_voxels": 60,
+            "split": [60, 0, 0], "tissues": 3, "pure_voxel_prob": 0.8,
+            "fiber_count_probs": [0.7, 0.3, 0.0]}}))
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "d")) == 0
+        train = tmp_path / "d" / "train.sdv"
+        capsys.readouterr()
+        assert run_cli("response", "--dataset", str(train), "--out", str(tmp_path / "r.rf")) == 0
+        line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        batch = io_cli.read_dataset(train)
+        pure = batch.tissue_fractions > 0.999
+        expect = {"wm": int((pure[:, 0] & (batch.n_fibers() == 1)).sum()),
+                  "gm": int(pure[:, 1].sum()), "csf": int(pure[:, 2].sum())}
+        assert line["voxels"] == expect
+        assert line["tissues"] == ["csf", "gm", "wm"] and min(expect.values()) >= 10
+
     def test_response_csd_evaluate(self, sim_dir, capsys):
         data = sim_dir / "data"
         rf = sim_dir / "wm.rf"
@@ -760,8 +819,9 @@ class TestCliPipeline:
         assert run_cli("response", "--dataset", str(data / "train.sdv"),
                        "--out", str(tmp_path / "r.rf")) == 0
         rf_line = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert set(rf_line) == {"out", "tissues", "degree", "elapsed_ms"}
+        assert set(rf_line) == {"out", "tissues", "degree", "voxels", "elapsed_ms"}
         assert rf_line["tissues"] == ["wm"]
+        assert rf_line["voxels"] == {"wm": 28, "gm": 0, "csf": 0}
         assert run_cli("esd-train", "--train", str(data / "train.sdv"),
                        "--val", str(data / "val.sdv"), "--response", str(rf),
                        "--out", str(tmp_path / "m.ckpt"), "--config", str(esd_run["cfg"])) == 0

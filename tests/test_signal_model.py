@@ -8,6 +8,133 @@ from sphdecon.errors import InvalidArgumentError
 from test_harmonics import eval_sh
 
 
+# ---------------------------------------------------------------------------
+# References: the per-voxel generator and the gradient scheme as they were
+# before the simulator was batched. Datasets written before then have their
+# bytes, so the batched code must reproduce them exactly.
+
+
+def reference_simulate_voxel(fibers, tissue_fractions, gradients, tensor_params=None):
+    """Noiseless multi-tensor signals of one voxel as {key: samples}."""
+    tensor_params = tensor_params or sm.TensorParams()
+    wm, gm, csf = tissue_fractions
+    dirs = np.array([np.asarray(d, float) / np.linalg.norm(d) for d, _ in fibers])
+    fracs = np.array([f for _, f in fibers], dtype=np.float64)
+    lp, lt = tensor_params.lambda_parallel, tensor_params.lambda_perp
+    out = {}
+    for b in gradients.shells:
+        g = gradients.directions[b]
+        proj = (g @ dirs.T) ** 2
+        adc = lt + (lp - lt) * proj
+        wm_sig = np.exp(-b * adc) @ fracs
+        out[b] = wm * wm_sig + gm * np.exp(-b * tensor_params.d_gm) + csf * np.exp(
+            -b * tensor_params.d_csf
+        )
+    if gradients.b0_count > 0:
+        out[0] = np.full(gradients.b0_count, wm + gm + csf)
+    return out
+
+
+def reference_add_rician_noise(samples, sigma, rng_seed):
+    samples = np.asarray(samples, dtype=np.float64)
+    if sigma == 0:
+        return np.abs(samples)
+    rng = np.random.default_rng(rng_seed)
+    e1 = rng.normal(0.0, sigma, samples.shape)
+    e2 = rng.normal(0.0, sigma, samples.shape)
+    return np.sqrt((samples + e1) ** 2 + e2**2)
+
+
+def reference_draw_voxel(config, rng):
+    n_fib = 1 + rng.choice(3, p=np.asarray(config.fiber_count_probs, float))
+    while True:
+        dirs = rng.standard_normal((n_fib, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        if n_fib == 1:
+            break
+        dots = np.abs(dirs @ dirs.T)
+        iu = np.triu_indices(len(dirs), 1)
+        angles = np.degrees(np.arccos(np.clip(dots[iu], -1, 1)))
+        if angles.min() >= config.min_crossing_angle_deg:
+            break
+    while True:
+        fracs = rng.dirichlet(np.ones(n_fib))
+        if fracs.min() >= config.min_fiber_fraction or n_fib == 1:
+            break
+    if config.tissues == 1:
+        tissue = np.array([1.0, 0.0, 0.0])
+    elif rng.random() < config.pure_voxel_prob:
+        tissue = np.zeros(3)
+        tissue[rng.choice(3)] = 1.0
+    else:
+        tissue = rng.dirichlet(np.ones(3))
+    return dirs, fracs, tissue
+
+
+def reference_generate_batch(config, gradients, voxel_indices):
+    """(signals, fibers, fiber_fractions, tissue_fractions), one voxel at a time."""
+    n = len(voxel_indices)
+    fibers = np.zeros((n, 3, 3))
+    fiber_fracs = np.zeros((n, 3))
+    tissue_fracs = np.zeros((n, 3))
+    signals = np.zeros((n, gradients.total_samples))
+    sigma = 0.0 if not config.snr else 1.0 / config.snr
+    for row, vox in enumerate(voxel_indices):
+        rng = np.random.default_rng([config.seed, 202, int(vox)])
+        dirs, fracs, tissue = reference_draw_voxel(config, rng)
+        k = 0 if tissue[0] == 0.0 else len(dirs)
+        fibers[row, :k] = dirs[:k]
+        fiber_fracs[row, :k] = fracs[:k]
+        tissue_fracs[row] = tissue
+        clean = reference_simulate_voxel(list(zip(dirs, fracs)), tissue, gradients,
+                                         config.tensor)
+        for b in gradients.keys:
+            signals[row, gradients.columns(b)] = reference_add_rician_noise(
+                clean[b], sigma, [config.seed, 303, int(vox), int(b)]
+            )
+    return signals, fibers, fiber_fracs, tissue_fracs
+
+
+def reference_generate_gradients(n, seed):
+    rng = np.random.default_rng([int(seed), 101, n])
+    pts = rng.standard_normal((n, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    if n == 1:
+        return pts
+
+    def energy_of(p):
+        d1 = np.linalg.norm(p[:, None] - p[None, :], axis=2)
+        d2 = np.linalg.norm(p[:, None] + p[None, :], axis=2)
+        iu = np.triu_indices(len(p), 1)
+        return (1 / d1[iu]).sum() + (1 / d2[iu]).sum() + (1 / d2.diagonal()).sum()
+
+    def force_of(p):
+        diff = p[:, None] - p[None, :]
+        d1 = np.linalg.norm(diff, axis=2)
+        np.fill_diagonal(d1, np.inf)
+        f = (diff / d1[:, :, None] ** 3).sum(axis=1)
+        anti = p[:, None] + p[None, :]
+        d2 = np.linalg.norm(anti, axis=2)
+        f += (anti / d2[:, :, None] ** 3).sum(axis=1)
+        return f
+
+    step = 0.1
+    energy = energy_of(pts)
+    for _ in range(300):
+        force = force_of(pts)
+        force -= (force * pts).sum(axis=1, keepdims=True) * pts
+        trial = pts + step * force / np.abs(force).max()
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        e2 = energy_of(trial)
+        if e2 < energy:
+            pts, energy, step = trial, e2, step * 1.1
+        else:
+            step *= 0.5
+            if step < 1e-8:
+                break
+    return pts
+
+
 def make_table(n=64, shells=(3000.0,), b0=1, seed=0):
     dirs = {b: sm.generate_gradients(n, seed) for b in shells}
     return sm.GradientTable(list(shells), dirs, b0_count=b0)
@@ -117,52 +244,92 @@ class TestForward:
         assert np.abs(pred_rot[:, cols] - pred_back[:, cols]).max() < 1e-5
 
 
+def one_voxel(table, fibers, tissue, tensor_params=None):
+    """tensor_signals of one voxel given as [(direction, fraction)], as one row."""
+    dirs = np.zeros((1, 3, 3))
+    fracs = np.zeros((1, 3))
+    for i, (d, f) in enumerate(fibers):
+        dirs[0, i], fracs[0, i] = d, f
+    return sm.tensor_signals(dirs, fracs, np.array([tissue], float), table, tensor_params)[0]
+
+
 class TestSimulateVoxel:
     def test_b0_is_one(self):
         table = make_table(16, b0=3)
-        out = sm.simulate_voxel([([0, 0, 1], 1.0)], (0.5, 0.3, 0.2), table)
-        assert np.all(out[0] == 1.0)
+        out = one_voxel(table, [([0, 0, 1], 1.0)], (0.5, 0.3, 0.2))
+        assert np.all(out[table.columns(0)] == 1.0)
 
     def test_single_fiber_axial_value(self):
         table = sm.GradientTable([3000.0], {3000.0: np.array([[0.0, 0.0, 1.0]])}, 0)
-        out = sm.simulate_voxel([([0, 0, 1], 1.0)], (0.6, 0.4, 0.0), table)
+        out = one_voxel(table, [([0, 0, 1], 1.0)], (0.6, 0.4, 0.0))
         lp, lt = 1.7e-3, 0.2e-3
         expect = 0.6 * np.exp(-3000 * lp) + 0.4 * np.exp(-3000 * 0.8e-3)
-        assert out[3000.0][0] == pytest.approx(expect, rel=1e-12)
+        assert out[0] == pytest.approx(expect, rel=1e-12)
         assert np.exp(-3000 * lp) == pytest.approx(np.exp(-5.1), rel=1e-12)
 
     def test_fiber_swap_symmetry(self):
         table = make_table(32)
-        a = sm.simulate_voxel(
-            [([1, 0, 0], 0.5), ([0, 1, 0], 0.5)], (1.0, 0.0, 0.0), table
-        )
-        b = sm.simulate_voxel(
-            [([0, 1, 0], 0.5), ([1, 0, 0], 0.5)], (1.0, 0.0, 0.0), table
-        )
-        assert np.abs(a[3000.0] - b[3000.0]).max() < 1e-12
+        a = one_voxel(table, [([1, 0, 0], 0.5), ([0, 1, 0], 0.5)], (1.0, 0.0, 0.0))
+        b = one_voxel(table, [([0, 1, 0], 0.5), ([1, 0, 0], 0.5)], (1.0, 0.0, 0.0))
+        cols = table.columns(3000.0)
+        assert np.abs(a[cols] - b[cols]).max() < 1e-12
 
     def test_rejects_bad_fractions(self):
         table = make_table(8)
         with pytest.raises(InvalidArgumentError):
-            sm.simulate_voxel([([0, 0, 1], 1.0)], (0.5, 0.2, 0.2), table)
+            one_voxel(table, [([0, 0, 1], 1.0)], (0.5, 0.2, 0.2))
+        with pytest.raises(InvalidArgumentError, match="fiber fractions"):
+            one_voxel(table, [([0, 0, 1], -0.5)], (1.0, 0.0, 0.0))
+        with pytest.raises(InvalidArgumentError, match="WM fraction"):
+            one_voxel(table, [], (0.5, 0.5, 0.0))
+
+    def test_rows_match_the_per_voxel_reference(self):
+        # unnormalized directions and a mix of fiber counts in one batch
+        table = make_table(16, shells=(1000.0, 3000.0), b0=2)
+        rng = np.random.default_rng(8)
+        fibers = np.zeros((12, 3, 3))
+        fracs = np.zeros((12, 3))
+        tissue = rng.dirichlet(np.ones(3), 12)
+        tissue[11] = [0.0, 0.7, 0.3]  # no WM compartment and so no fibers
+        for v in range(11):
+            k = 1 + v % 3
+            fibers[v, :k] = 2.0 * rng.standard_normal((k, 3))
+            fracs[v, :k] = rng.dirichlet(np.ones(k))
+        out = sm.tensor_signals(fibers, fracs, tissue, table)
+        for v in range(12):
+            k = int(fibers[v].any(axis=1).sum())
+            # the reference needs a fiber even where the WM fraction is 0
+            pairs = list(zip(fibers[v, :k], fracs[v, :k])) if k else [([0, 0, 1], 1.0)]
+            ref = reference_simulate_voxel(pairs, tissue[v], table)
+            for b in table.keys:
+                assert np.array_equal(out[v, table.columns(b)], ref[b])
 
 
 class TestRicianNoise:
+    def table(self, n):
+        return sm.GradientTable([], {}, b0_count=n)
+
     def test_sigma_zero_identity(self):
-        s = np.array([-1.0, 0.0, 2.0])
-        assert np.array_equal(sm.add_rician_noise(s, 0.0, 1), np.abs(s))
+        s = np.array([[-1.0, 0.0, 2.0]])
+        assert np.array_equal(sm.rician_noise(s, 0.0, 1, [0], self.table(3)), np.abs(s))
 
     def test_rayleigh_mean(self):
         # oracle: zero signal gives Rayleigh samples with mean sigma*sqrt(pi/2)
         sigma = 0.1
-        out = sm.add_rician_noise(np.zeros(100_000), sigma, 42)
+        out = sm.rician_noise(np.zeros((1000, 100)), sigma, 42, np.arange(1000),
+                              self.table(100))
         assert out.mean() == pytest.approx(sigma * np.sqrt(np.pi / 2), rel=0.02)
 
     def test_deterministic(self):
-        s = np.linspace(0, 1, 50)
-        a = sm.add_rician_noise(s, 0.05, [1, 2])
-        b = sm.add_rician_noise(s, 0.05, [1, 2])
-        assert np.array_equal(a, b)
+        table = make_table(16, shells=(1000.0, 2000.0), b0=2)
+        s = np.linspace(0, 1, 5 * table.total_samples).reshape(5, -1)
+        a = sm.rician_noise(s, 0.05, 1, [4, 9, 0, 7, 2], table)
+        b = sm.rician_noise(s[[3, 0]], 0.05, 1, [7, 4], table)
+        assert np.array_equal(b, a[[3, 0]])
+
+    def test_rejects_negative_sigma(self):
+        with pytest.raises(InvalidArgumentError, match="sigma"):
+            sm.rician_noise(np.zeros((1, 3)), -0.1, 1, [0], self.table(3))
 
 
 class TestGradients:
@@ -175,6 +342,12 @@ class TestGradients:
 
     def test_deterministic(self):
         assert np.array_equal(sm.generate_gradients(16, 5), sm.generate_gradients(16, 5))
+
+    @pytest.mark.parametrize("n", [1, 8, 16, 32, 64, 128])
+    def test_matches_reference(self, n):
+        for seed in (0, 1, 7):
+            assert np.array_equal(sm.generate_gradients(n, seed),
+                                  reference_generate_gradients(n, seed))
 
 
 class TestSampleLayout:
@@ -254,6 +427,28 @@ class TestBatchGeneration:
         base.update(kw)
         return sm.SimConfig(**base)
 
+    @pytest.mark.parametrize("case", [
+        dict(tissues=1, snr=30, b0_count=1, gradients_per_shell=32),
+        dict(tissues=3, snr=30, b0_count=0, gradients_per_shell=8,
+             shells=[1000.0, 2000.0, 3000.0]),
+        dict(tissues=3, snr=None, b0_count=3, gradients_per_shell=64),
+        dict(tissues=1, snr=None, b0_count=0, gradients_per_shell=8),
+        dict(tissues=3, snr=30, b0_count=1, gradients_per_shell=32, pure_voxel_prob=1.0),
+        dict(tissues=1, snr=30, b0_count=3, gradients_per_shell=64,
+             fiber_count_probs=(1.0, 0.0, 0.0)),
+        dict(tissues=3, snr=30, b0_count=1, gradients_per_shell=16,
+             shells=[1000.0, 3000.0], fiber_count_probs=(0.0, 0.0, 1.0)),
+    ])
+    def test_matches_per_voxel_reference(self, case):
+        config = self.config(n_voxels=60, split=(40, 10, 10), **case)
+        table = sm.build_gradient_table(config)
+        for voxels in (np.arange(60), np.array([57, 3, 12, 40])):
+            batch = sm.generate_batch(config, table, voxels)
+            ref = reference_generate_batch(config, table, voxels)
+            got = (batch.signals, batch.fibers, batch.fiber_fractions, batch.tissue_fractions)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+
     def test_crossing_angle_floor(self):
         config = self.config(n_voxels=60, split=(40, 10, 10))
         table = sm.build_gradient_table(config)
@@ -302,11 +497,9 @@ class TestEstimateResponse:
         table = sm.build_gradient_table(config)
         batch = sm.generate_batch(config, table, np.arange(n))
         if axis_aligned:
-            for v in range(n):
-                batch.fibers[v, 0] = [0, 0, 1]
-                clean = sm.simulate_voxel([([0, 0, 1], 1.0)], (1, 0, 0), table)
-                for b in clean:
-                    batch.signals[v, table.columns(b)] = clean[b]
+            batch.fibers[:, 0] = [0, 0, 1]
+            batch.signals[:] = sm.tensor_signals(batch.fibers, batch.fiber_fractions,
+                                                 batch.tissue_fractions, table)
         return batch, table
 
     def test_recovers_tensor_response(self):
