@@ -49,10 +49,16 @@ class EsdConfig:
             )
         if not 1 <= self.tissues <= 3:
             raise InvalidArgumentError("tissues must be 1, 2 or 3")
-        if self.sigma_cauchy <= 0:
-            raise InvalidArgumentError("sigma_cauchy must be positive")
-        if self.max_epochs < 1:
-            raise InvalidArgumentError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        # written as `not x >= low` so that NaN fails too
+        for name, low in (("max_epochs", 1), ("batch_size", 1), ("poly_order", 0)):
+            if not getattr(self, name) >= low:
+                raise InvalidArgumentError(
+                    f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not all(c >= 1 for c in self.channels):
+            raise InvalidArgumentError(f"channels {self.channels} must each be at least 1")
+        for name in ("sigma_cauchy", "lr"):
+            if not getattr(self, name) > 0:
+                raise InvalidArgumentError(f"{name} must be positive, got {getattr(self, name)}")
         if self.nside_in >> (self.depth - 1) < 1:
             raise InvalidArgumentError(
                 f"depth {self.depth} too large for nside_in {self.nside_in}"

@@ -3,7 +3,14 @@
 All binary files share one container: magic "SDV1", a version field, a
 JSON text header, then 32-byte-aligned little-endian float64 payload
 blocks. Writers are deterministic (sorted keys, no timestamps), so
-identical inputs and seeds produce byte-identical files.
+identical inputs and seeds produce byte-identical files. This is the
+only module that writes files.
+
+Each command is a function (args, config) -> summary dict. `main` runs
+the protocol they share: it checks that every output file's directory
+exists before any input is read, loads the config, runs the command and
+prints its summary, with elapsed_ms, as one strict-JSON line with sorted
+keys.
 
 Exit codes: 0 ok, 1 I/O failure, 2 config/validation failure,
 3 numerical failure. Errors print one line: "error: <kind>: <message>".
@@ -153,10 +160,6 @@ def read_container(path, kind=None):
 # dataset files
 
 
-def dataset_path(out_dir, name):
-    return os.path.join(out_dir, f"{name}.sdv")
-
-
 def write_dataset(path, batch: sm.VoxelBatch, seed=None):
     table = batch.gradients
     header = {
@@ -181,6 +184,8 @@ def write_dataset(path, batch: sm.VoxelBatch, seed=None):
 def read_dataset(path) -> sm.VoxelBatch:
     header, blocks = read_container(path, "dataset")
     shells = [float(b) for b in header.typed("shells", list[float])]
+    if not shells:  # every command reads at least one diffusion-weighted shell
+        raise FormatError(f"{path}: no diffusion-weighted shell")
     directions = {}
     for b in shells:
         rows = header.typed("directions", dict).typed(str(b), list[list[float]])
@@ -400,6 +405,8 @@ def _check(value, hint, path, what="config key"):
 def validate_config(config):
     """Check a config document against the section dataclasses' fields."""
     _check(config, {"seed": int, **SECTIONS}, "")
+    if config.get("seed", 0) < 0:  # the seed is drawn into numpy generators' entropy
+        raise ConfigError(f"config key 'seed' must be nonnegative, got {config['seed']}")
     return config
 
 
@@ -438,23 +445,18 @@ def load_config(path) -> dict:
 # commands
 
 
-def _elapsed_ms(t0):
-    return round(1000.0 * (time.perf_counter() - t0), 3)
-
-
-def cmd_simulate(args):
-    t0 = time.perf_counter()
-    config = load_config(args.config)
+def cmd_simulate(args, config):
     sc = build_config(config, "dataset")
     os.makedirs(args.out, exist_ok=True)
-    manifest = sm.make_dataset(sc, args.out)
-    print(json.dumps({**manifest, "elapsed_ms": _elapsed_ms(t0)}, sort_keys=True))
-    return 0
+    files = {}
+    for name, batch in sm.make_dataset(sc).items():
+        path = os.path.join(args.out, f"{name}.sdv")
+        write_dataset(path, batch, seed=sc.seed)
+        files[name] = {"path": path, "n_voxels": batch.n_voxels}
+    return {"seed": sc.seed, "files": files}
 
 
-def cmd_response(args):
-    t0 = time.perf_counter()
-    config = load_config(args.config) if args.config else {}
+def cmd_response(args, config):
     batch = read_dataset(args.dataset)
     if batch.fibers is None:
         raise InvalidArgumentError("response estimation needs ground truth")
@@ -473,37 +475,21 @@ def cmd_response(args):
             rfs[t] = sm.isotropic_response(normalized.subset(sel), t)
             voxels[t] = int(sel.sum())
     write_response(args.out, rfs)
-    print(json.dumps({"out": args.out, "tissues": sorted(rfs), "degree": degree,
-                      "voxels": voxels, "elapsed_ms": _elapsed_ms(t0)}))
-    return 0
+    return {"out": args.out, "tissues": sorted(rfs), "degree": degree, "voxels": voxels}
 
 
-def cmd_csd(args):
-    t0 = time.perf_counter()
-    config = load_config(args.config) if args.config else {}
+def cmd_csd(args, config):
     batch = read_dataset(args.dataset).b0_normalized()
     rfs = read_response(args.response)
     field = ccsd.csd_solve(batch, rfs, build_config(config, "csd"))
     write_fodf(args.out, field)
     converged = int(field.converged.sum())
-    print(json.dumps({"out": args.out, "voxels": field.n_voxels, "converged": converged,
-                      "nonconverged": field.n_voxels - converged,
-                      "iterations": int(field.iterations.sum()),
-                      "elapsed_ms": _elapsed_ms(t0)}))
-    return 0
+    return {"out": args.out, "voxels": field.n_voxels, "converged": converged,
+            "nonconverged": field.n_voxels - converged,
+            "iterations": int(field.iterations.sum())}
 
 
-def _check_out_dirs(*paths):
-    """Fail before any compute when an output's directory does not exist."""
-    for path in paths:
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-
-
-def cmd_esd_train(args):
-    _check_out_dirs(args.out, args.log)
-    t0 = time.perf_counter()
-    config = load_config(args.config) if args.config else {}
+def cmd_esd_train(args, config):
     train_batch = read_dataset(args.train)
     val_batch = read_dataset(args.val)
     rfs = read_response(args.response)
@@ -514,23 +500,17 @@ def cmd_esd_train(args):
         with open(args.log, "w") as fh:
             for record in result.log:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-    print(json.dumps({"out": args.out, "best_epoch": result.best_epoch,
-                      "best_val_loss": result.best_val_loss,
-                      "elapsed_ms": _elapsed_ms(t0)}, allow_nan=False))
-    return 0
+    return {"out": args.out, "best_epoch": result.best_epoch,
+            "best_val_loss": result.best_val_loss}
 
 
-def cmd_esd_infer(args):
-    _check_out_dirs(args.out)
-    t0 = time.perf_counter()
+def cmd_esd_infer(args, config):
     model, _ = read_checkpoint(args.checkpoint)
     field = en.infer(model, read_dataset(args.dataset))
     write_fodf(args.out, field)
     live = np.any(field.coeffs["wm"] != 0, axis=1)
-    print(json.dumps({"out": args.out, "voxels": field.n_voxels,
-                      "live_frac": float(live.mean()) if live.size else None,
-                      "elapsed_ms": _elapsed_ms(t0)}))
-    return 0
+    return {"out": args.out, "voxels": field.n_voxels,
+            "live_frac": float(live.mean()) if live.size else None}
 
 
 def _peaks(field, config):
@@ -540,20 +520,15 @@ def _peaks(field, config):
                               pc.rel_threshold, pc.min_separation_deg)
 
 
-def cmd_peaks(args):
-    t0 = time.perf_counter()
-    config = load_config(args.config) if args.config else {}
+def cmd_peaks(args, config):
     peak_sets = _peaks(read_fodf(args.fodf), config)
     write_peaks(args.out, peak_sets)
     n = len(peak_sets)
-    print(json.dumps({"out": args.out, "voxels": n,
-                      "peaks_per_voxel": sum(map(len, peak_sets)) / n if n else None,
-                      "elapsed_ms": _elapsed_ms(t0)}))
-    return 0
+    return {"out": args.out, "voxels": n,
+            "peaks_per_voxel": sum(map(len, peak_sets)) / n if n else None}
 
 
-def cmd_evaluate(args):
-    config = load_config(args.config) if args.config else {}
+def cmd_evaluate(args, config):
     gt = read_dataset(args.dataset)
     if gt.fibers is None:
         raise InvalidArgumentError("evaluation needs a dataset with ground truth")
@@ -598,8 +573,7 @@ def cmd_evaluate(args):
                 f"{n_grad},{summary['success_rate']:.6f},{angle},"
                 f"{summary['over']:.6f},{summary['under']:.6f},{kl}\n"
             )
-    print(json.dumps(summary, sort_keys=True, allow_nan=False))
-    return 0
+    return summary
 
 
 def build_parser():
@@ -612,20 +586,20 @@ def build_parser():
     p = subs.add_parser("simulate", help="generate synthetic dataset files")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn=cmd_simulate, outputs=())
 
     p = subs.add_parser("response", help="estimate response functions from a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.set_defaults(fn=cmd_response)
+    p.set_defaults(fn=cmd_response, outputs=("out",))
 
     p = subs.add_parser("csd", help="constrained spherical deconvolution baseline")
     p.add_argument("--dataset", required=True)
     p.add_argument("--response", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.set_defaults(fn=cmd_csd)
+    p.set_defaults(fn=cmd_csd, outputs=("out",))
 
     p = subs.add_parser("esd-train", help="train the spherical network")
     p.add_argument("--train", required=True)
@@ -634,19 +608,19 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--log")
-    p.set_defaults(fn=cmd_esd_train)
+    p.set_defaults(fn=cmd_esd_train, outputs=("out", "log"))
 
     p = subs.add_parser("esd-infer", help="deconvolve a dataset with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_esd_infer)
+    p.set_defaults(fn=cmd_esd_infer, outputs=("out",))
 
     p = subs.add_parser("peaks", help="extract fiber peaks from an fODF file")
     p.add_argument("--fodf", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.set_defaults(fn=cmd_peaks)
+    p.set_defaults(fn=cmd_peaks, outputs=("out",))
 
     p = subs.add_parser("evaluate", help="score predictions against ground truth")
     group = p.add_mutually_exclusive_group(required=True)
@@ -658,16 +632,23 @@ def build_parser():
     p.add_argument("--per-voxel", dest="per_voxel")
     p.add_argument("--emit-plots", dest="emit_plots")
     p.add_argument("--config")
-    p.set_defaults(fn=cmd_evaluate)
+    p.set_defaults(fn=cmd_evaluate, outputs=("out", "per_voxel"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        for path in filter(None, (getattr(args, name) for name in args.outputs)):
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        t0 = time.perf_counter()
+        config = load_config(args.config) if getattr(args, "config", None) else {}
+        summary = args.fn(args, config)
+        summary["elapsed_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
+        print(json.dumps(summary, sort_keys=True, allow_nan=False))
+        return 0
     except (ConfigError, InvalidArgumentError) as err:
         print(f"error: config: {err}", file=sys.stderr)
         return 2

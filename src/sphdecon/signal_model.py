@@ -465,20 +465,12 @@ def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -
     return VoxelBatch(signals, gradients, fibers, fiber_fracs, tissue_fracs)
 
 
-def make_dataset(config: SimConfig, out_dir) -> dict:
-    """Simulate and write train/val/test dataset files; returns a manifest."""
-    from . import io_cli  # file formats live with the CLI
-
+def make_dataset(config: SimConfig) -> dict:
+    """Simulate the train, val and test batches, keyed by split name."""
     gradients = build_gradient_table(config)
-    names = ("train", "val", "test")
     offsets = np.cumsum([0, *config.split])
-    manifest = {"seed": config.seed, "files": {}}
-    for name, lo, hi in zip(names, offsets[:-1], offsets[1:]):
-        batch = generate_batch(config, gradients, np.arange(lo, hi))
-        path = io_cli.dataset_path(out_dir, name)
-        io_cli.write_dataset(path, batch, seed=config.seed)
-        manifest["files"][name] = {"path": str(path), "n_voxels": int(hi - lo)}
-    return manifest
+    return {name: generate_batch(config, gradients, np.arange(lo, hi))
+            for name, lo, hi in zip(("train", "val", "test"), offsets[:-1], offsets[1:])}
 
 
 @dataclass

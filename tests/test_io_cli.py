@@ -424,26 +424,59 @@ class TestCliPipeline:
         printed = strict(capsys.readouterr().out.strip().split("\n")[-1])
         assert printed["mean_angular_error_deg"] is None
         assert printed["success_rate"] == 0.0
+        # the file keeps the summary record, without the run's elapsed_ms
+        assert printed.pop("elapsed_ms") > 0
         assert strict(out.read_text()) == printed
         row = (tmp_path / "plots" / "scores.csv").read_text().strip().split("\n")[1]
         assert row.split(",")[2] == ""
 
-    def test_esd_train_rejects_zero_epochs(self, sim_dir, tmp_path, capsys):
-        data = sim_dir / "data"
-        rf = tmp_path / "wm.rf"
-        assert run_cli("response", "--dataset", str(data / "train.sdv"), "--out", str(rf)) == 0
+    @pytest.mark.parametrize("command", ["simulate", "esd-train", "esd-infer"])
+    def test_negative_seed_exits_2(self, esd_run, tmp_path, capsys, command):
+        data = esd_run["data"]
+        out = tmp_path / "out"
+        if command == "esd-infer":  # a checkpoint's stored seed is checked the same way
+            header, blocks = io_cli.read_container(esd_run["ckpt"])
+            ckpt = tmp_path / "seed.ckpt"
+            io_cli.write_container(ckpt, dict(header, config=dict(header["config"], seed=-3)),
+                                   list(blocks.items()))
+            argv = ["esd-infer", "--checkpoint", str(ckpt), "--dataset", str(data / "test.sdv")]
+        else:
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text(json.dumps({**SIM_CONFIG, **ESD_CONFIG, "seed": -3}))
+            argv = {"simulate": ["simulate"],
+                    "esd-train": ["esd-train", "--train", str(data / "train.sdv"),
+                                  "--val", str(data / "val.sdv"),
+                                  "--response", str(esd_run["rf"])]}[command]
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        code = run_cli(*argv, "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: ")
+        assert "'seed'" in lines[0] and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        # values that crashed, trained nothing or trained uphill
+        '{"max_epochs": 0}', '{"batch_size": 0}', '{"batch_size": -4}', '{"poly_order": -1}',
+        '{"channels": [0, 6]}', '{"lr": -1}', '{"lr": 0}', '{"lr": NaN}',
+    ])
+    def test_esd_train_rejects_model_values(self, esd_run, tmp_path, capsys, case):
+        settings = json.loads(case)
         cfg = tmp_path / "train.cfg"
-        cfg.write_text(json.dumps({"model": {"max_epochs": 0}}))
+        cfg.write_text(json.dumps({**ESD_CONFIG, "model": {**ESD_CONFIG["model"], **settings}}))
+        data = esd_run["data"]
         ckpt = tmp_path / "model.ckpt"
         capsys.readouterr()
         code = run_cli("esd-train", "--train", str(data / "train.sdv"),
-                       "--val", str(data / "val.sdv"), "--response", str(rf),
+                       "--val", str(data / "val.sdv"), "--response", str(esd_run["rf"]),
                        "--out", str(ckpt), "--config", str(cfg))
         captured = capsys.readouterr()
         assert code == 2
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: config: ")
-        assert "max_epochs" in lines[0]
+        assert next(iter(settings)) in lines[0]
         assert "Traceback" not in captured.err and captured.out == ""
         assert not ckpt.exists()
 
@@ -465,28 +498,6 @@ class TestCliPipeline:
         assert "gm" in lines[0] and "csf" in lines[0]
         assert "Traceback" not in captured.err and captured.out == ""
         assert not ckpt.exists()
-
-    def test_esd_missing_out_dir_fails_before_compute(self, esd_run, tmp_path,
-                                                       monkeypatch, capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("computed before checking the output path")
-
-        monkeypatch.setattr(en, "train", never)
-        monkeypatch.setattr(en, "infer", never)
-        data = esd_run["data"]
-        runs = [
-            ("esd-train", "--train", str(data / "train.sdv"), "--val", str(data / "val.sdv"),
-             "--response", str(esd_run["rf"]), "--config", str(esd_run["cfg"])),
-            ("esd-infer", "--checkpoint", str(esd_run["ckpt"]),
-             "--dataset", str(data / "test.sdv")),
-        ]
-        for argv in runs:
-            capsys.readouterr()
-            code = run_cli(*argv, "--out", str(tmp_path / "nodir" / "out"))
-            lines = capsys.readouterr().err.splitlines()
-            assert code == 1
-            assert len(lines) == 1 and lines[0].startswith("error: io: ")
-            assert "No such file or directory" in lines[0]
 
     def test_checkpoint_round_trip(self, esd_run, tmp_path):
         data = esd_run["data"]
@@ -711,7 +722,7 @@ class TestCliPipeline:
     @pytest.mark.parametrize("case", [
         "fodf_degree_string", "fodf_degree_odd", "fodf_degree_negative", "fodf_wm_nan",
         "fodf_no_wm", "checkpoint_config_list", "checkpoint_digest", "checkpoint_bn_var",
-        "dataset_fibers_not_unit",
+        "dataset_fibers_not_unit", "dataset_no_shells",
         # blocks whose shapes do not fit the header or the model
         "response_1d", "response_rows", "response_width0", "fodf_converged", "fodf_wm_rows",
         "fodf_wm_width", "checkpoint_head_w", "checkpoint_bn", "dataset_fibers",
@@ -751,6 +762,9 @@ class TestCliPipeline:
             blocks["bn_var/enc0_0"][0] = -1.0
         elif case == "dataset_fibers_not_unit":
             blocks["fibers"] *= 2.0
+        elif case == "dataset_no_shells":  # b=0 samples only
+            header["shells"], header["directions"] = [], {}
+            blocks["signals"] = blocks["signals"][:, : header["b0_count"]]
         else:
             name, cut = {
                 "response_1d": ("wm", lambda a: a[0]),
@@ -808,43 +822,52 @@ class TestCliPipeline:
     def test_stage_counters(self, esd_run, tmp_path, capsys):
         data, rf = esd_run["data"], esd_run["rf"]
         fodf, peaks = tmp_path / "c.fodf", tmp_path / "c.peaks"
+
+        def summary():
+            # every command prints one strict-JSON line, keys sorted, with elapsed_ms
+            text = capsys.readouterr().out.splitlines()[-1]
+            line = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}"))
+            assert text == json.dumps(line, sort_keys=True)
+            assert line["elapsed_ms"] > 0
+            return line
+
         capsys.readouterr()
-        # simulate, response and esd-train add elapsed_ms to their summaries
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(json.dumps(SIM_CONFIG))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "d")) == 0
-        sim_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        sim_line = summary()
         assert set(sim_line) == {"seed", "files", "elapsed_ms"}
         assert sim_line["files"]["train"]["n_voxels"] == 28
         assert run_cli("response", "--dataset", str(data / "train.sdv"),
                        "--out", str(tmp_path / "r.rf")) == 0
-        rf_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        rf_line = summary()
         assert set(rf_line) == {"out", "tissues", "degree", "voxels", "elapsed_ms"}
         assert rf_line["tissues"] == ["wm"]
         assert rf_line["voxels"] == {"wm": 28, "gm": 0, "csf": 0}
         assert run_cli("esd-train", "--train", str(data / "train.sdv"),
                        "--val", str(data / "val.sdv"), "--response", str(rf),
                        "--out", str(tmp_path / "m.ckpt"), "--config", str(esd_run["cfg"])) == 0
-        train_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        train_line = summary()
         assert set(train_line) == {"out", "best_epoch", "best_val_loss", "elapsed_ms"}
         assert 0 <= train_line["best_epoch"] < ESD_CONFIG["model"]["max_epochs"]
-        for line in (sim_line, rf_line, train_line):
-            assert line["elapsed_ms"] > 0
         assert run_cli("csd", "--dataset", str(data / "test.sdv"), "--response", str(rf),
                        "--out", str(fodf)) == 0
-        csd_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        csd_line = summary()
         assert set(csd_line) == {"out", "voxels", "converged", "nonconverged", "iterations",
                                  "elapsed_ms"}
         assert csd_line["voxels"] == 8
         assert csd_line["converged"] + csd_line["nonconverged"] == csd_line["voxels"]
         assert csd_line["iterations"] >= csd_line["voxels"]
-        assert csd_line["elapsed_ms"] > 0
         assert run_cli("peaks", "--fodf", str(fodf), "--out", str(peaks)) == 0
-        peaks_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        peaks_line = summary()
         assert set(peaks_line) == {"out", "voxels", "peaks_per_voxel", "elapsed_ms"}
         n_peaks = sum(len(p) for p in io_cli.read_peaks(peaks))
         assert peaks_line["peaks_per_voxel"] == n_peaks / peaks_line["voxels"]
-        assert peaks_line["elapsed_ms"] > 0
+        out = tmp_path / "summary.json"
+        assert run_cli("evaluate", "--peaks", str(peaks), "--dataset", str(data / "test.sdv"),
+                       "--out", str(out)) == 0
+        eval_line = summary()
+        assert set(eval_line) == {*json.loads(out.read_text()), "elapsed_ms"}
         # esd-infer counts the voxels whose WM coefficients are not all zero;
         # a zero head makes every voxel dead
         model, header = io_cli.read_checkpoint(esd_run["ckpt"])
@@ -856,13 +879,49 @@ class TestCliPipeline:
             out = tmp_path / "e.fodf"
             assert run_cli("esd-infer", "--checkpoint", str(ckpt),
                            "--dataset", str(data / "test.sdv"), "--out", str(out)) == 0
-            infer_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+            infer_line = summary()
             assert set(infer_line) == {"out", "voxels", "live_frac", "elapsed_ms"}
             wm = io_cli.read_fodf(out).coeffs["wm"]
             assert infer_line["voxels"] == 8
             assert infer_line["live_frac"] == np.any(wm != 0, axis=1).mean()
-            assert infer_line["elapsed_ms"] > 0
         assert infer_line["live_frac"] == 0.0
+
+    @pytest.mark.parametrize("command", ["response", "csd", "peaks", "evaluate_out",
+                                         "evaluate_per_voxel", "esd-train", "esd-train_log",
+                                         "esd-infer"])
+    def test_missing_out_dir_fails_before_reading(self, esd_run, csd_fodf, tmp_path,
+                                                  monkeypatch, capsys, command):
+        def never(*args, **kwargs):
+            raise AssertionError("read an input before checking the output path")
+
+        monkeypatch.setattr(io_cli, "read_container", never)
+        monkeypatch.setattr(io_cli, "load_config", never)
+        data, cfg = esd_run["data"], ["--config", str(esd_run["cfg"])]
+        sdv, fodf, rf = str(data / "test.sdv"), str(csd_fodf), str(esd_run["rf"])
+        missing, written = str(tmp_path / "nodir" / "out"), tmp_path / "written"
+        train = ["esd-train", "--train", str(data / "train.sdv"), "--val", str(data / "val.sdv"),
+                 "--response", rf, *cfg]
+        argv = {
+            "response": ["response", "--dataset", sdv, "--out", missing, *cfg],
+            "csd": ["csd", "--dataset", sdv, "--response", rf, "--out", missing, *cfg],
+            "peaks": ["peaks", "--fodf", fodf, "--out", missing, *cfg],
+            "evaluate_out": ["evaluate", "--fodf", fodf, "--dataset", sdv, "--out", missing,
+                             *cfg],
+            "evaluate_per_voxel": ["evaluate", "--fodf", fodf, "--dataset", sdv,
+                                   "--out", str(written), "--per-voxel", missing, *cfg],
+            "esd-train": [*train, "--out", missing],
+            "esd-train_log": [*train, "--out", str(written), "--log", missing],
+            "esd-infer": ["esd-infer", "--checkpoint", str(esd_run["ckpt"]), "--dataset", sdv,
+                          "--out", missing],
+        }[command]
+        capsys.readouterr()
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io: ")
+        assert "No such file or directory" in lines[0] and missing in lines[0]
+        assert captured.out == "" and not written.exists()
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("csd", "--dataset", str(tmp_path / "nope.sdv"),
