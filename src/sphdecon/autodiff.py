@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from . import _kernels
 from .errors import InvalidArgumentError
@@ -293,7 +292,9 @@ def softplus(tape, x: Tensor) -> Tensor:
     out = Tensor(np.logaddexp(0.0, x.values))
 
     def backward():
-        x.add_grad(out.grad * expit(x.values))
+        # the logistic function, written so that exp never overflows
+        t = np.exp(-np.abs(x.values))
+        x.add_grad(out.grad * (np.where(x.values >= 0, 1.0, t) / (1.0 + t)))
 
     return _track(tape, out, (x,), backward)
 

@@ -35,10 +35,15 @@ class CsdConfig:
     ridge: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        # each check is negated so that NaN fails it too
+        if not self.max_iters >= 1:
             raise InvalidArgumentError("max_iters must be positive")
-        if self.tol <= 0:
-            raise InvalidArgumentError("tol must be positive")
+        if not self.tol > 0:
+            raise InvalidArgumentError(f"tol must be positive, got {self.tol}")
+        for name in ("ridge", "lambda_sparsity", "nonneg_threshold"):
+            if not getattr(self, name) >= 0:
+                raise InvalidArgumentError(
+                    f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 class FodfField:

@@ -14,9 +14,5 @@ class IllConditionedError(ArithmeticError):
     """A linear solve is too ill-conditioned to trust; message carries the condition estimate."""
 
 
-class InternalConsistencyError(RuntimeError):
-    """An internal invariant that should be unreachable was violated."""
-
-
 class NumericalError(ArithmeticError):
     """A numerical failure (NaN/Inf) was detected during computation."""

@@ -50,7 +50,8 @@ class EsdConfig:
         if not 1 <= self.tissues <= 3:
             raise InvalidArgumentError("tissues must be 1, 2 or 3")
         # written as `not x >= low` so that NaN fails too
-        for name, low in (("max_epochs", 1), ("batch_size", 1), ("poly_order", 0)):
+        for name, low in (("max_epochs", 1), ("batch_size", 1), ("poly_order", 0),
+                          ("lambda_sparsity", 0), ("lambda_nonneg", 0)):
             if not getattr(self, name) >= low:
                 raise InvalidArgumentError(
                     f"{name} must be at least {low}, got {getattr(self, name)}")
@@ -59,6 +60,9 @@ class EsdConfig:
         for name in ("sigma_cauchy", "lr"):
             if not getattr(self, name) > 0:
                 raise InvalidArgumentError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.plateau_factor <= 1:  # a factor <= 0 turns descent into ascent
+            raise InvalidArgumentError(
+                f"plateau_factor must be in (0, 1], got {self.plateau_factor}")
         if self.nside_in >> (self.depth - 1) < 1:
             raise InvalidArgumentError(
                 f"depth {self.depth} too large for nside_in {self.nside_in}"

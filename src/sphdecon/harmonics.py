@@ -8,7 +8,6 @@ used throughout; no fast transforms are needed at these sizes.
 """
 
 import numpy as np
-from scipy.special import gammaln, lpmv
 
 from .errors import IllConditionedError, InvalidArgumentError
 
@@ -58,33 +57,50 @@ def _polar(points):
     return np.clip(points[:, 2], -1.0, 1.0), np.arctan2(points[:, 1], points[:, 0])
 
 
-def _sh_block(l, m, z, phi):
-    """Y_l^m at the points whose polar coordinates _polar returned."""
-    am = abs(m)
-    # lpmv carries the Condon-Shortley phase; (-1)^m removes it
-    norm = (-1.0) ** am * np.sqrt(
-        (2 * l + 1) / (4 * np.pi) * np.exp(gammaln(l - am + 1) - gammaln(l + am + 1))
-    )
-    leg = norm * lpmv(am, l, z)
-    if m == 0:
-        return leg
-    if m > 0:
-        return np.sqrt(2.0) * leg * np.cos(m * phi)
-    return np.sqrt(2.0) * leg * np.sin(am * phi)
+def _even_harmonics(l_max, z, phi, max_order):
+    """Yield (l, m, Y_l^m) for every even l <= l_max and |m| <= max_order.
+
+    z and phi are the polar coordinates _polar returns. The fully
+    normalized associated Legendre functions (no Condon-Shortley phase)
+    come from the standard recurrences: the sectoral
+    P_m^m = sqrt((2m+1)/(2m)) sin(theta) P_{m-1}^{m-1}, then
+    P_l^m = a_lm (cos(theta) P_{l-1}^m - b_lm P_{l-2}^m) up the degrees.
+    """
+    sin_theta = np.sqrt((1.0 - z) * (1.0 + z))
+    sectoral = np.full(z.shape, np.sqrt(0.25 / np.pi))
+    for m in range(min(l_max, max_order) + 1):
+        if m > 0:
+            sectoral = np.sqrt((2 * m + 1) / (2 * m)) * sin_theta * sectoral
+            cos_m, sin_m = np.sqrt(2.0) * np.cos(m * phi), np.sqrt(2.0) * np.sin(m * phi)
+        prev, leg = 0.0, sectoral
+        for l in range(m, l_max + 1):
+            if l > m:
+                a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+                b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+                prev, leg = leg, a * (z * leg - b * prev)
+            if l % 2:
+                continue
+            if m == 0:
+                yield l, 0, leg
+            else:
+                yield l, m, leg * cos_m
+                yield l, -m, leg * sin_m
 
 
 def zonal_design(degrees, points) -> np.ndarray:
     """m=0 basis functions at a point set, one row per requested even degree."""
     z, phi = _polar(_check_unit(points))
-    return np.stack([_sh_block(l, 0, z, phi) for l in degrees])
+    rows = {l: y for l, _, y in _even_harmonics(max(degrees), z, phi, 0)}
+    return np.stack([rows[l] for l in degrees])
 
 
 def design_matrix(basis: ShBasis, points) -> np.ndarray:
     """Evaluate the whole basis at a point set: Y[(l,m), i] = Y_l^m(p_i), L x n."""
     z, phi = _polar(_check_unit(points))
     Y = np.empty((basis.L, z.shape[0]), dtype=np.float64)
-    for row, (l, m) in enumerate(basis.degrees):
-        Y[row] = _sh_block(l, m, z, phi)
+    for l, m, y in _even_harmonics(basis.l_max, z, phi, basis.l_max):
+        # rows are ordered by (l, m); the even degrees below l take l(l-1)/2
+        Y[l * (l - 1) // 2 + l + m] = y
     return Y
 
 

@@ -21,6 +21,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -35,12 +36,7 @@ from . import harmonics as sh
 from . import peaks_metrics as pm
 from . import signal_model as sm
 from . import sphere_grid as sg
-from .errors import (
-    IllConditionedError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-    NumericalError,
-)
+from .errors import IllConditionedError, InvalidArgumentError, NumericalError
 
 MAGIC = b"SDV1"
 VERSION = 1
@@ -398,6 +394,8 @@ def _check(value, hint, path, what="config key"):
             raise ConfigError(f"{what} '{path}' must be a list")
         for i, item in enumerate(value):
             _check(item, typing.get_args(hint)[0], f"{path}[{i}]", what)
+    elif hint is float and isinstance(value, _NonFinite):
+        raise ConfigError(f"{what} '{path}' must be a finite number, got {value.text}")
     elif isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
         raise ConfigError(f"{what} '{path}' must be {_KINDS[hint]}")
 
@@ -432,10 +430,22 @@ def _build(cls, values, seed, path):
     return cls(**kwargs)
 
 
+class _NonFinite:
+    """A NaN, Infinity or overflowing number in a config file; _check refuses it."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+def _parse_float(text):
+    value = float(text)
+    return value if math.isfinite(value) else _NonFinite(text)
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_NonFinite, parse_float=_parse_float)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
     return validate_config(raw)
@@ -655,7 +665,7 @@ def main(argv=None) -> int:
     except (OSError, FormatError) as err:
         print(f"error: io: {err}", file=sys.stderr)
         return 1
-    except (NumericalError, IllConditionedError, InternalConsistencyError) as err:
+    except (NumericalError, IllConditionedError) as err:
         print(f"error: numerical: {err}", file=sys.stderr)
         return 3
 

@@ -9,17 +9,16 @@ Matching against ground truth uses optimal assignment under a 25-degree
 cone; all angles treat directions as axes (arccos of |dot|).
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import _kernels
 from . import harmonics as sh
 from . import signal_model as sm
 from .errors import InvalidArgumentError
 
-_UNMATCHABLE = 1e6
 # voxels per peak-extraction chunk; bounds the (chunk, grid) value matrix
 _CHUNK = 32
 _design_cache: dict = {}
@@ -39,6 +38,15 @@ class PeakConfig:
     grid_nside: int = 32
     rel_threshold: float = 0.25
     min_separation_deg: float = 15.0
+
+    def __post_init__(self):
+        # written as `not low <= x <= high` so that NaN fails too
+        if not 0 <= self.rel_threshold <= 1:
+            raise InvalidArgumentError(
+                f"rel_threshold must be in [0, 1], got {self.rel_threshold}")
+        if not 0 < self.min_separation_deg <= 90:
+            raise InvalidArgumentError(
+                f"min_separation_deg must be in (0, 90], got {self.min_separation_deg}")
 
 
 @dataclass
@@ -186,19 +194,33 @@ def _lmax_from_count(L):
 
 
 def match_fibers(gt_directions, pred: PeakSet, cone_deg: float = 25.0) -> VoxelScore:
-    """Optimal one-to-one matching of ground-truth fibers to predicted peaks."""
+    """Optimal one-to-one matching of ground-truth fibers to predicted peaks.
+
+    Each fiber takes one free peak within the cone or none; the assignment
+    with the most pairs wins, and among those the smallest angle sum. The
+    search is exhaustive, over each fiber's n_gt closest peaks in the cone
+    only: an optimal assignment that gives a fiber a farther peak leaves
+    one of those free, and moving the fiber there costs no pair and no
+    angle. A voxel has at most 3 fibers, so there are at most 4^3 picks.
+    """
     gt = np.atleast_2d(np.asarray(gt_directions, float)) if len(gt_directions) else np.zeros((0, 3))
     n_gt, n_pred = gt.shape[0], len(pred)
     if n_gt == 0 or n_pred == 0:
         return VoxelScore([], n_pred, n_gt)
-    angles = axis_angles_deg(gt, pred.directions)
-    cost = np.where(angles <= cone_deg, angles, _UNMATCHABLE)
-    rows, cols = linear_sum_assignment(cost)
-    matched = [
-        (int(r), int(c), float(angles[r, c]))
-        for r, c in zip(rows, cols)
-        if angles[r, c] <= cone_deg
+    angles = axis_angles_deg(gt, pred.directions).tolist()
+    options = [
+        [None, *sorted((c for c, a in enumerate(row) if a <= cone_deg), key=row.__getitem__)[:n_gt]]
+        for row in angles
     ]
+    best, best_key = [], (0, 0.0)
+    for pick in itertools.product(*options):
+        pairs = [(r, c) for r, c in enumerate(pick) if c is not None]
+        if len({c for _, c in pairs}) < len(pairs):
+            continue
+        key = (-len(pairs), sum(angles[r][c] for r, c in pairs))
+        if key < best_key:
+            best, best_key = pairs, key
+    matched = [(r, c, angles[r][c]) for r, c in best]
     return VoxelScore(matched, n_pred - len(matched), n_gt - len(matched))
 
 

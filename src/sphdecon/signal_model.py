@@ -25,6 +25,24 @@ _STREAM_VOXEL = 202
 _STREAM_NOISE = 303
 
 
+def _stream_entropy(seed: int, stream: int, *parts) -> np.ndarray:
+    """Entropy words of the streams [seed, stream, *parts], one uint32 row each.
+
+    numpy seeds a generator from a list of Python ints by splitting each
+    int into 32-bit words, least significant first; default_rng of a row
+    here gets the state the list gets, without the per-element coercion.
+    parts broadcast against each other, and each of their values (voxel
+    indices, b-values) must fit one word.
+    """
+    seed = int(seed)
+    head = [(seed >> s) & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = np.stack(np.broadcast_arrays(*head, stream, *(np.asarray(p, np.int64) for p in parts)),
+                     axis=-1)
+    if seed < 0 or words.min(initial=0) < 0 or words.max(initial=0) > 0xFFFFFFFF:
+        raise InvalidArgumentError("seed stream entries must be nonnegative, parts below 2**32")
+    return words.astype(np.uint32)
+
+
 @dataclass
 class GradientTable:
     """Acquisition geometry: per-shell unit directions plus b=0 count.
@@ -294,10 +312,12 @@ def rician_noise(clean, sigma: float, seed, voxel_indices,
     if sigma == 0:
         return np.abs(clean)
     keys = [(int(b), gradients.columns(b)) for b in gradients.keys]
+    entropy = _stream_entropy(seed, _STREAM_NOISE, np.asarray(voxel_indices)[:, None],
+                              [b for b, _ in keys])
     noise = np.empty((2, *clean.shape))
-    for row, vox in enumerate(voxel_indices):
-        for b, cols in keys:
-            rng = np.random.default_rng([int(seed), _STREAM_NOISE, int(vox), b])
+    for row, words in enumerate(entropy):
+        for (_, cols), entry in zip(keys, words):
+            rng = np.random.default_rng(entry)
             noise[:, row, cols] = rng.normal(0.0, sigma, (2, cols.stop - cols.start))
     return np.sqrt((clean + noise[0]) ** 2 + noise[1] ** 2)
 
@@ -452,8 +472,9 @@ def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -
     fibers = np.zeros((n, 3, 3))
     fiber_fracs = np.zeros((n, 3))
     tissue_fracs = np.zeros((n, 3))
-    for row, vox in enumerate(voxel_indices):
-        rng = np.random.default_rng([config.seed, _STREAM_VOXEL, int(vox)])
+    entropy = _stream_entropy(config.seed, _STREAM_VOXEL, voxel_indices)
+    for row, words in enumerate(entropy):
+        rng = np.random.default_rng(words)
         dirs, fracs, tissue = _draw_voxel(config, rng)
         if tissue[0] != 0.0:  # without a WM compartment the fibers are not ground truth
             fibers[row, : len(dirs)] = dirs

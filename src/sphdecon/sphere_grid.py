@@ -15,9 +15,8 @@ automorphisms, which downstream convolutions rely on for equivariance.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
-from .errors import InternalConsistencyError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 MAX_NSIDE = 64
 
@@ -244,29 +243,6 @@ def build_grid(nside: int) -> SphericalGrid:
     laplacian = (sp.diags(degrees) - adjacency).tocsr()
     laplacian.sort_indices()
     return SphericalGrid(nside, vertices, nbrs, adjacency, laplacian, rho)
-
-
-def z_rotation_permutation(grid: SphericalGrid, quarter_turns: int) -> np.ndarray:
-    """Vertex permutation realizing a rotation about z by quarter_turns*90 degrees.
-
-    Returns pi such that R_z(quarter_turns*90deg) @ vertices[pi[i]] equals
-    vertices[i]; pi is an exact automorphism of the weighted graph.
-    """
-    k = int(quarter_turns) % 4
-    if k == 0:
-        return np.arange(grid.n_vertices, dtype=np.int64)
-    ang = -k * np.pi / 2.0
-    ca, sa = np.cos(ang), np.sin(ang)
-    rot_inv = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    targets = grid.vertices @ rot_inv.T
-    dist, perm = cKDTree(grid.vertices).query(targets)
-    if np.max(dist) > 1e-9:
-        raise InternalConsistencyError(
-            f"no matching vertex within 1e-9 (max distance {np.max(dist):.3e})"
-        )
-    if len(np.unique(perm)) != grid.n_vertices:
-        raise InternalConsistencyError("quarter-turn map is not a bijection")
-    return perm.astype(np.int64)
 
 
 def estimate_lmax(grid: SphericalGrid) -> float:

@@ -7,6 +7,8 @@ from sphdecon import autodiff as ad
 from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError
 
+from grid_rotations import z_rotation_permutation
+
 
 def numeric_grad(f, x, h=1e-5):
     """Central finite differences of a scalar function of an array."""
@@ -100,7 +102,7 @@ class TestGraphConv:
 
     def test_equivariance_exact(self, lap48):
         grid = sg.build_grid(2)
-        perm = sg.z_rotation_permutation(grid, 1)
+        perm = z_rotation_permutation(grid, 1)
         rng = np.random.default_rng(2)
         x = ad.Tensor(rng.standard_normal((48, 3, 2)))
         w = ad.Tensor(rng.standard_normal((5, 2, 2)))
@@ -334,6 +336,17 @@ class TestActivations:
             return sq_err(tape, ad.softplus(tape, x), np.zeros(13))
 
         check_grad(loss, [x], rtol=1e-6)
+
+    def test_softplus_gradient_matches_expit(self):
+        from scipy.special import expit
+
+        x = ad.Tensor(np.concatenate([np.random.default_rng(5).normal(0, 30, 2000),
+                                      [0.0, -700.0, -40.0, 40.0, 800.0]]), requires_grad=True)
+        tape = ad.Tape()
+        total = scalar_loss(tape, ad.softplus(tape, x), lambda v: v, np.ones_like)
+        tape.backward(total)
+        ref = expit(x.values)
+        assert np.all(np.abs(x.grad - ref) <= 1e-15 * ref)
 
     def test_relu_gradient(self):
         x = ad.Tensor(np.array([-2.0, -0.5, 0.5, 2.0]), requires_grad=True)

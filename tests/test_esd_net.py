@@ -11,6 +11,7 @@ from sphdecon import signal_model as sm
 from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError, NumericalError
 
+from grid_rotations import z_rotation_permutation
 from test_autodiff import check_grad
 from test_signal_model import tensor_response
 
@@ -335,7 +336,7 @@ class TestEquivariance:
         config = en.EsdConfig(seed=2, channels=(8, 8, 8))
         model = en.EsdModel(config, [3000.0])
         grid = model.grids[0]
-        perm = sg.z_rotation_permutation(grid, 1)
+        perm = z_rotation_permutation(grid, 1)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((grid.n_vertices, 2, 1))
         out = model.forward(None, ad.Tensor(x)).values

@@ -21,8 +21,8 @@ def fibonacci_points(n, jitter_seed=None):
 
 
 def eval_sh(l, m, p):
-    """Scalar reference for one real orthonormal SH value at a unit vector."""
-    x, y, z = p
+    """Reference for one real orthonormal SH at a unit vector or an (n, 3) array of them."""
+    x, y, z = np.asarray(p, float).T
     am = abs(m)
     # lpmv carries the Condon-Shortley phase; (-1)^m removes it
     norm = (-1.0) ** am * np.sqrt(
@@ -31,10 +31,10 @@ def eval_sh(l, m, p):
     leg = norm * lpmv(am, l, z)
     phi = np.arctan2(y, x)
     if m > 0:
-        return float(np.sqrt(2.0) * leg * np.cos(m * phi))
+        return np.sqrt(2.0) * leg * np.cos(m * phi)
     if m < 0:
-        return float(np.sqrt(2.0) * leg * np.sin(am * phi))
-    return float(leg)
+        return np.sqrt(2.0) * leg * np.sin(am * phi)
+    return leg
 
 
 def gauss_legendre_sphere(nz, nphi):
@@ -113,6 +113,26 @@ class TestDesignMatrix:
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidArgumentError):
             sh.design_matrix(sh.ShBasis(2), np.array([[0.0, 0.0, 0.5]]))
+
+    def test_matches_lpmv_reference(self):
+        # 24 is the largest fodf_degree whose WM refit on the default nside-8
+        # input grid is well conditioned; rows of a lower degree's basis are
+        # the leading rows of the higher one's, so one reference covers all
+        s = np.sqrt(0.5)
+        poles_equator = np.array([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0], [0, 1.0, 0],
+                                  [-1.0, 0, 0], [0, -1.0, 0], [s, s, 0], [s, -s, 0]])
+        for points in (sg.build_grid(8).vertices, sg.build_grid(32).vertices, poles_equator):
+            top = sh.ShBasis(24)
+            ref = np.array([eval_sh(l, m, points) for l, m in top.degrees])
+            for degree in range(0, 25, 2):
+                Y = sh.design_matrix(sh.ShBasis(degree), points)
+                assert np.abs(Y - ref[: Y.shape[0]]).max() < 1e-12, degree
+
+    def test_zonal_rows_match_design_matrix(self):
+        points = fibonacci_points(50, jitter_seed=3)
+        Y = sh.design_matrix(sh.ShBasis(8), points)
+        rows = [sh.ShBasis(8).degrees.index((l, 0)) for l in (8, 0, 4)]
+        assert np.array_equal(sh.zonal_design([8, 0, 4], points), Y[rows])
 
 
 class TestFitShc:

@@ -277,6 +277,33 @@ def csd_fodf(esd_run, sim_dir):
     return fodf
 
 
+def run_with_config_value(esd_run, csd_fodf, tmp_path, capsys, key, value):
+    """Run the stage that reads config section key's section, with key set to the JSON text value.
+
+    Returns the exit code, the captured output and the --out path.
+    """
+    config = json.loads(json.dumps({**SIM_CONFIG, **ESD_CONFIG}))
+    *sections, name = key.split(".")
+    node = config
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = "@value@"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(json.dumps(config).replace('"@value@"', value))
+    data, rf = esd_run["data"], str(esd_run["rf"])
+    argv = {
+        "dataset": ["simulate"],
+        "model": ["esd-train", "--train", str(data / "train.sdv"),
+                  "--val", str(data / "val.sdv"), "--response", rf],
+        "csd": ["csd", "--dataset", str(data / "test.sdv"), "--response", rf],
+        "peaks": ["peaks", "--fodf", str(csd_fodf)],
+    }[sections[0]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = run_cli(*argv, "--config", str(cfg), "--out", str(out))
+    return code, capsys.readouterr(), out
+
+
 class TestCliPipeline:
     def test_simulate_outputs(self, sim_dir):
         for name, n in (("train", 28), ("val", 4), ("test", 8)):
@@ -606,30 +633,36 @@ class TestCliPipeline:
     ])
     def test_config_type_error_exits_2(self, esd_run, csd_fodf, tmp_path, capsys, case):
         key, value = case.split("=")
-        config = json.loads(json.dumps({**SIM_CONFIG, **ESD_CONFIG}))
-        *sections, name = key.split(".")
-        node = config
-        for section in sections:
-            node = node.setdefault(section, {})
-        node[name] = json.loads(value)
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(json.dumps(config))
-        data, rf = esd_run["data"], str(esd_run["rf"])
-        argv = {
-            "dataset": ["simulate"],
-            "model": ["esd-train", "--train", str(data / "train.sdv"),
-                      "--val", str(data / "val.sdv"), "--response", rf],
-            "csd": ["csd", "--dataset", str(data / "test.sdv"), "--response", rf],
-            "peaks": ["peaks", "--fodf", str(csd_fodf)],
-        }[sections[0]]
-        out = tmp_path / "out"
-        capsys.readouterr()
-        code = run_cli(*argv, "--config", str(cfg), "--out", str(out))
-        captured = capsys.readouterr()
+        code, captured, out = run_with_config_value(esd_run, csd_fodf, tmp_path, capsys,
+                                                    key, value)
         assert code == 2
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: config: ")
         assert key in lines[0] and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        # non-finite numbers: the JSON constants and a literal that overflows
+        "csd.ridge=NaN", "csd.tol=NaN", "csd.lambda_sparsity=Infinity",
+        "peaks.rel_threshold=NaN", "peaks.min_separation_deg=NaN",
+        "peaks.min_separation_deg=-Infinity", "model.lambda_sparsity=NaN",
+        "model.lambda_nonneg=1e999", "dataset.snr=NaN",
+        # finite values out of range
+        "csd.ridge=-1e-10", "csd.lambda_sparsity=-1", "csd.nonneg_threshold=-0.5",
+        "peaks.rel_threshold=-0.1", "peaks.rel_threshold=1.5",
+        "peaks.min_separation_deg=0", "peaks.min_separation_deg=90.5",
+        "model.lambda_sparsity=-1e-4", "model.lambda_nonneg=-1",
+        "model.plateau_factor=-1", "model.plateau_factor=0", "model.plateau_factor=1.5",
+    ])
+    def test_config_value_out_of_range_exits_2(self, esd_run, csd_fodf, tmp_path, capsys,
+                                               case):
+        key, value = case.split("=")
+        code, captured, out = run_with_config_value(esd_run, csd_fodf, tmp_path, capsys,
+                                                    key, value)
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config: ")
+        assert key.split(".")[-1] in lines[0] and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_esd_train_rejects_val_table_mismatch(self, tmp_path, monkeypatch, capsys):
@@ -1010,3 +1043,17 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_cli_imports_no_heavy_scipy_subpackage():
+    # at run time sphdecon needs numpy and scipy.sparse only; these four cost
+    # a CLI process about 0.35 s and 26 MB before its stage starts
+    src = os.path.dirname(os.path.dirname(io_cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, sphdecon.io_cli; print(json.dumps(list(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {".".join(name.split(".")[:2]) for name in json.loads(proc.stdout)}
+    assert not loaded & {"scipy.optimize", "scipy.spatial", "scipy.special", "scipy.linalg"}

@@ -11,6 +11,8 @@ from sphdecon import peaks_metrics as pm
 from sphdecon import signal_model as sm
 from sphdecon import sphere_grid as sg
 
+from grid_rotations import z_rotation_permutation
+
 
 def cap_fodf(axis, width_deg=5.0, l_max=20, nside_fit=32):
     """Degree-l_max SH fit of a small spherical cap indicator around axis."""
@@ -164,7 +166,7 @@ class TestDetectPeaks:
         grid = sg.build_grid(32)
         coeffs = cap_fodf([0.6, 0.3, np.sqrt(1 - 0.45)])
         peaks = one_voxel_peaks(coeffs, grid, rel_threshold=0.5)
-        perm = sg.z_rotation_permutation(grid, 1)
+        perm = z_rotation_permutation(grid, 1)
         vals = coeffs @ sh.design_matrix(sh.ShBasis(20), grid.vertices)
         rotated_coeffs = sh.fit_matrix(grid.vertices, 20, tikhonov=1e-10) @ vals[perm]
         rot_peaks = one_voxel_peaks(rotated_coeffs, grid, rel_threshold=0.5)
@@ -290,6 +292,25 @@ class TestMatchFibers:
         n_best, total_best, _ = brute_force_match(gt, pred_dirs)
         assert len(score.matched) == n_best
         assert sum(a for _, _, a in score.matched) == pytest.approx(total_best, abs=1e-9)
+
+    def test_same_pairs_as_linear_sum_assignment(self):
+        # the scipy assignment this module used before, kept as the reference:
+        # inadmissible pairs cost 1e6, so it maximizes the pair count first
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            gt = random_axes(rng, int(rng.integers(1, 4)))
+            n_pred = int(rng.integers(0, 9))
+            # peaks scattered around the fibers, so that fibers compete for them
+            near = gt[rng.integers(0, len(gt), n_pred)] + 0.3 * rng.standard_normal((n_pred, 3))
+            pred = pm.PeakSet(near / np.linalg.norm(near, axis=1, keepdims=True), np.ones(n_pred))
+            expect = []
+            if n_pred:
+                angles = pm.axis_angles_deg(gt, pred.directions)
+                rows, cols = linear_sum_assignment(np.where(angles <= 25.0, angles, 1e6))
+                expect = [(r, c, angles[r, c]) for r, c in zip(rows, cols) if angles[r, c] <= 25.0]
+            assert pm.match_fibers(gt, pred).matched == expect
 
 
 class TestAggregate:

@@ -413,6 +413,26 @@ class TestSampleLayout:
         assert batch.shell(0).shape == (3, 2)
 
 
+class TestStreamEntropy:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5])
+    def test_same_state_as_int_list(self, seed):
+        voxels, bvals = [5, 0, 2**32 - 1], [0, 3000]
+        words = sm._stream_entropy(seed, 303, np.array(voxels)[:, None], bvals)
+        assert words.shape[:2] == (3, 2) and words.dtype == np.uint32
+        for row, vox in zip(words, voxels):
+            for entry, b in zip(row, bvals):
+                expect = np.random.default_rng([seed, 303, vox, b]).bit_generator.state
+                assert np.random.default_rng(entry).bit_generator.state == expect
+
+    def test_seed_split_least_significant_word_first(self):
+        assert sm._stream_entropy(2**40 + 7, 202, [9]).tolist() == [[7, 256, 202, 9]]
+
+    @pytest.mark.parametrize("seed, part", [(-1, 0), (0, -1), (0, 2**32)])
+    def test_rejects_entries_that_do_not_fit(self, seed, part):
+        with pytest.raises(InvalidArgumentError):
+            sm._stream_entropy(seed, 202, [part])
+
+
 class TestBatchGeneration:
     def config(self, **kw):
         base = dict(

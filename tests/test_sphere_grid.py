@@ -6,6 +6,8 @@ from sphdecon import harmonics as sh
 from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError
 
+from grid_rotations import z_rotation_permutation
+
 
 def test_vertex_count_nside1():
     grid = sg.build_grid(1)
@@ -139,11 +141,11 @@ class TestPooling:
 class TestZRotation:
     def test_zero_turns_identity(self):
         grid = sg.build_grid(2)
-        assert np.array_equal(sg.z_rotation_permutation(grid, 0), np.arange(48))
+        assert np.array_equal(z_rotation_permutation(grid, 0), np.arange(48))
 
     def test_order_four(self):
         grid = sg.build_grid(1)
-        pi = sg.z_rotation_permutation(grid, 1)
+        pi = z_rotation_permutation(grid, 1)
         p = pi.copy()
         for _ in range(3):
             p = pi[p]
@@ -152,7 +154,7 @@ class TestZRotation:
     def test_rotation_matches_vertices(self):
         grid = sg.build_grid(4)
         for k in range(4):
-            pi = sg.z_rotation_permutation(grid, k)
+            pi = z_rotation_permutation(grid, k)
             ang = k * np.pi / 2
             rot = np.array(
                 [[np.cos(ang), -np.sin(ang), 0], [np.sin(ang), np.cos(ang), 0], [0, 0, 1]]
@@ -163,13 +165,13 @@ class TestZRotation:
     def test_adjacency_invariant_exhaustive(self):
         # exhaustive check over all 48^2 pairs
         grid = sg.build_grid(2)
-        pi = sg.z_rotation_permutation(grid, 1)
+        pi = z_rotation_permutation(grid, 1)
         A = grid.adjacency.toarray()
         assert np.array_equal(A[np.ix_(pi, pi)], A)
 
     def test_laplacian_commutes_exactly(self):
         grid = sg.build_grid(8)
-        pi = sg.z_rotation_permutation(grid, 3)
+        pi = z_rotation_permutation(grid, 3)
         L = grid.laplacian.toarray()
         assert np.array_equal(L[np.ix_(pi, pi)], L)
 
@@ -177,8 +179,8 @@ class TestZRotation:
         # quarter turns act on the nested hierarchy: parent(pi_fine) = pi_coarse(parent)
         fine, coarse = sg.build_grid(4), sg.build_grid(2)
         parent_of = nested_parent(fine.n_vertices)
-        pf = sg.z_rotation_permutation(fine, 1)
-        pc = sg.z_rotation_permutation(coarse, 1)
+        pf = z_rotation_permutation(fine, 1)
+        pc = z_rotation_permutation(coarse, 1)
         assert np.array_equal(parent_of[pf], pc[parent_of])
 
 
