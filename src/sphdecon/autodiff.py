@@ -1,7 +1,9 @@
 """Reverse-mode differentiation over dense float64 arrays.
 
-A Tape records one backward closure per executed op; backward() walks the
-records once in reverse, accumulating gradients by summation. Ops are
+A Tape records one backward closure per executed op; backward() pops the
+records in reverse, accumulating gradients by summation. A closure keeps
+only what its backward reads and dies once run, so the sweep frees saved
+arrays and intermediate gradients as it unwinds. Ops are
 free functions taking the tape first; passing tape=None runs the forward
 computation without recording (inference mode). The op set is exactly
 what the spherical deconvolution network needs; there is no general
@@ -35,11 +37,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
 
-    def ensure_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        return self.grad
-
     def add_grad(self, g):
         """Add g to the gradient; with none yet, g becomes the gradient.
 
@@ -56,7 +53,7 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of executed ops; backward visits each exactly once."""
+    """Ordered record of executed ops; backward runs and drops each exactly once."""
 
     def __init__(self):
         self._records = []
@@ -67,9 +64,12 @@ class Tape:
     def backward(self, loss: Tensor):
         if loss.values.shape != ():
             raise InvalidArgumentError("backward starts from a scalar loss")
+        if self._records is None:
+            raise InvalidArgumentError("backward already ran on this tape")
+        records, self._records = self._records, None
         loss.grad = np.ones_like(loss.values)
-        for fn in reversed(self._records):
-            fn()
+        while records:
+            records.pop()()
 
 
 def _track(tape, out, inputs, backward_fn):
@@ -187,11 +187,8 @@ def _horner(lap, u):
     return acc
 
 
-def healpix_maxpool(tape, x: Tensor):
-    """Max over the 4 NESTED children, which are 4 consecutive vertex rows.
-
-    Returns (pooled, argmax offsets 0..3), both (N / 4, V, C).
-    """
+def healpix_maxpool(tape, x: Tensor) -> Tensor:
+    """Max over the 4 NESTED children, which are 4 consecutive vertex rows."""
     n, v, c = x.values.shape
     if n % 4:
         raise InvalidArgumentError(f"vertex count {n} is not divisible by 4")
@@ -203,18 +200,26 @@ def healpix_maxpool(tape, x: Tensor):
         np.put_along_axis(gx, arg[:, None], out.grad.reshape(n // 4, 1, v * c), axis=1)
         x.add_grad(gx.reshape(n, v, c))
 
-    return _track(tape, out, (x,), backward), arg.reshape(n // 4, v, c)
+    return _track(tape, out, (x,), backward)
 
 
-def healpix_unpool(tape, x: Tensor) -> Tensor:
-    """Copy each coarse vertex row to its 4 children."""
-    out = Tensor(np.repeat(x.values, 4, axis=0))
+def healpix_unpool(tape, x: Tensor, skip: Tensor) -> Tensor:
+    """Copy each coarse vertex row to its 4 children, then append skip's channels.
+
+    x is (N, V, C), skip (4 N, V, C_skip); returns (4 N, V, C + C_skip).
+    """
+    n, v, c = x.values.shape
+    out = Tensor(np.empty((4 * n, v, c + skip.values.shape[2])))
+    out.values.reshape(n, 4, v, -1)[..., :c] = x.values[:, None]
+    out.values[..., c:] = skip.values
 
     def backward():
-        n, v, c = x.values.shape
-        x.add_grad(out.grad.reshape(n, 4, v, c).sum(axis=1))
+        if x.requires_grad:
+            x.add_grad(out.grad[..., :c].reshape(n, 4, v, c).sum(axis=1))
+        if skip.requires_grad:
+            skip.add_grad(out.grad[..., c:].copy())  # a view of out.grad
 
-    return _track(tape, out, (x,), backward)
+    return _track(tape, out, (x, skip), backward)
 
 
 @dataclass
@@ -233,34 +238,37 @@ class BatchNormState:
 
 def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               training: bool) -> Tensor:
-    """Per-channel normalization of (N, V, C) over the N and V axes.
+    """Per-channel normalization of (N, V, C) over the N and V axes, then ReLU.
 
     x is viewed as (N V, C). Each per-channel sum is a product with a ones
     vector and each per-channel sum of products a column-wise einsum, both
     several times faster than a numpy reduction over the two leading axes.
+    The output is its own ReLU mask; backward rebuilds xhat from x.
     """
     n, v, c = x.values.shape
     m = n * v
     ones = np.ones(m)
     x2 = x.values.reshape(m, c)
-    # xhat holds x - mean until it is scaled in place
+    # y holds x - mean, then xhat, then the output, all in place
     if training:
         mean = (ones @ x2) / m
-        xhat = x2 - mean
-        var = np.einsum("ij,ij->j", xhat, xhat) / m
+        y = x2 - mean
+        var = np.einsum("ij,ij->j", y, y) / m
         state.running_mean += state.momentum * (mean - state.running_mean)
         state.running_var += state.momentum * (var - state.running_var)
     else:
         mean, var = state.running_mean, state.running_var
-        xhat = x2 - mean
+        y = x2 - mean
     invstd = 1.0 / np.sqrt(var + state.eps)
-    xhat *= invstd
-    y = xhat * gamma.values
+    y *= invstd
+    y *= gamma.values
     y += beta.values
-    out = Tensor(y.reshape(n, v, c))
+    out = Tensor(np.maximum(y, 0.0, out=y).reshape(n, v, c))
 
     def backward():
-        g = out.grad.reshape(m, c)
+        g = (out.grad * (out.values > 0)).reshape(m, c)
+        xhat = x2 - mean
+        xhat *= invstd
         sum_g = ones @ g
         sum_gx = np.einsum("ij,ij->j", g, xhat)
         if beta.requires_grad:
@@ -297,19 +305,6 @@ def softplus(tape, x: Tensor) -> Tensor:
         x.add_grad(out.grad * (np.where(x.values >= 0, 1.0, t) / (1.0 + t)))
 
     return _track(tape, out, (x,), backward)
-
-
-def concat(tape, parts) -> Tensor:
-    """Join tensors along the last (channel) axis."""
-    out = Tensor(np.concatenate([p.values for p in parts], axis=-1))
-    splits = np.cumsum([p.values.shape[-1] for p in parts])[:-1]
-
-    def backward():
-        for p, g in zip(parts, np.split(out.grad, splits, axis=-1)):
-            if p.requires_grad:
-                p.add_grad(g.copy())  # g is a view of out.grad
-
-    return _track(tape, out, tuple(parts), backward)
 
 
 def scale(tape, x: Tensor, s: float) -> Tensor:

@@ -22,6 +22,8 @@ from .errors import InvalidArgumentError, NumericalError
 # fixed output gain: fODF lobes live at ~10-20x the unit scale of
 # normalized features, and Adam is slow to grow raw magnitudes
 _HEAD_GAIN = 12.0
+# voxels per eval forward in infer; larger chunks fall out of cache
+_INFER_CHUNK = 32
 
 
 @dataclass
@@ -135,11 +137,10 @@ class EsdModel:
 
     def _block(self, tape, name, x, lvl, training):
         h = ad.graph_conv(tape, x, self.params[f"{name}_w"], self.laps[lvl])
-        h = ad.batchnorm(
+        return ad.batchnorm(  # includes the block's ReLU
             tape, h, self.params[f"{name}_gamma"], self.params[f"{name}_beta"],
             self.bn[name], training,
         )
-        return ad.relu(tape, h)
 
     def forward(self, tape, x: ad.Tensor, training: bool = False) -> ad.Tensor:
         """(N, V, C_in) -> (N, V, T) nonnegative per-tissue fields."""
@@ -151,10 +152,9 @@ class EsdModel:
             h = self._block(tape, f"enc{lvl}_1", h, lvl, training)
             if lvl < config.depth - 1:
                 skips.append(h)
-                h, _ = ad.healpix_maxpool(tape, h)
+                h = ad.healpix_maxpool(tape, h)
         for lvl in range(config.depth - 2, -1, -1):
-            h = ad.healpix_unpool(tape, h)
-            h = ad.concat(tape, [h, skips[lvl]])
+            h = ad.healpix_unpool(tape, h, skips.pop())
             h = self._block(tape, f"dec{lvl}_0", h, lvl, training)
             h = self._block(tape, f"dec{lvl}_1", h, lvl, training)
         h = ad.graph_conv(tape, h, self.params["head_w"], self.laps[0])
@@ -162,18 +162,16 @@ class EsdModel:
         return ad.scale(tape, h, _HEAD_GAIN)
 
 
-def heads_to_fodf(outputs: np.ndarray, grid, l_max: int = 20) -> ccsd.FodfField:
-    """Convert (N, V, T) head outputs to fODF coefficients.
+def heads_to_fodf(outputs: np.ndarray, fit: np.ndarray) -> dict:
+    """Per-tissue fODF coefficients of (N, V, T) head outputs.
 
-    WM: even-degree SH refit of channel 0 on the grid; isotropic tissues:
-    max over vertices of their channel.
+    WM: even-degree SH refit of channel 0 by the grid's (L, N) fit matrix;
+    isotropic tissues: max over vertices of their channel.
     """
-    basis = sh.ShBasis(l_max)
-    fit = sh.fit_matrix(grid.vertices, l_max)
     coeffs = {"wm": outputs[:, :, 0].T @ fit.T}
     for i, t in enumerate(sm.TISSUES[1 : outputs.shape[2]], start=1):
         coeffs[t] = outputs[:, :, i].max(axis=0)[:, None]
-    return ccsd.FodfField(coeffs, basis)
+    return coeffs
 
 
 class LossContext:
@@ -232,10 +230,11 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
         d_grid += (s * config.lambda_sparsity) * (2.0 * grid) / (two_s2 + grid * grid)
         d_wm = d_grid @ ctx.y_grid.T
         d_wm += d_coeffs[:, : f_wm.shape[1]]
-        g = outputs.ensure_grad()
+        g = np.zeros_like(vals)
         g[:, :, 0] += (d_wm @ ctx.fit_t.T).T
         rows = np.arange(vals.shape[1])[:, None]
         g[arg, rows, np.arange(1, vals.shape[2])] += d_coeffs[:, f_wm.shape[1] :]
+        outputs.add_grad(g)
 
     if tape is not None and outputs.requires_grad:
         total.requires_grad = True
@@ -370,11 +369,17 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
 
 
 def infer(model: EsdModel, batch: sm.VoxelBatch) -> ccsd.FodfField:
-    """Eval-mode deconvolution of a batch; returns fODF coefficients."""
+    """Eval-mode deconvolution of a batch; returns fODF coefficients.
+
+    Each chunk is refit as it leaves the network, so the chunk sets memory.
+    """
     x, _ = network_inputs(model, batch)
-    fields = []
-    for lo in range(0, x.shape[1], 512):
-        out = model.forward(None, ad.Tensor(x[:, lo : lo + 512]), training=False)
-        fields.append(out.values)
-    outputs = np.concatenate(fields, axis=1)
-    return heads_to_fodf(outputs, model.grids[0], model.config.fodf_degree)
+    basis = sh.ShBasis(model.config.fodf_degree)
+    fit = sh.fit_matrix(model.grids[0].vertices, basis.l_max)
+    coeffs = {t: np.empty((x.shape[1], basis.L if t == "wm" else 1))
+              for t in model.config.tissue_names}
+    for lo in range(0, x.shape[1], _INFER_CHUNK):
+        out = model.forward(None, ad.Tensor(x[:, lo : lo + _INFER_CHUNK]), training=False)
+        for t, c in heads_to_fodf(out.values, fit).items():
+            coeffs[t][lo : lo + len(c)] = c
+    return ccsd.FodfField(coeffs, basis)

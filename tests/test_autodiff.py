@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from sphdecon import _kernels
 from sphdecon import autodiff as ad
 from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError
@@ -49,7 +50,7 @@ def scalar_loss(tape, x, f, df):
         out.requires_grad = True
 
         def backward():
-            x.ensure_grad()[...] += out.grad * df(x.values)
+            x.add_grad(out.grad * df(x.values))
 
         tape.record(backward)
     return out
@@ -153,14 +154,15 @@ class TestGraphConv:
 class TestPooling:
     def test_constant_tie_break(self):
         x = ad.Tensor(np.ones((8, 1, 1)))
-        out, arg = ad.healpix_maxpool(None, x)
+        out = ad.healpix_maxpool(None, x)
+        _, arg = _kernels.maxpool4(x.values.reshape(8, 1))
         assert np.all(out.values == 1.0)
         assert np.all(arg == 0)
 
     def test_one_hot_spike(self):
         x = ad.Tensor(np.zeros((16, 1, 1)))
         x.values[6, 0, 0] = 5.0
-        out, _ = ad.healpix_maxpool(None, x)
+        out = ad.healpix_maxpool(None, x)
         expect = np.zeros(4)
         expect[1] = 5.0
         assert np.array_equal(out.values[:, 0, 0], expect)
@@ -171,8 +173,7 @@ class TestPooling:
         target = rng.standard_normal((4, 2, 2))
 
         def loss(tape):
-            out, _ = ad.healpix_maxpool(tape, x)
-            return sq_err(tape, out, target)
+            return sq_err(tape, ad.healpix_maxpool(tape, x), target)
 
         check_grad(loss, [x], rtol=1e-5)
 
@@ -180,8 +181,8 @@ class TestPooling:
         rng = np.random.default_rng(4)
         coarse = rng.standard_normal((4, 1, 1))
         x = ad.Tensor(np.repeat(coarse, 4, axis=0))
-        pooled, _ = ad.healpix_maxpool(None, x)
-        back = ad.healpix_unpool(None, pooled)
+        pooled = ad.healpix_maxpool(None, x)
+        back = ad.healpix_unpool(None, pooled, ad.Tensor(np.zeros((16, 1, 0))))
         assert np.array_equal(back.values, x.values)
 
     def test_unpool_adjoint_of_sum_pool(self):
@@ -189,32 +190,44 @@ class TestPooling:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 2, 3))
         y = rng.standard_normal((16, 2, 3))
-        lhs = np.sum(ad.healpix_unpool(None, ad.Tensor(x)).values * y)
+        no_skip = ad.Tensor(np.zeros((16, 2, 0)))
+        lhs = np.sum(ad.healpix_unpool(None, ad.Tensor(x), no_skip).values * y)
         rhs = np.sum(x * y.reshape(4, 4, 2, 3).sum(axis=1))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_unpool_gradient(self):
         rng = np.random.default_rng(6)
         x = ad.Tensor(rng.standard_normal((4, 1, 2)), requires_grad=True)
-        target = rng.standard_normal((16, 1, 2))
+        skip = ad.Tensor(rng.standard_normal((16, 1, 1)), requires_grad=True)
+        target = rng.standard_normal((16, 1, 3))
 
         def loss(tape):
-            return sq_err(tape, ad.healpix_unpool(tape, x), target)
+            return sq_err(tape, ad.healpix_unpool(tape, x, skip), target)
 
-        check_grad(loss, [x])
+        check_grad(loss, [x, skip])
+
+    def test_unpool_joins_skip_channels(self):
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.standard_normal((4, 3, 2)))
+        skip = ad.Tensor(rng.standard_normal((16, 3, 1)))
+        up = ad.healpix_unpool(None, x, skip)
+        expect = np.concatenate([np.repeat(x.values, 4, axis=0), skip.values], axis=-1)
+        assert np.array_equal(up.values, expect)
 
     def test_unpool_round_trip(self):
         x = ad.Tensor(np.random.default_rng(4).standard_normal((12, 1, 3)), requires_grad=True)
+        skip = ad.Tensor(np.zeros((48, 1, 2)))
         tape = ad.Tape()
-        up = ad.healpix_unpool(tape, x)
-        assert up.values.shape == (48, 1, 3)
+        up = ad.healpix_unpool(tape, x, skip)
+        assert up.values.shape == (48, 1, 5)
         tape.backward(sq_err(tape, up, up.values / 2))  # d/dup = up
         assert np.array_equal(x.grad / 4.0, x.values)
+        assert skip.grad is None
 
     def test_maxpool_backward_routes_to_argmax(self):
         x = ad.Tensor(np.array([1.0, 3.0, 2.0, 0.0])[:, None, None], requires_grad=True)
         tape = ad.Tape()
-        out, _ = ad.healpix_maxpool(tape, x)
+        out = ad.healpix_maxpool(tape, x)
         tape.backward(sq_err(tape, out, out.values - 2.5))  # d/dout = 5
         assert np.array_equal(x.grad[:, 0, 0], [0.0, 5.0, 0.0, 0.0])
 
@@ -224,10 +237,10 @@ class TestBatchNorm:
         rng = np.random.default_rng(7)
         x = ad.Tensor(3 + 2 * rng.standard_normal((32, 8, 3)))
         gamma = ad.Tensor(np.ones(3))
-        beta = ad.Tensor(np.zeros(3))
+        beta = ad.Tensor(np.full(3, 10.0))  # shifted clear of the ReLU
         state = ad.BatchNormState.for_channels(3)
         y = ad.batchnorm(None, x, gamma, beta, state, training=True)
-        assert np.abs(y.values.mean(axis=(0, 1))).max() < 1e-6
+        assert np.abs(y.values.mean(axis=(0, 1)) - 10).max() < 1e-6
         assert np.abs(y.values.var(axis=(0, 1)) - 1).max() < 1e-4
 
     def test_identity_on_standardized_input(self):
@@ -238,7 +251,7 @@ class TestBatchNorm:
             None, ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
             ad.BatchNormState.for_channels(2), training=True,
         )
-        assert np.abs(y.values - x).max() < 1e-4
+        assert np.abs(y.values - np.maximum(x, 0)).max() < 1e-4
 
     def test_eval_before_training_uses_unit_stats(self):
         x = np.full((4, 2, 1), 1.5)
@@ -260,7 +273,7 @@ class TestBatchNorm:
     @pytest.mark.parametrize("training", [True, False])
     def test_matches_axis_reductions(self, training):
         # reference: the textbook forward and backward with numpy's
-        # mean, var and sum over the (N, V) axes
+        # mean, var and sum over the (N, V) axes, then the ReLU
         rng = np.random.default_rng(11)
         x = ad.Tensor(2 + rng.standard_normal((48, 5, 3)), requires_grad=True)
         gamma = ad.Tensor(1 + 0.1 * rng.standard_normal(3), requires_grad=True)
@@ -283,17 +296,19 @@ class TestBatchNorm:
             mean, var = ref_state.running_mean, ref_state.running_var
         invstd = 1.0 / np.sqrt(var + state.eps)
         xhat = (xv - mean) * invstd
-        gx = g * gamma.values
+        pre = gamma.values * xhat + beta.values
+        g_pre = g * (pre > 0)  # through the ReLU
+        gx = g_pre * gamma.values
         if training:
             s1, s2 = gx.sum(axis=(0, 1)), (gx * xhat).sum(axis=(0, 1))
             dx = (invstd / m) * (m * gx - s1 - xhat * s2)
         else:
             dx = gx * invstd
         pairs = [
-            (out.values, gamma.values * xhat + beta.values),
+            (out.values, np.maximum(pre, 0)),
             (x.grad, dx),
-            (gamma.grad, (g * xhat).sum(axis=(0, 1))),
-            (beta.grad, g.sum(axis=(0, 1))),
+            (gamma.grad, (g_pre * xhat).sum(axis=(0, 1))),
+            (beta.grad, g_pre.sum(axis=(0, 1))),
             (state.running_mean, ref_state.running_mean),
             (state.running_var, ref_state.running_var),
         ]
@@ -358,26 +373,26 @@ class TestActivations:
 
 
 class TestSmallOps:
-    def test_concat_gradients(self):
-        rng = np.random.default_rng(11)
-        x = ad.Tensor(rng.standard_normal((5, 3, 2)), requires_grad=True)
-        y = ad.Tensor(rng.standard_normal((5, 3, 1)), requires_grad=True)
-        target = rng.standard_normal((5, 3, 3))
-        cat = ad.concat(None, [x, y])
-        assert np.array_equal(cat.values, np.concatenate([x.values, y.values], axis=-1))
-
-        def loss(tape):
-            return sq_err(tape, ad.concat(tape, [x, y]), target)
-
-        check_grad(loss, [x, y])
-
     def test_gradient_accumulates_across_uses(self):
-        x = ad.Tensor(np.array([2.0]), requires_grad=True)
+        x = ad.Tensor(np.array([2.0])[:, None, None], requires_grad=True)
         tape = ad.Tape()
-        y = ad.concat(tape, [ad.scale(tape, x, 3.0), x])
-        total = sq_err(tape, y, np.zeros(2))  # (3x)^2 + x^2 -> d/dx = 20x
+        up = ad.healpix_unpool(tape, x, ad.Tensor(np.zeros((4, 1, 0))))
+        y = ad.healpix_unpool(tape, ad.scale(tape, x, 3.0), up)
+        total = sq_err(tape, y, np.zeros((4, 1, 2)))  # 4 ((3x)^2 + x^2) -> d/dx = 80x
         tape.backward(total)
-        assert x.grad[0] == pytest.approx(40.0)
+        assert x.grad[0, 0, 0] == pytest.approx(160.0)
+
+
+class TestTape:
+    def test_second_backward_refused(self):
+        x = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        tape = ad.Tape()
+        total = sq_err(tape, ad.scale(tape, x, 2.0), np.zeros(2))
+        tape.backward(total)
+        grad = x.grad.copy()
+        with pytest.raises(InvalidArgumentError, match="already ran"):
+            tape.backward(total)
+        assert np.array_equal(x.grad, grad)
 
 
 class TestAdam:
@@ -420,9 +435,8 @@ class TestRandomizedGradChecks:
         def loss(tape):
             h = ad.graph_conv(tape, x, w1, lap12)
             h = ad.batchnorm(tape, h, gamma, beta, copy.deepcopy(state), True)
-            h = ad.relu(tape, h)
             h = ad.graph_conv(tape, h, w2, lap12)
-            h, _ = ad.healpix_maxpool(tape, h)
+            h = ad.healpix_maxpool(tape, h)
             # squared error plus 0.1 x a Cauchy penalty with sigma 0.5
             return scalar_loss(
                 tape, h, lambda v: (v - target) ** 2 + 0.1 * np.log1p(v * v / 0.5),

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,11 +85,11 @@ class TestHeadsToFodf:
         outputs = np.zeros((768, 2, 3))
         outputs[:, :, 0] = 1.5
         outputs[100, 0, 1] = 2.5  # one-hot spike in the gm channel
-        field = en.heads_to_fodf(outputs, grid, l_max=20)
-        assert field.coeffs["wm"][0, 0] == pytest.approx(1.5 * np.sqrt(4 * np.pi), rel=1e-10)
-        assert np.abs(field.coeffs["wm"][:, 1:]).max() < 1e-8
-        assert field.coeffs["gm"][0, 0] == 2.5
-        assert field.coeffs["csf"][0, 0] == 0.0
+        coeffs = en.heads_to_fodf(outputs, sh.fit_matrix(grid.vertices, 20))
+        assert coeffs["wm"][0, 0] == pytest.approx(1.5 * np.sqrt(4 * np.pi), rel=1e-10)
+        assert np.abs(coeffs["wm"][:, 1:]).max() < 1e-8
+        assert coeffs["gm"][0, 0] == 2.5
+        assert coeffs["csf"][0, 0] == 0.0
 
     def test_band_limited_round_trip(self):
         grid = sg.build_grid(8)
@@ -96,8 +97,8 @@ class TestHeadsToFodf:
         coeffs = rng.standard_normal((3, 231))
         vals = coeffs @ sh.design_matrix(sh.ShBasis(20), grid.vertices)
         outputs = vals.T[:, :, None]
-        field = en.heads_to_fodf(outputs, grid, l_max=20)
-        assert np.abs(field.coeffs["wm"] - coeffs).max() < 1e-6
+        got = en.heads_to_fodf(outputs, sh.fit_matrix(grid.vertices, 20))
+        assert np.abs(got["wm"] - coeffs).max() < 1e-6
 
 
 class TestLoss:
@@ -199,7 +200,7 @@ class TestLoss:
 
         config, table = model.config, batch.gradients
         basis = sh.ShBasis(config.fodf_degree)
-        F = en.heads_to_fodf(outputs, model.grids[0], config.fodf_degree).coeffs
+        F = en.heads_to_fodf(outputs, sh.fit_matrix(model.grids[0].vertices, config.fodf_degree))
         pred = sm.forward(F, rfs, basis, table)
         expect = np.sum((pred - batch.b0_normalized().signals) ** 2)
         assert targets.shape == (5, table.total_samples)
@@ -289,6 +290,20 @@ class TestTrainInfer:
         assert np.array_equal(f1.coeffs["wm"], f2.coeffs["wm"])
         assert f1.coeffs["wm"].shape == (12, 15)
 
+    def test_infer_chunks_match_one_forward(self):
+        # 70 voxels span three chunks; iso maxima are exact, the WM refit
+        # differs only by the GEMM's blocking
+        data, _ = tiny_dataset(n=70, snr=30)
+        model = en.EsdModel(en.EsdConfig(**dict(TINY, tissues=3)), [3000.0])
+        x, _ = en.network_inputs(model, data)
+        out = model.forward(None, ad.Tensor(x)).values
+        expect = en.heads_to_fodf(out, sh.fit_matrix(model.grids[0].vertices, 4))
+        field = en.infer(model, data)
+        assert field.coeffs.keys() == expect.keys()
+        for t, ref in expect.items():
+            assert np.abs(field.coeffs[t] - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(field.coeffs["gm"], expect["gm"])
+
     def test_infer_shell_mismatch(self):
         model, result, batch, rfs = self.run_train()
         other, _ = tiny_dataset(n=3, shells=(1000.0,))
@@ -367,3 +382,27 @@ def test_eval_forward_matches_dense_laplacian(monkeypatch):
     assert sorted(set(calls)) == [48, 192, 768]
     assert (out > 0).mean() > 0
     assert np.abs(out - ref).max() <= 1e-10 * np.abs(out).max()
+
+
+def test_training_step_memory_peak():
+    # one default-config step at batch 32, forward, loss and backward, under
+    # tracemalloc (numpy reports its buffers to it). Measured: 138.8 MB when
+    # backward frees each record's arrays as it runs, 267.8 MB when the tape
+    # kept them all to the end of the step.
+    batch, table = tiny_dataset(n=32, n_grad=64, snr=30)
+    model = en.EsdModel(en.EsdConfig(), [3000.0])
+    ctx = en.LossContext(model, table, {"wm": tensor_response(sh.ShBasis(20), table)})
+    x, targets = en.network_inputs(model, batch)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape = ad.Tape()
+        out = model.forward(tape, ad.Tensor(x), training=True)
+        loss, _ = en.esd_loss(tape, model, out, targets, ctx)
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6, f"training step peaked at {peak / 1e6:.1f} MB"
+    assert not tape._records
+    assert all(p.grad is not None for p in model.parameters())
