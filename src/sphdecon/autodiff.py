@@ -13,9 +13,9 @@ Network activations are (N, V, C): vertex, voxel, channel. Hot inner
 loops (sparse Laplacian products, pooling) go through the kernels
 module (numpy and scipy.sparse). graph_conv picks its product order from
 the weight shape: it applies the Laplacian after mixing channels when the
-filter narrows (C_out < C_in) and keeps nothing for backward but its
-input; otherwise it applies it to the input and keeps the monomial stack.
-Either way each dense product is one GEMM over all P+1 powers.
+filter does not widen (C_out <= C_in), and to the input otherwise. Either
+way each dense product is one GEMM over all P+1 powers, and backward keeps
+nothing but the input.
 """
 
 from dataclasses import dataclass
@@ -112,16 +112,17 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
 
     x is (N, V, C_in), weights (P+1, C_in, C_out); returns (N, V, C_out).
     Exact gradients for both x and weights. The Laplacian runs on the
-    narrower side of the filter, and each side takes one GEMM per product:
+    narrower side of the filter, each side takes one GEMM per product, and
+    neither keeps anything for backward but x:
 
-    - C_out < C_in: one GEMM forms every u_p = x W_p, then Horner,
+    - C_out <= C_in: one GEMM forms every u_p = x W_p, then Horner,
       y = u_0 + L(u_1 + L(... u_P)), runs on C_out columns. Backward builds
       the stack [g, Lg, ..., L^P g] on C_out columns and takes dW and dx
-      from one GEMM each. Nothing beyond x is kept for backward.
-    - otherwise: the monomial stack [x, Lx, ..., L^P x] is one
+      from one GEMM each.
+    - C_out > C_in: the monomial stack [x, Lx, ..., L^P x] is one
       (N V, (P+1) C_in) matrix, and y is its product with W viewed as
-      ((P+1) C_in, C_out). The stack is kept when recording, so dW is one
-      GEMM; dx runs Horner on C_in columns.
+      ((P+1) C_in, C_out). Backward rebuilds the stack from x for the
+      one-GEMM dW; dx runs Horner on C_in columns.
     """
     if x.values.ndim != 3 or x.values.shape[0] != lap.n:
         raise InvalidArgumentError(
@@ -136,7 +137,7 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
     c_out = weights.values.shape[2]
     x2 = x.values.reshape(n * v, c_in)
 
-    if c_out < c_in:
+    if c_out <= c_in:
         w_cat = weights.values.transpose(1, 0, 2).reshape(c_in, p1 * c_out)
         out = Tensor(_horner(lap, (x2 @ w_cat).reshape(n, v, p1, c_out)))
 
@@ -151,12 +152,12 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
         return _track(tape, out, (x, weights), backward)
 
     w_cat = weights.values.reshape(p1 * c_in, c_out)
-    stack = _powers(lap, x.values, p1)
-    out = Tensor((stack @ w_cat).reshape(n, v, c_out))
+    out = Tensor((_powers(lap, x.values, p1) @ w_cat).reshape(n, v, c_out))
 
     def backward():
         g = out.grad.reshape(n * v, c_out)
         if weights.requires_grad:
+            stack = _powers(lap, x.values, p1)
             weights.add_grad((stack.T @ g).reshape(p1, c_in, c_out))
         if x.requires_grad:
             # L is symmetric: dx = sum_p L^p (g W_p^T)

@@ -7,6 +7,7 @@ from sphdecon import peaks_metrics as pm
 from sphdecon import signal_model as sm
 from sphdecon import sphere_grid as sg
 
+from forward_model import forward
 from test_harmonics import eval_sh
 from test_signal_model import make_table, tensor_response
 
@@ -147,7 +148,7 @@ class TestCsdSolve:
         c_gt = np.zeros(basis.L)
         c_gt[0] = 1.0  # constant, strictly positive fODF
         c_gt += 0.02 * rng.standard_normal(basis.L)
-        pred = sm.forward({"wm": c_gt[None]}, {"wm": wm_rf}, basis, table)
+        pred = forward({"wm": c_gt[None]}, {"wm": wm_rf}, basis, table)
         batch = sm.VoxelBatch(pred, table)
         field = csd.csd_solve(batch, {"wm": wm_rf})
         A, slices = csd.system_matrix(table, {"wm": wm_rf}, basis)

@@ -5,6 +5,7 @@ from sphdecon import harmonics as sh
 from sphdecon import signal_model as sm
 from sphdecon.errors import InvalidArgumentError
 
+from forward_model import forward
 from test_harmonics import eval_sh
 
 
@@ -194,7 +195,7 @@ class TestForward:
         # band-limited delta at +z: coefficients Y_l^m(z)
         delta = np.array([eval_sh(l, m, [0, 0, 1]) for l, m in basis.degrees])
         F = {"wm": delta[None, :]}
-        pred = sm.forward(F, {"wm": rf}, basis, table)
+        pred = forward(F, {"wm": rf}, basis, table)
         # oracle: direct zonal evaluation of the RF at the gradients
         degrees = np.arange(0, 10, 2)
         Z = sh.zonal_design(degrees, table.directions[3000.0])
@@ -205,7 +206,7 @@ class TestForward:
         table = make_table(32)
         basis = sh.ShBasis(8)
         rf = tensor_response(basis, table)
-        pred = sm.forward({"wm": np.zeros((3, basis.L))}, {"wm": rf}, basis, table)
+        pred = forward({"wm": np.zeros((3, basis.L))}, {"wm": rf}, basis, table)
         assert pred.shape == (3, table.total_samples) and np.all(pred == 0)
 
     def test_linearity(self):
@@ -214,9 +215,9 @@ class TestForward:
         rf = tensor_response(basis, table)
         rng = np.random.default_rng(5)
         f1, f2 = rng.standard_normal((2, 4, basis.L))
-        p1 = sm.forward({"wm": f1}, {"wm": rf}, basis, table)
-        p2 = sm.forward({"wm": f2}, {"wm": rf}, basis, table)
-        p12 = sm.forward({"wm": 2 * f1 + 3 * f2}, {"wm": rf}, basis, table)
+        p1 = forward({"wm": f1}, {"wm": rf}, basis, table)
+        p2 = forward({"wm": f2}, {"wm": rf}, basis, table)
+        p12 = forward({"wm": 2 * f1 + 3 * f2}, {"wm": rf}, basis, table)
         assert np.abs(p12 - 2 * p1 - 3 * p2).max() < 1e-10
 
     def test_rotation_equivariance(self):
@@ -232,14 +233,14 @@ class TestForward:
         )
         vals = coeffs @ sh.design_matrix(basis, pts)
         rotated = sh.fit_matrix(pts @ rot.T, basis.l_max) @ vals
-        pred_rot = sm.forward({"wm": rotated[None]}, {"wm": rf}, basis, table)
+        pred_rot = forward({"wm": rotated[None]}, {"wm": rf}, basis, table)
         # oracle: predict from original coefficients at inverse-rotated gradients
         table2 = sm.GradientTable(
             table.shells,
             {b: d @ rot for b, d in table.directions.items()},
             table.b0_count,
         )
-        pred_back = sm.forward({"wm": coeffs[None]}, {"wm": rf}, basis, table2)
+        pred_back = forward({"wm": coeffs[None]}, {"wm": rf}, basis, table2)
         cols = table.columns(3000.0)
         assert np.abs(pred_rot[:, cols] - pred_back[:, cols]).max() < 1e-5
 
