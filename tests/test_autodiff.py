@@ -74,6 +74,12 @@ def lap48():
     return ad.scaled_laplacian(grid.laplacian, sg.estimate_lmax(grid))
 
 
+@pytest.fixture(scope="module")
+def lap768():
+    grid = sg.build_grid(8)
+    return ad.scaled_laplacian(grid.laplacian, sg.estimate_lmax(grid))
+
+
 class TestGraphConv:
     def test_order0_is_channel_mixing(self, lap12):
         rng = np.random.default_rng(0)
@@ -138,25 +144,23 @@ class TestGraphConv:
         assert all((t.grad is None) == (not t.requires_grad) for t in (x, w))
 
     @pytest.mark.parametrize("c_in", [16, 1])
-    def test_tape_keeps_only_the_input(self, c_in):
+    def test_tape_keeps_only_the_input(self, lap768, c_in):
         # a recorded call against an unrecorded one, at the default network's
         # finest level. Measured: 11.2 kB more at 16->16 (the closure and the
         # (16, 80) mixed weights) and 0.7 kB at 1->16; a kept monomial stack
         # is 15.7 MB and 0.98 MB.
-        grid = sg.build_grid(8)
-        lap = ad.scaled_laplacian(grid.laplacian, sg.estimate_lmax(grid))
         rng = np.random.default_rng(14)
         x = ad.Tensor(rng.standard_normal((768, 32, c_in)), requires_grad=True)
         w = ad.Tensor(rng.standard_normal((5, c_in, 16)), requires_grad=True)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = ad.graph_conv(None, x, w, lap)
+            out = ad.graph_conv(None, x, w, lap768)
             unrecorded = tracemalloc.get_traced_memory()[0] - base
             del out
             base = tracemalloc.get_traced_memory()[0]
             tape = ad.Tape()
-            out = ad.graph_conv(tape, x, w, lap)
+            out = ad.graph_conv(tape, x, w, lap768)
             recorded = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
