@@ -1,4 +1,4 @@
-"""Reverse-mode differentiation over dense float64 arrays.
+"""Reverse-mode differentiation over dense float32 or float64 arrays.
 
 A Tape records one backward closure per executed op; backward() pops the
 records in reverse, accumulating gradients by summation. A closure keeps
@@ -7,7 +7,9 @@ arrays and intermediate gradients as it unwinds. Ops are
 free functions taking the tape first; passing tape=None runs the forward
 computation without recording (inference mode). The op set is exactly
 what the spherical deconvolution network needs; there is no general
-broadcasting.
+broadcasting. Every op computes in its input's dtype: the ESD network
+runs in float32, and float64 inputs (the finite-difference tests) run the
+same ops in float64.
 
 Network activations are (N, V, C): vertex, voxel, channel. Hot inner
 loops (sparse Laplacian products, pooling) go through the kernels
@@ -28,12 +30,18 @@ from .errors import InvalidArgumentError
 
 
 class Tensor:
-    """Dense array with an optional accumulated gradient."""
+    """Dense floating-point array with an optional accumulated gradient.
+
+    A float32 or float64 array keeps its dtype; anything else becomes float64.
+    """
 
     __slots__ = ("values", "grad", "requires_grad")
 
     def __init__(self, values, requires_grad=False):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        if values.dtype not in (np.float32, np.float64):
+            values = values.astype(np.float64)
+        self.values = values
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -86,7 +94,10 @@ def _track(tape, out, inputs, backward_fn):
 
 @dataclass
 class ChebLaplacian:
-    """Rescaled Laplacian (2/lmax) L - I in CSR arrays for the kernels."""
+    """Rescaled Laplacian (2/lmax) L - I in CSR arrays for the kernels.
+
+    data stays float64; the kernel casts it to the dense operand's dtype.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -169,7 +180,7 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
 def _powers(lap, x, p1):
     """[x, Lx, ..., L^(p1-1) x] of an (N, V, C) array as one (N V, p1 C) matrix."""
     n, v, c = x.shape
-    stack = np.empty((n, v, p1, c))
+    stack = np.empty((n, v, p1, c), x.dtype)
     stack[:, :, 0] = x
     cur = x.reshape(n, v * c)
     for p in range(1, p1):
@@ -197,7 +208,7 @@ def healpix_maxpool(tape, x: Tensor) -> Tensor:
     out = Tensor(pooled.reshape(n // 4, v, c))
 
     def backward():
-        gx = np.zeros((n // 4, 4, v * c))
+        gx = np.zeros((n // 4, 4, v * c), out.grad.dtype)
         np.put_along_axis(gx, arg[:, None], out.grad.reshape(n // 4, 1, v * c), axis=1)
         x.add_grad(gx.reshape(n, v, c))
 
@@ -210,7 +221,8 @@ def healpix_unpool(tape, x: Tensor, skip: Tensor) -> Tensor:
     x is (N, V, C), skip (4 N, V, C_skip); returns (4 N, V, C + C_skip).
     """
     n, v, c = x.values.shape
-    out = Tensor(np.empty((4 * n, v, c + skip.values.shape[2])))
+    out = Tensor(np.empty((4 * n, v, c + skip.values.shape[2]),
+                          np.result_type(x.values, skip.values)))
     out.values.reshape(n, 4, v, -1)[..., :c] = x.values[:, None]
     out.values[..., c:] = skip.values
 
@@ -225,7 +237,10 @@ def healpix_unpool(tape, x: Tensor, skip: Tensor) -> Tensor:
 
 @dataclass
 class BatchNormState:
-    """Per-channel running statistics (biased variance), momentum 0.1."""
+    """Per-channel running statistics (biased variance), momentum 0.1.
+
+    batchnorm casts them to its input's dtype where they meet it.
+    """
 
     running_mean: np.ndarray
     running_var: np.ndarray
@@ -244,12 +259,14 @@ def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormStat
     x is viewed as (N V, C). Each per-channel sum is a product with a ones
     vector and each per-channel sum of products a column-wise einsum, both
     several times faster than a numpy reduction over the two leading axes.
-    The output is its own ReLU mask; backward rebuilds xhat from x.
+    The output is its own ReLU mask; backward rebuilds xhat from x. The
+    ones vector and the running statistics take x's dtype, so that no
+    float64 operand promotes a float32 layer.
     """
     n, v, c = x.values.shape
     m = n * v
-    ones = np.ones(m)
     x2 = x.values.reshape(m, c)
+    ones = np.ones(m, x2.dtype)
     # y holds x - mean, then xhat, then the output, all in place
     if training:
         mean = (ones @ x2) / m
@@ -258,7 +275,8 @@ def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormStat
         state.running_mean += state.momentum * (mean - state.running_mean)
         state.running_var += state.momentum * (var - state.running_var)
     else:
-        mean, var = state.running_mean, state.running_var
+        mean = state.running_mean.astype(x2.dtype, copy=False)
+        var = state.running_var.astype(x2.dtype, copy=False)
         y = x2 - mean
     invstd = 1.0 / np.sqrt(var + state.eps)
     y *= invstd
@@ -323,7 +341,10 @@ def scale(tape, x: Tensor, s: float) -> Tensor:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, aligned with a parameter list."""
+    """First/second moment accumulators, aligned with a parameter list.
+
+    Each moment takes its parameter's dtype.
+    """
 
     m: list
     v: list

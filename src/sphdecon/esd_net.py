@@ -6,6 +6,12 @@ spatial fODFs. The WM head is refit to even-degree coefficients and
 convolved with the response functions to reconstruct the measured
 samples; training minimizes reconstruction error plus a Cauchy sparsity
 penalty and a squared hinge on negative fODF values.
+
+The network runs in float32: its parameters, batchnorm statistics,
+activations and Adam moments. The input resampling, the loss with its
+system matrix, and the SH refit run in float64; the network input is cast
+down once, and the loss casts the head output up once and hands back a
+float32 gradient.
 """
 
 from dataclasses import dataclass
@@ -24,6 +30,7 @@ from .errors import InvalidArgumentError, NumericalError
 _HEAD_GAIN = 12.0
 # voxels per eval forward in infer; larger chunks fall out of cache
 _INFER_CHUNK = 32
+_DTYPE = np.float32
 
 
 @dataclass
@@ -107,15 +114,15 @@ class EsdModel:
     def _init_weights(self, rng, c_in, c_out):
         p1 = self.config.poly_order + 1
         bound = np.sqrt(6.0 / (p1 * c_in + c_out))
-        return rng.uniform(-bound, bound, size=(p1, c_in, c_out))
+        return rng.uniform(-bound, bound, size=(p1, c_in, c_out)).astype(_DTYPE)
 
     def _add_block(self, rng, name, c_in, c_out):
         self.params[f"{name}_w"] = ad.Tensor(
             self._init_weights(rng, c_in, c_out), requires_grad=True
         )
-        self.params[f"{name}_gamma"] = ad.Tensor(np.ones(c_out), requires_grad=True)
-        self.params[f"{name}_beta"] = ad.Tensor(np.zeros(c_out), requires_grad=True)
-        self.bn[name] = ad.BatchNormState.for_channels(c_out)
+        self.params[f"{name}_gamma"] = ad.Tensor(np.ones(c_out, _DTYPE), requires_grad=True)
+        self.params[f"{name}_beta"] = ad.Tensor(np.zeros(c_out, _DTYPE), requires_grad=True)
+        self.bn[name] = ad.BatchNormState(np.zeros(c_out, _DTYPE), np.ones(c_out, _DTYPE))
 
     def parameters(self):
         return list(self.params.values())
@@ -129,6 +136,7 @@ class EsdModel:
         }
 
     def load_state(self, state):
+        """Copy values into the model's arrays, rounding them to its float32."""
         for k, vals in state["params"].items():
             self.params[k].values[...] = vals
         for k, (mean, var) in state["bn"].items():
@@ -166,8 +174,9 @@ def heads_to_fodf(outputs: np.ndarray, fit: np.ndarray) -> dict:
     """Per-tissue fODF coefficients of (N, V, T) head outputs.
 
     WM: even-degree SH refit of channel 0 by the grid's (L, N) fit matrix;
-    isotropic tissues: max over vertices of their channel.
+    isotropic tissues: max over vertices of their channel. Both in float64.
     """
+    outputs = outputs.astype(np.float64, copy=False)
     coeffs = {"wm": outputs[:, :, 0].T @ fit.T}
     for i, t in enumerate(sm.TISSUES[1 : outputs.shape[2]], start=1):
         coeffs[t] = outputs[:, :, i].max(axis=0)[:, None]
@@ -206,10 +215,12 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
     network_inputs returns it. The WM channel refit to SH coefficients and
     each isotropic channel's (first) maximum reconstruct the samples; the
     sparsity and negativity terms act on the refit WM fODF on the grid.
+    The terms are computed in float64 from the outputs cast up once, and
+    the outputs' gradient has their dtype.
     """
     config = model.config
     two_s2 = 2.0 * config.sigma_cauchy * config.sigma_cauchy
-    vals = outputs.values
+    vals = outputs.values.astype(np.float64, copy=False)
     f_wm = vals[:, :, 0].T.copy() @ ctx.fit_t
     arg = np.argmax(vals[:, :, 1:], axis=0)  # (V, T - 1)
     iso = np.take_along_axis(vals[:, :, 1:], arg[None], axis=0)[0]
@@ -230,7 +241,7 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
         d_grid += (s * config.lambda_sparsity) * (2.0 * grid) / (two_s2 + grid * grid)
         d_wm = d_grid @ ctx.y_grid.T
         d_wm += d_coeffs[:, : f_wm.shape[1]]
-        g = np.zeros_like(vals)
+        g = np.zeros_like(outputs.values)
         g[:, :, 0] += (d_wm @ ctx.fit_t.T).T
         rows = np.arange(vals.shape[1])[:, None]
         g[arg, rows, np.arange(1, vals.shape[2])] += d_coeffs[:, f_wm.shape[1] :]
@@ -251,23 +262,41 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
     return total, terms
 
 
-def network_inputs(model: EsdModel, batch: sm.VoxelBatch) -> tuple:
-    """Resample a batch onto the input grid; returns (x array, targets).
-
-    x is (N, V, C_in) with one channel per shell in ascending order.
-    targets is the (V, samples) b=0-normalized signal matrix, whose columns
-    are the system matrix's rows.
-    """
-    batch = batch.b0_normalized()
-    table = batch.gradients
+def _input_matrices(model: EsdModel, table: sm.GradientTable) -> list:
+    """Each shell's resampling matrices onto the input grid, in shell order."""
     if table.shells != model.shells:
         raise InvalidArgumentError(
             f"batch shells {table.shells} do not match the model's {model.shells}"
         )
-    channels = [
-        sh.resample(batch.shell(b), table.directions[b], model.grids[0]) for b in table.shells
-    ]
-    return np.stack([c.T for c in channels], axis=-1), batch.signals
+    return [sh.resample_matrices(table.directions[b], model.grids[0]) for b in table.shells]
+
+
+def _resampled(batch: sm.VoxelBatch, matrices: list) -> np.ndarray:
+    """The float32 (N, V, C_in) network input of a b=0-normalized batch.
+
+    A resampled value beyond float32's finite range is refused, not cast.
+    """
+    x = np.empty((matrices[0][1].shape[1], batch.n_voxels, len(matrices)), _DTYPE)
+    for i, (b, mats) in enumerate(zip(batch.gradients.shells, matrices)):
+        channel = sh.resample(batch.shell(b), mats)
+        if np.abs(channel).max(initial=0.0) > np.finfo(_DTYPE).max:
+            raise InvalidArgumentError(
+                f"the b={b} signals resample beyond float32's range on the input grid")
+        x[:, :, i] = channel.T
+    return x
+
+
+def network_inputs(model: EsdModel, batch: sm.VoxelBatch) -> tuple:
+    """Resample a batch onto the input grid; returns (x array, targets).
+
+    x is the float32 (N, V, C_in) network input, with one channel per shell
+    in ascending order, resampled in float64 and cast once. targets is the
+    (V, samples) b=0-normalized signal matrix, whose columns are the system
+    matrix's rows.
+    """
+    matrices = _input_matrices(model, batch.gradients)
+    batch = batch.b0_normalized()
+    return _resampled(batch, matrices), batch.signals
 
 
 @dataclass
@@ -371,15 +400,19 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
 def infer(model: EsdModel, batch: sm.VoxelBatch) -> ccsd.FodfField:
     """Eval-mode deconvolution of a batch; returns fODF coefficients.
 
-    Each chunk is refit as it leaves the network, so the chunk sets memory.
+    Each chunk is resampled as it enters the network and refit as it
+    leaves it, so the chunk sets memory; the resampling and fit matrices
+    are built once per call.
     """
-    x, _ = network_inputs(model, batch)
+    matrices = _input_matrices(model, batch.gradients)
     basis = sh.ShBasis(model.config.fodf_degree)
     fit = sh.fit_matrix(model.grids[0].vertices, basis.l_max)
-    coeffs = {t: np.empty((x.shape[1], basis.L if t == "wm" else 1))
+    coeffs = {t: np.empty((batch.n_voxels, basis.L if t == "wm" else 1))
               for t in model.config.tissue_names}
-    for lo in range(0, x.shape[1], _INFER_CHUNK):
-        out = model.forward(None, ad.Tensor(x[:, lo : lo + _INFER_CHUNK]), training=False)
+    for lo in range(0, batch.n_voxels, _INFER_CHUNK):
+        chunk = batch.subset(slice(lo, lo + _INFER_CHUNK)).b0_normalized()
+        x = _resampled(chunk, matrices)
+        out = model.forward(None, ad.Tensor(x), training=False)
         for t, c in heads_to_fodf(out.values, fit).items():
             coeffs[t][lo : lo + len(c)] = c
     return ccsd.FodfField(coeffs, basis)

@@ -137,16 +137,25 @@ def default_fit_degree(n_gradients: int) -> int:
     return l
 
 
-def resample(samples, gradients, grid) -> np.ndarray:
-    """Interpolate gradient-direction samples onto a Healpix grid via SH.
+def resample_matrices(gradients, grid) -> tuple:
+    """The two matrices that resample samples on these gradients onto a grid.
 
-    The fit uses default_fit_degree and a small ridge. samples may be a
-    vector over gradients or a (V, n) batch; the result has vertices on
-    the last axis.
+    Returns (fit_t, y_grid): the (n, L) transposed SH fit at
+    default_fit_degree with a small ridge, and the (L, N) basis on the
+    grid's vertices. Build them once and resample any number of batches.
     """
-    samples = np.asarray(samples, dtype=np.float64)
     gradients = _check_unit(gradients)
     l_max_fit = default_fit_degree(gradients.shape[0])
     M = fit_matrix(gradients, l_max_fit, _RESAMPLE_TIKHONOV)
-    Yg = design_matrix(ShBasis(l_max_fit), grid.vertices)
-    return (samples @ M.T) @ Yg
+    return M.T, design_matrix(ShBasis(l_max_fit), grid.vertices)
+
+
+def resample(samples, matrices) -> np.ndarray:
+    """Interpolate gradient-direction samples onto a Healpix grid via SH.
+
+    matrices is resample_matrices(gradients, grid). samples may be a
+    vector over gradients or a (V, n) batch; the result has vertices on
+    the last axis.
+    """
+    fit_t, y_grid = matrices
+    return (np.asarray(samples, dtype=np.float64) @ fit_t) @ y_grid

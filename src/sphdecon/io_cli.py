@@ -328,7 +328,16 @@ def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: d
 
 
 def read_checkpoint(path):
+    """The model a checkpoint holds, and the checkpoint's header.
+
+    The payload digest is verified first. The network is float32, so a
+    block that the model reads and that holds a value beyond float32's
+    finite range is refused before any value is cast.
+    """
     header, blocks = read_container(path, "checkpoint")
+    # checkpoints written before the digest was added have none
+    if "payload_sha256" in header and header["payload_sha256"] != _digest(blocks.values()):
+        raise FormatError(f"{path}: payload does not match its SHA-256 digest")
     # only the seed and the model section are read back; the rest of a
     # stored config may hold keys that older versions had
     stored = header.typed("config", dict)
@@ -347,14 +356,16 @@ def read_checkpoint(path):
     # the model built from the stored config and shells names every block it
     # needs; older checkpoints' in_channels, param_names and bn_names go unread
     model = en.EsdModel(build_config(config, "model"), header.typed("shells", list[float]))
-    for n, p in model.params.items():
-        p.values[...] = blocks.shaped(f"param/{n}", *p.values.shape)
+    targets = {f"param/{n}": p.values for n, p in model.params.items()}
     for n, bn in model.bn.items():
-        bn.running_mean[...] = blocks.shaped(f"bn_mean/{n}", *bn.running_mean.shape)
-        bn.running_var[...] = blocks.shaped(f"bn_var/{n}", *bn.running_var.shape)
-    # checkpoints written before the digest was added have none
-    if "payload_sha256" in header and header["payload_sha256"] != _digest(blocks.values()):
-        raise FormatError(f"{path}: payload does not match its SHA-256 digest")
+        targets[f"bn_mean/{n}"] = bn.running_mean
+        targets[f"bn_var/{n}"] = bn.running_var
+    for name, target in targets.items():
+        block = blocks.shaped(name, *target.shape)
+        if np.abs(block).max(initial=0.0) > np.finfo(target.dtype).max:
+            raise FormatError(f"{path}: block {name!r} holds a value beyond {target.dtype}'s range")
+    for name, target in targets.items():
+        target[...] = blocks[name]
     if any(np.any(bn.running_var < 0) for bn in model.bn.values()):
         raise FormatError(f"{path}: a batchnorm running variance is negative")
     return model, header

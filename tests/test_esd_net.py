@@ -8,6 +8,7 @@ from sphdecon import _kernels
 from sphdecon import autodiff as ad
 from sphdecon import esd_net as en
 from sphdecon import harmonics as sh
+from sphdecon import io_cli
 from sphdecon import signal_model as sm
 from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError, NumericalError
@@ -29,6 +30,33 @@ def tiny_dataset(n=12, seed=4, snr=None, shells=(3000.0,), n_grad=16):
 
 TINY = dict(nside_in=2, depth=2, channels=(4, 6), fodf_degree=4, max_epochs=2,
             batch_size=4, seed=3)
+
+
+def as_float64(model):
+    """A copy of a model with float64 parameters and batchnorm statistics.
+
+    Fed float64 inputs, it runs the same ops as the model in float64.
+    """
+    model = copy.deepcopy(model)
+    for p in model.params.values():
+        p.values = p.values.astype(np.float64)
+    for state in model.bn.values():
+        state.running_mean = state.running_mean.astype(np.float64)
+        state.running_var = state.running_var.astype(np.float64)
+    return model
+
+
+def float64_fodf(model, batch):
+    """The fODF of a model's weights run through the same ops in float64.
+
+    The input is resampled in float64 and never rounded to float32.
+    """
+    batch = batch.b0_normalized()
+    table, grid = batch.gradients, model.grids[0]
+    x = np.stack([sh.resample(batch.shell(b), sh.resample_matrices(table.directions[b], grid)).T
+                  for b in table.shells], axis=-1)
+    out = as_float64(model).forward(None, ad.Tensor(x)).values
+    return en.heads_to_fodf(out, sh.fit_matrix(grid.vertices, model.config.fodf_degree))
 
 
 class TestBuildModel:
@@ -102,6 +130,26 @@ class TestHeadsToFodf:
         assert np.abs(got["wm"] - coeffs).max() < 1e-6
 
 
+def multi_tissue(tissues):
+    """A two-shell batch with a b=0 sample, its model and loss context."""
+    shells = (1000.0, 3000.0)
+    sim = sm.SimConfig(shells=list(shells), gradients_per_shell=16, n_voxels=5,
+                       split=(5, 0, 0), seed=2, snr=20, tissues=tissues, b0_count=2)
+    table = sm.build_gradient_table(sim)
+    batch = sm.generate_batch(sim, table, np.arange(5))
+    config = en.EsdConfig(**dict(TINY, tissues=tissues, lambda_sparsity=0.3,
+                                 sigma_cauchy=0.5, lambda_nonneg=2.0))
+    basis = sh.ShBasis(config.fodf_degree)
+    rfs = {"wm": tensor_response(basis, table)}
+    for t, d in (("gm", 0.8e-3), ("csf", 3e-3)):
+        rfs[t] = sm.ResponseFunction(
+            t, {b: [np.sqrt(4 * np.pi) * np.exp(-b * d)] for b in (0.0,) + shells}
+        )
+    model = en.EsdModel(config, shells)
+    _, targets = en.network_inputs(model, batch)
+    return model, en.LossContext(model, table, rfs), rfs, batch, targets
+
+
 class TestLoss:
     def make_ctx(self, batch, table, config):
         rfs = {"wm": tensor_response(sh.ShBasis(config.fodf_degree), table)}
@@ -171,30 +219,11 @@ class TestLoss:
             terms["reconstruction"] + terms["negativity"], abs=1e-12
         )
 
-    def multi_tissue(self, tissues):
-        """A two-shell batch with a b=0 sample, its model and loss context."""
-        shells = (1000.0, 3000.0)
-        sim = sm.SimConfig(shells=list(shells), gradients_per_shell=16, n_voxels=5,
-                           split=(5, 0, 0), seed=2, snr=20, tissues=tissues, b0_count=2)
-        table = sm.build_gradient_table(sim)
-        batch = sm.generate_batch(sim, table, np.arange(5))
-        config = en.EsdConfig(**dict(TINY, tissues=tissues, lambda_sparsity=0.3,
-                                     sigma_cauchy=0.5, lambda_nonneg=2.0))
-        basis = sh.ShBasis(config.fodf_degree)
-        rfs = {"wm": tensor_response(basis, table)}
-        for t, d in (("gm", 0.8e-3), ("csf", 3e-3)):
-            rfs[t] = sm.ResponseFunction(
-                t, {b: [np.sqrt(4 * np.pi) * np.exp(-b * d)] for b in (0.0,) + shells}
-            )
-        model = en.EsdModel(config, shells)
-        _, targets = en.network_inputs(model, batch)
-        return model, en.LossContext(model, table, rfs), rfs, batch, targets
-
     @pytest.mark.parametrize("tissues", [1, 3])
     def test_reconstruction_matches_forward_model(self, tissues):
         # reference: forward_model.forward on the fODF that heads_to_fodf
         # reads off the same outputs (WM refit, isotropic maxima)
-        model, ctx, rfs, batch, targets = self.multi_tissue(tissues)
+        model, ctx, rfs, batch, targets = multi_tissue(tissues)
         rng = np.random.default_rng(5)
         outputs = np.abs(rng.standard_normal((48, 5, tissues)))
         _, terms = en.esd_loss(None, model, ad.Tensor(outputs), targets, ctx)
@@ -211,7 +240,7 @@ class TestLoss:
     def test_gradient_check(self, tissues):
         # signed outputs, so the refit WM fODF is negative on part of the
         # grid, and one clear spike per isotropic channel and voxel
-        model, ctx, _, _, targets = self.multi_tissue(tissues)
+        model, ctx, _, _, targets = multi_tissue(tissues)
         rng = np.random.default_rng(6)
         outputs = ad.Tensor(rng.standard_normal((48, 5, tissues)), requires_grad=True)
         spikes = rng.integers(0, 48, size=(5, tissues))
@@ -231,15 +260,16 @@ class TestLoss:
                 assert np.flatnonzero(outputs.grad[:, v, i]).tolist() == [spikes[v, i]]
 
     def test_end_to_end_gradient_check(self):
-        # toy model: nside_in=2, depth=1, 4 voxels
+        # toy model: nside_in=2, depth=1, 4 voxels; central differences need
+        # float64, so the network runs its ops in float64
         batch, table = tiny_dataset(n=4)
         config = en.EsdConfig(nside_in=2, depth=1, channels=(4,), fodf_degree=4,
                               seed=1, lambda_sparsity=0.01, sigma_cauchy=0.3)
         rfs = {"wm": tensor_response(sh.ShBasis(4), table)}
-        model = en.EsdModel(config, [3000.0])
+        model = as_float64(en.EsdModel(config, [3000.0]))
         ctx = en.LossContext(model, table, rfs)
         x_in, targets = en.network_inputs(model, batch)
-        x = ad.Tensor(x_in)
+        x = ad.Tensor(x_in.astype(np.float64))
         checked = [model.params[k] for k in
                    ("enc0_0_w", "enc0_0_gamma", "enc0_0_beta", "head_w")]
 
@@ -305,6 +335,14 @@ class TestTrainInfer:
             assert np.abs(field.coeffs[t] - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(field.coeffs["gm"], expect["gm"])
 
+    def test_infer_refuses_input_beyond_float32(self):
+        # finite in float64, but the float32 network input cannot hold it
+        data, _ = tiny_dataset(n=3)
+        data.signals[1, 5] = 1e300
+        model = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
+        with pytest.raises(InvalidArgumentError, match="float32"):
+            en.infer(model, data)
+
     def test_infer_shell_mismatch(self):
         model, result, batch, rfs = self.run_train()
         other, _ = tiny_dataset(n=3, shells=(1000.0,))
@@ -362,7 +400,7 @@ class TestEquivariance:
 
 def test_eval_forward_matches_dense_laplacian(monkeypatch):
     # a freshly built default model has a live ReLU head, so the outputs
-    # compared below are not all zero
+    # compared below are not all zero; x is float64, so the ops run in float64
     model = en.EsdModel(en.EsdConfig(), [3000.0])
     x = ad.Tensor(np.abs(np.random.default_rng(0).standard_normal((768, 4, 1))))
     out = model.forward(None, x, training=False).values
@@ -387,10 +425,11 @@ def test_eval_forward_matches_dense_laplacian(monkeypatch):
 
 def test_training_step_memory_peak():
     # one default-config step at batch 32, forward, loss and backward, under
-    # tracemalloc (numpy reports its buffers to it). Measured: 59.5 MB after
-    # the forward pass and an 81.1 MB peak when no graph conv keeps its
-    # monomial stack; 117.2 and 138.8 MB when the wide ones kept it, and a
-    # 267.8 MB peak when the tape also kept every record to the end.
+    # tracemalloc (numpy reports its buffers to it). Measured: 30.3 MB after
+    # the forward pass and a 41.2 MB peak with a float32 network; 59.5 and
+    # 81.1 MB in float64, 117.2 and 138.8 MB when the wide graph convs also
+    # kept their monomial stacks, and a 267.8 MB peak when the tape also
+    # kept every record to the end.
     batch, table = tiny_dataset(n=32, n_grad=64, snr=30)
     model = en.EsdModel(en.EsdConfig(), [3000.0])
     ctx = en.LossContext(model, table, {"wm": tensor_response(sh.ShBasis(20), table)})
@@ -406,7 +445,114 @@ def test_training_step_memory_peak():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert after_forward < 64e6, f"the tape held {after_forward / 1e6:.1f} MB after forward"
-    assert peak < 86e6, f"training step peaked at {peak / 1e6:.1f} MB"
+    assert after_forward < 33e6, f"the tape held {after_forward / 1e6:.1f} MB after forward"
+    assert peak < 44e6, f"training step peaked at {peak / 1e6:.1f} MB"
     assert not tape._records
     assert all(p.grad is not None for p in model.parameters())
+
+
+class TestFloat32Network:
+    # a live model: every one of the 100 test voxels has a nonzero WM fODF
+    CONFIG = {"seed": 3, "model": {"nside_in": 4, "depth": 2, "channels": [4, 6],
+                                   "fodf_degree": 8, "max_epochs": 2, "batch_size": 4,
+                                   "lr": 1e-3}}
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        data, table = tiny_dataset(n=146, snr=30, seed=5)
+        model = en.EsdModel(io_cli.build_config(self.CONFIG, "model"), [3000.0])
+        rfs = {"wm": tensor_response(sh.ShBasis(8), table)}
+        result = en.train(model, data.subset(np.arange(40)), data.subset(np.arange(40, 46)), rfs)
+        return model, result, data.subset(np.arange(46, 146))
+
+    def assert_agrees(self, field, expect):
+        # measured: WM within 4.9e-7 relative (Frobenius) on this model, 5.2e-7
+        # from the float64 checkpoint, and 1.8e-7 to 7.1e-7 over three seeds
+        for t, ref in expect.items():
+            assert np.linalg.norm(field.coeffs[t] - ref) <= 5e-6 * np.linalg.norm(ref)
+            live = np.any(ref != 0, axis=1)
+            assert live.sum() == 100
+            assert np.array_equal(np.any(field.coeffs[t] != 0, axis=1), live)
+
+    def test_same_weights_agree_with_float64(self, trained):
+        model, _, test = trained
+        self.assert_agrees(en.infer(model, test), float64_fodf(model, test))
+
+    def test_checkpoint_round_trip_is_bit_exact(self, trained, tmp_path):
+        model, result, test = trained
+        io_cli.write_checkpoint(tmp_path / "a.ckpt", model, result, self.CONFIG)
+        loaded, _ = io_cli.read_checkpoint(tmp_path / "a.ckpt")
+        for k, p in model.params.items():
+            assert loaded.params[k].values.dtype == np.float32
+            assert np.array_equal(loaded.params[k].values, p.values)
+        for k, bn in model.bn.items():
+            assert np.array_equal(loaded.bn[k].running_mean, bn.running_mean)
+            assert np.array_equal(loaded.bn[k].running_var, bn.running_var)
+        assert np.array_equal(en.infer(loaded, test).coeffs["wm"], en.infer(model, test).coeffs["wm"])
+
+    def test_float64_checkpoint_loads_rounded(self, trained, tmp_path):
+        model, result, test = trained
+        # float64 weights that float32 cannot hold exactly
+        wide = as_float64(model)
+        rng = np.random.default_rng(8)
+        for p in wide.params.values():
+            p.values *= 1 + 1e-6 * rng.standard_normal(p.values.shape)
+        io_cli.write_checkpoint(tmp_path / "wide.ckpt", wide, result, self.CONFIG)
+        loaded, _ = io_cli.read_checkpoint(tmp_path / "wide.ckpt")
+        for k, p in wide.params.items():
+            assert np.array_equal(loaded.params[k].values, p.values.astype(np.float32))
+        self.assert_agrees(en.infer(loaded, test), float64_fodf(wide, test))
+
+    @pytest.mark.parametrize("tissues", [1, 3])
+    def test_training_step_stays_float32(self, tissues, monkeypatch):
+        # a stray float64 operand promotes a whole layer and everything after it
+        model, ctx, _, batch, targets = multi_tissue(tissues)
+        outputs = []
+        for name in ("graph_conv", "batchnorm", "healpix_maxpool", "healpix_unpool", "relu",
+                     "softplus", "scale"):
+            def recorded(*args, op=getattr(ad, name)):
+                outputs.append(op(*args))
+                return outputs[-1]
+
+            monkeypatch.setattr(ad, name, recorded)
+        x, _ = en.network_inputs(model, batch)
+        params = model.parameters()
+        adam = ad.AdamState.for_params(params)
+        tape = ad.Tape()
+        out = model.forward(tape, ad.Tensor(x), training=True)
+        loss, _ = en.esd_loss(tape, model, out, targets, ctx)
+        tape.backward(loss)
+        ad.adam_step(params, adam, 1e-3)
+        assert loss.values.dtype == np.float64
+        assert len(outputs) == 6 * 2 + 2 + 3  # six conv blocks, pool and unpool, head
+        for t in outputs + params:
+            assert t.values.dtype == np.float32 and t.grad.dtype == np.float32
+        # eval mode reads the running statistics instead of batch ones
+        outputs.clear()
+        model.forward(None, ad.Tensor(x), training=False)
+        assert len(outputs) == 17 and all(t.values.dtype == np.float32 for t in outputs)
+        for m in adam.m + adam.v:
+            assert m.dtype == np.float32
+        for state in model.bn.values():
+            assert state.running_mean.dtype == state.running_var.dtype == np.float32
+
+
+def test_infer_memory_per_voxel():
+    # resampled chunk by chunk, infer grows with the voxel count only by its
+    # output: 231 WM coefficients of 8 bytes per voxel. Measured: 1.75 kB per
+    # voxel from 64 to 192 voxels; resampling every voxel before the first
+    # chunk grew by 8.0 kB per voxel.
+    model = en.EsdModel(en.EsdConfig(), [3000.0])
+    peaks = []
+    for n in (64, 192):
+        data, _ = tiny_dataset(n=n, snr=30)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            field = en.infer(model, data)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert field.coeffs["wm"].shape == (n, 231)
+    per_voxel = (peaks[1] - peaks[0]) / 128
+    assert per_voxel < 3e3, f"infer grew by {per_voxel:.0f} bytes per voxel"

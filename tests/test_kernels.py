@@ -53,6 +53,16 @@ class TestBackendsAgree:
             assert out.shape == (grid.n_vertices, 17)
             assert np.abs(out - dense @ x).max() <= 1e-12
 
+    def test_csr_matmul_float32(self, levels):
+        # the product takes the dense operand's dtype, so the Laplacian's
+        # float64 values do not promote a float32 network
+        rng = np.random.default_rng(2)
+        for grid, lap, dense in levels:
+            x = rng.standard_normal((grid.n_vertices, 17)).astype(np.float32)
+            out = K.csr_matmul(lap.indptr, lap.indices, lap.data, x)
+            assert out.dtype == np.float32
+            assert np.abs(out - dense @ x).max() <= 1e-6 * np.abs(dense @ x).max()
+
     def test_csr_matmul_vector(self, levels):
         rng = np.random.default_rng(1)
         for grid, lap, dense in levels:
