@@ -1,28 +1,41 @@
-"""Hot numeric kernels: sparse Laplacian products, Healpix pooling, peak scans.
+"""Hot numeric kernels: Laplacian products, Healpix pooling, peak scans.
 
-Plain numpy and scipy.sparse; every kernel is deterministic. Callers reach
-them through this module's attributes, so a profiler can wrap them there.
+Plain numpy; every kernel is deterministic. Callers reach them through
+this module's attributes, so a profiler can wrap them there.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 # ---------------------------------------------------------------------------
-# CSR sparse matrix times dense matrix: out[n, m] = sum_k A[n, k] X[k, m].
+# Block-patch Laplacian times dense matrix: out[n, m] = sum_k L[n, k] X[k, m].
 # This is the inner loop of every graph convolution (forward and backward).
 
+# bytes of gathered halo rows per batched product, so that the gather's
+# transient stays small next to the operand
+_HALO_CHUNK_BYTES = 1 << 18
 
-def csr_matmul(indptr, indices, data, x):
-    """Multiply a CSR matrix by a dense (k, m) matrix or a length-k vector.
 
-    Each output row sums its terms in stored order, which is column order
-    for the sorted Laplacians of ``autodiff.scaled_laplacian``. The product
-    takes x's dtype: data is cast to it, which costs microseconds for a
-    Laplacian and leaves a float64 product untouched.
+def patch_matmul(own, halo, halo_index, x):
+    """Multiply a block-patch matrix by a dense (n, m) matrix or a length-n vector.
+
+    The rows split into B blocks of s consecutive rows. Block b's rows are
+    own[b] (s, s) on the block's own rows of x plus halo[b] (s, h) on the
+    rows halo_index[b] (h,) of x, so out[b] = own[b] x[b] + halo[b]
+    x[halo_index[b]]. Each half is one batched GEMM; the own rows are a
+    view of x, and the halo rows are gathered a few blocks at a time. The
+    product takes x's dtype: own and halo are cast to it, which costs
+    microseconds for a Laplacian and leaves a float64 product untouched.
     """
-    a = sp.csr_array((data.astype(x.dtype, copy=False), indices, indptr),
-                     shape=(len(indptr) - 1, x.shape[0]))
-    return a @ x
+    nb, s, _ = own.shape
+    x2 = x.reshape(nb * s, -1)
+    out = np.matmul(own.astype(x.dtype, copy=False), x2.reshape(nb, s, -1))
+    h = halo.shape[2]
+    if h:
+        halo = halo.astype(x.dtype, copy=False)
+        step = max(1, _HALO_CHUNK_BYTES // (h * x2[0].nbytes))
+        for b in range(0, nb, step):
+            out[b:b + step] += np.matmul(halo[b:b + step], x2[halo_index[b:b + step]])
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

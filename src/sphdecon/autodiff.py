@@ -12,18 +12,17 @@ runs in float32, and float64 inputs (the finite-difference tests) run the
 same ops in float64.
 
 Network activations are (N, V, C): vertex, voxel, channel. Hot inner
-loops (sparse Laplacian products, pooling) go through the kernels
-module (numpy and scipy.sparse). graph_conv picks its product order from
-the weight shape: it applies the Laplacian after mixing channels when the
-filter does not widen (C_out <= C_in), and to the input otherwise. Either
-way each dense product is one GEMM over all P+1 powers, and backward keeps
-nothing but the input.
+loops (Laplacian products, pooling) go through the kernels module.
+graph_conv picks its product order from the weight shape: it applies the
+Laplacian after mixing channels when the filter does not widen
+(C_out <= C_in), and to the input otherwise. Either way each dense
+product is one GEMM over all P+1 powers, and backward keeps nothing but
+the input.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .errors import InvalidArgumentError
@@ -92,30 +91,61 @@ def _track(tape, out, inputs, backward_fn):
 # Laplacian plumbing
 
 
+# rows per Laplacian patch: at nside >= 4, 16 consecutive NESTED vertices
+# are a 4x4 patch of one base face, whose neighbors outside it are a ring
+# of at most 20
+_PATCH_ROWS = 16
+
+
 @dataclass
 class ChebLaplacian:
-    """Rescaled Laplacian (2/lmax) L - I in CSR arrays for the kernels.
+    """Rescaled Laplacian (2/lmax) L - I as dense patches for the kernels.
 
-    data stays float64; the kernel casts it to the dense operand's dtype.
+    The n vertex rows split into blocks of s consecutive rows (s = 16, or n
+    when the grid is smaller). own (B, s, s) holds each block's entries on
+    its own columns; halo (B, s, h) holds those on the columns halo_index
+    (B, h) outside the block, zero-padded (a pad column is the block's first
+    vertex) to the widest block's h. Values stay float64; the kernel casts
+    them to the dense operand's dtype.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    own: np.ndarray
+    halo: np.ndarray
+    halo_index: np.ndarray
     n: int
 
     def matmul(self, x_cols):
         """Product with a dense matrix whose first axis runs over vertices."""
-        return _kernels.csr_matmul(self.indptr, self.indices, self.data, x_cols)
+        return _kernels.patch_matmul(self.own, self.halo, self.halo_index, x_cols)
 
 
-def scaled_laplacian(laplacian, lmax_scale: float) -> ChebLaplacian:
-    scaled = ((2.0 / lmax_scale) * laplacian - sp.identity(laplacian.shape[0])).tocsr()
-    scaled.sort_indices()
-    return ChebLaplacian(
-        scaled.indptr.copy(), scaled.indices.copy(),
-        np.ascontiguousarray(scaled.data, dtype=np.float64), scaled.shape[0],
-    )
+def scaled_laplacian(graph, lmax_scale: float) -> ChebLaplacian:
+    """The patch layout of (2/lmax) L - I for a sphere_grid.HealpixGraph."""
+    n, width = graph.columns.shape
+    s = min(_PATCH_ROWS, n)
+    nb = n // s
+    rows = np.repeat(np.arange(n), width)
+    cols = graph.columns.reshape(-1)
+    keep = cols >= 0
+    rows, cols = rows[keep], cols[keep]
+    vals = (2.0 / lmax_scale) * graph.values.reshape(-1)[keep]
+    vals[rows == cols] -= 1.0
+
+    block = rows // s
+    inside = cols // s == block
+    own = np.zeros((nb, s, s))
+    own[block[inside], rows[inside] % s, cols[inside] % s] = vals[inside]
+
+    # each block's halo: the distinct outside columns its rows read, ascending
+    block, rows, cols, vals = (a[~inside] for a in (block, rows, cols, vals))
+    keys, slot = np.unique(block * n + cols, return_inverse=True)
+    first = np.searchsorted(keys, np.arange(nb) * n)
+    h = int(np.bincount(keys // n, minlength=nb).max())
+    halo_index = np.repeat(np.arange(nb) * s, h).reshape(nb, h)
+    halo_index[keys // n, np.arange(keys.size) - first[keys // n]] = keys % n
+    halo = np.zeros((nb, s, h))
+    halo[block, rows % s, slot - first[block]] = vals
+    return ChebLaplacian(own, halo, halo_index, n)
 
 
 def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:

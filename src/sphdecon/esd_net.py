@@ -91,7 +91,7 @@ class EsdModel:
         self.shells = [float(b) for b in shells]
         self.grids = [sg.build_grid(config.nside_in >> i) for i in range(config.depth)]
         self.laps = [
-            ad.scaled_laplacian(g.laplacian, sg.estimate_lmax(g)) for g in self.grids
+            ad.scaled_laplacian(g.graph, sg.estimate_lmax(g)) for g in self.grids
         ]
         self.params: dict = {}
         self.bn: dict = {}

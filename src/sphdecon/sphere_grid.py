@@ -4,8 +4,9 @@ Healpix pixel centers (NESTED ordering throughout) form the vertices of a
 graph whose edges connect the standard 8-neighborhood (7 at the 24
 degenerate corner pixels, 6 everywhere at nside=1). Edge weights are
 exp(-d^2/rho^2) with d the chord distance and rho the mean chord distance
-over all neighbor pairs; the graph Laplacian is the unweighted-degree
-combinatorial form L = D - A.
+over all neighbor pairs; the graph Laplacian is the combinatorial form
+L = D - A. A grid builds its weighted graph on first use: CSD and peak
+detection read only the vertices and the neighbor table.
 
 Vertex azimuths are computed per quadrant and mapped by exact sign/swap
 rules, so the 4-fold rotation symmetry of the pixelization about z holds
@@ -13,8 +14,10 @@ bit-exactly: the quarter-turn vertex permutations are exact graph
 automorphisms, which downstream convolutions rely on for equivariance.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 
@@ -168,8 +171,30 @@ def _neighbor_table(nside):
     return out
 
 
+@dataclass(frozen=True)
+class HealpixGraph:
+    """The weighted graph of one grid, held as its Laplacian L = D - A.
+
+    Row i of L is stored as values[i, k] at column columns[i, k] for k in
+    increasing column order: the degree on the diagonal and minus the edge
+    weight at each neighbor. Rows with fewer than 9 entries end in column
+    -1 with value 0.
+
+    Attributes
+    ----------
+    columns : (N, 9) int ndarray
+    values : (N, 9) float64 ndarray
+    rho : float
+        Mean chord distance over neighbor pairs, the Gaussian width.
+    """
+
+    columns: np.ndarray
+    values: np.ndarray
+    rho: float
+
+
 class SphericalGrid:
-    """Immutable Healpix graph at one resolution.
+    """Immutable Healpix grid at one resolution.
 
     Attributes
     ----------
@@ -179,28 +204,53 @@ class SphericalGrid:
         Unit vectors of pixel centers, NESTED order, N = 12*nside^2.
     neighbor_table : (N, 8) ndarray
         Neighbor indices with -1 padding.
-    adjacency : scipy.sparse.csr_matrix
-        Symmetric nonnegative edge weights, zero diagonal.
-    laplacian : scipy.sparse.csr_matrix
-        L = D - A; symmetric PSD with zero row sums.
-    rho : float
-        Mean chord distance over neighbor pairs.
+    graph : HealpixGraph
+        The weighted graph, built on first access.
     """
 
-    def __init__(self, nside, vertices, neighbor_table, adjacency, laplacian, rho):
+    def __init__(self, nside, vertices, neighbor_table):
         self.nside = nside
         self.n_vertices = vertices.shape[0]
         self.vertices = vertices
         self.neighbor_table = neighbor_table
-        self.adjacency = adjacency
-        self.laplacian = laplacian
-        self.rho = rho
         vertices.setflags(write=False)
         neighbor_table.setflags(write=False)
 
+    @cached_property
+    def graph(self) -> HealpixGraph:
+        """Gaussian edge weights on the neighbor table, and L = D - A."""
+        nbrs = self.neighbor_table
+        npix = self.n_vertices
+        pix = np.arange(npix, dtype=np.int64)
+        rows = np.repeat(pix, 8)
+        cols = nbrs.reshape(-1)
+        valid = cols >= 0
+        rows, cols = rows[valid], cols[valid]
+
+        diff = self.vertices[rows] - self.vertices[cols]
+        d2 = (diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2
+        rho = float(np.mean(np.sqrt(d2[rows < cols])))
+        weights = np.zeros(nbrs.size)
+        weights[valid] = np.exp(-d2 / (rho * rho))
+        weights = weights.reshape(npix, 8)
+
+        # Degrees are sums of per-row sorted weights: permutation-equivalent
+        # rows then sum in an identical order, keeping the quarter-turn
+        # symmetry of the Laplacian bit-exact.
+        degrees = np.sort(weights, axis=1).sum(axis=1)
+
+        columns = np.concatenate([nbrs, pix[:, None]], axis=1)
+        values = np.concatenate([0.0 - weights, degrees[:, None]], axis=1)
+        order = np.argsort(np.where(columns >= 0, columns, npix), axis=1)
+        columns = np.take_along_axis(columns, order, axis=1)
+        values = np.take_along_axis(values, order, axis=1)
+        columns.setflags(write=False)
+        values.setflags(write=False)
+        return HealpixGraph(columns, values, rho)
+
 
 def build_grid(nside: int) -> SphericalGrid:
-    """Construct the Healpix graph for one resolution.
+    """Construct the Healpix grid for one resolution.
 
     Parameters
     ----------
@@ -211,46 +261,29 @@ def build_grid(nside: int) -> SphericalGrid:
         raise InvalidArgumentError(
             f"nside must be a power of two in 1..{MAX_NSIDE}, got {nside}"
         )
-    npix = 12 * nside * nside
-    pix = np.arange(npix, dtype=np.int64)
-    vertices = _pix2vec(nside, pix)
-    nbrs = _neighbor_table(nside)
-
-    rows = np.repeat(pix, 8)
-    cols = nbrs.reshape(-1)
-    valid = cols >= 0
-    rows, cols = rows[valid], cols[valid]
-
-    diff = vertices[rows] - vertices[cols]
-    d2 = (diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2
-    upper = rows < cols
-    rho = float(np.mean(np.sqrt(d2[upper])))
-    weights = np.exp(-d2 / (rho * rho))
-
-    adjacency = sp.csr_matrix((weights, (rows, cols)), shape=(npix, npix))
-    adjacency.sum_duplicates()
-    adjacency.sort_indices()
-
-    # Degrees are sums of per-row sorted weights: permutation-equivalent
-    # rows then sum in an identical order, keeping the quarter-turn
-    # symmetry of the Laplacian bit-exact.
-    padded = np.zeros((npix, 8), dtype=np.float64)
-    counts = np.diff(adjacency.indptr)
-    mask = np.arange(8)[None, :] < counts[:, None]
-    padded[mask] = adjacency.data
-    degrees = np.sort(padded, axis=1).sum(axis=1)
-
-    laplacian = (sp.diags(degrees) - adjacency).tocsr()
-    laplacian.sort_indices()
-    return SphericalGrid(nside, vertices, nbrs, adjacency, laplacian, rho)
+    pix = np.arange(12 * nside * nside, dtype=np.int64)
+    return SphericalGrid(nside, _pix2vec(nside, pix), _neighbor_table(nside))
 
 
 def estimate_lmax(grid: SphericalGrid) -> float:
-    """Largest Laplacian eigenvalue estimated by 20 power iterations."""
+    """Largest Laplacian eigenvalue estimated by 20 power iterations.
+
+    Each row of L v sums its terms one by one in column order; a -1 pad
+    reads the last vertex times 0, which adds nothing.
+    """
+    graph = grid.graph
+
+    def laplacian(v):
+        terms = graph.values * v[graph.columns]
+        out = terms[:, 0].copy()
+        for k in range(1, terms.shape[1]):
+            out += terms[:, k]
+        return out
+
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(grid.n_vertices)
     v /= np.linalg.norm(v)
     for _ in range(20):
-        w = grid.laplacian @ v
+        w = laplacian(v)
         v = w / np.linalg.norm(w)
-    return float(v @ (grid.laplacian @ v))
+    return float(v @ laplacian(v))

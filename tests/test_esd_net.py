@@ -407,16 +407,20 @@ def test_eval_forward_matches_dense_laplacian(monkeypatch):
 
     calls = []
 
-    def dense_matmul(indptr, indices, data, x):
-        n = len(indptr) - 1
+    def dense_matmul(own, halo, halo_index, x):
+        nb, s, h = halo.shape
+        n = nb * s
         calls.append(n)
-        a = np.zeros((n, x.shape[0]))
-        a[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+        a = np.zeros((n, n))
+        blocks = np.arange(nb)[:, None, None]
+        rows = blocks * s + np.arange(s)[None, :, None]
+        a[rows, blocks * s + np.arange(s)] = own
+        np.add.at(a, (np.broadcast_to(rows, halo.shape), halo_index[:, None, :]), halo)
         return a @ x
 
     # the network reaches the kernel through the module attribute, which is
     # also where profilers wrap it
-    monkeypatch.setattr(_kernels, "csr_matmul", dense_matmul)
+    monkeypatch.setattr(_kernels, "patch_matmul", dense_matmul)
     ref = model.forward(None, x, training=False).values
     assert sorted(set(calls)) == [48, 192, 768]
     assert (out > 0).mean() > 0

@@ -1045,15 +1045,39 @@ def test_entry_point_runs():
     assert "simulate" in proc.stdout
 
 
-def test_cli_imports_no_heavy_scipy_subpackage():
-    # at run time sphdecon needs numpy and scipy.sparse only; these four cost
-    # a CLI process about 0.35 s and 26 MB before its stage starts
+def test_cli_imports_no_heavy_scipy_subpackage(esd_run, tmp_path):
+    # at run time sphdecon needs numpy alone; scipy.sparse cost a CLI process
+    # 0.23 s and 22 MB before its stage started. One child imports the CLI,
+    # then runs csd, one epoch of esd-train and esd-infer, so that a scipy
+    # import inside a function shows too.
+    data, rf = esd_run["data"], str(esd_run["rf"])
+    cfg = tmp_path / "one_epoch.cfg"
+    cfg.write_text(json.dumps({**ESD_CONFIG, "model": {**ESD_CONFIG["model"], "max_epochs": 1}}))
+    ckpt = tmp_path / "esd.ckpt"
+    stages = [
+        ["csd", "--dataset", str(data / "test.sdv"), "--response", rf,
+         "--out", str(tmp_path / "csd.fodf")],
+        ["esd-train", "--train", str(data / "train.sdv"), "--val", str(data / "val.sdv"),
+         "--response", rf, "--out", str(ckpt), "--config", str(cfg)],
+        ["esd-infer", "--checkpoint", str(ckpt), "--dataset", str(data / "test.sdv"),
+         "--out", str(tmp_path / "esd.fodf")],
+    ]
+    script = (
+        "import json, sys\n"
+        "import sphdecon.io_cli\n"
+        "loaded = [list(sys.modules)]\n"
+        "codes = [sphdecon.io_cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded.append(list(sys.modules))\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
     src = os.path.dirname(os.path.dirname(io_cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys, sphdecon.io_cli; print(json.dumps(list(sys.modules)))"],
+        [sys.executable, "-c", script, json.dumps(stages)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = {".".join(name.split(".")[:2]) for name in json.loads(proc.stdout)}
-    assert not loaded & {"scipy.optimize", "scipy.spatial", "scipy.special", "scipy.linalg"}
+    codes, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0]
+    for modules in loaded:
+        assert not [name for name in modules if name.split(".")[0] == "scipy"]

@@ -1,12 +1,52 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from sphdecon import harmonics as sh
 from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError
 
+from graph_reference import dense_laplacian, reference_graph, reference_lmax
 from grid_rotations import z_rotation_permutation
+
+
+def dense_adjacency(grid):
+    lap = dense_laplacian(grid)
+    return np.diag(np.diag(lap)) - lap
+
+
+def edges(grid):
+    """Row, column and weight of every stored edge, in row then column order."""
+    graph = grid.graph
+    rows = np.repeat(np.arange(grid.n_vertices), graph.columns.shape[1])
+    cols = graph.columns.reshape(-1)
+    keep = (cols >= 0) & (cols != rows)
+    return rows[keep], cols[keep], -graph.values.reshape(-1)[keep]
+
+
+@pytest.mark.parametrize("nside", [1, 2, 4, 8, 16])
+def test_graph_bit_identical_to_scipy_construction(nside):
+    # the numpy graph holds the Laplacian's sorted CSR rows, padded to 9
+    grid = sg.build_grid(nside)
+    adjacency, laplacian, rho = reference_graph(grid)
+    keep = grid.graph.columns >= 0
+    assert np.array_equal(np.diff(laplacian.indptr), keep.sum(axis=1))
+    assert np.array_equal(laplacian.indices, grid.graph.columns[keep])
+    assert np.array_equal(laplacian.data, grid.graph.values[keep])
+    assert np.all(grid.graph.values[~keep] == 0)
+    rows, cols, weights = edges(grid)
+    assert np.array_equal(np.diff(adjacency.indptr), np.bincount(rows, minlength=grid.n_vertices))
+    assert np.array_equal(adjacency.indices, cols)
+    assert np.array_equal(adjacency.data, weights)
+    assert grid.graph.rho == rho
+    assert sg.estimate_lmax(grid) == reference_lmax(laplacian)
+
+
+def test_graph_built_on_first_use():
+    grid = sg.build_grid(4)
+    assert "graph" not in vars(grid)
+    assert grid.graph is grid.graph
 
 
 def test_vertex_count_nside1():
@@ -22,14 +62,14 @@ def test_vertex_counts_follow_pixel_formula():
 
 def test_laplacian_row_sums_nside4():
     grid = sg.build_grid(4)
-    row_sums = np.asarray(grid.laplacian.sum(axis=1)).ravel()
+    row_sums = grid.graph.values.sum(axis=1)
     assert np.abs(row_sums).max() < 1e-12
 
 
 def test_laplacian_spectrum_nside2():
     # oracle: dense eigendecomposition of the 48x48 Laplacian
     grid = sg.build_grid(2)
-    eigvals = np.linalg.eigvalsh(grid.laplacian.toarray())
+    eigvals = np.linalg.eigvalsh(dense_laplacian(grid))
     assert abs(eigvals[0]) < 1e-10
     assert np.all(eigvals[1:] > 0)
 
@@ -37,7 +77,7 @@ def test_laplacian_spectrum_nside2():
 def test_constant_vector_in_kernel():
     grid = sg.build_grid(4)
     ones = np.ones(grid.n_vertices)
-    assert np.abs(grid.laplacian @ ones).max() < 1e-12
+    assert np.abs(dense_laplacian(grid) @ ones).max() < 1e-12
 
 
 @pytest.mark.parametrize("nside", [2, 4, 8, 16])
@@ -56,38 +96,38 @@ def test_neighbor_counts_nside1():
 
 def test_adjacency_symmetric_zero_diagonal():
     grid = sg.build_grid(8)
-    A = grid.adjacency
-    assert (abs(A - A.T)).nnz == 0
+    A = dense_adjacency(grid)
+    assert np.array_equal(A, A.T)
     assert np.all(A.diagonal() == 0)
 
 
 def test_weights_in_unit_interval_and_rho_positive():
     grid = sg.build_grid(4)
-    assert grid.rho > 0
-    w = grid.adjacency.data
+    assert grid.graph.rho > 0
+    _, _, w = edges(grid)
     assert np.all(w > 0) and np.all(w <= 1.0)
 
 
 def test_edge_weight_formula():
     grid = sg.build_grid(2)
-    A = grid.adjacency.tocoo()
-    d2 = ((grid.vertices[A.row] - grid.vertices[A.col]) ** 2).sum(axis=1)
-    assert np.allclose(A.data, np.exp(-d2 / grid.rho**2), rtol=0, atol=1e-15)
+    rows, cols, w = edges(grid)
+    d2 = ((grid.vertices[rows] - grid.vertices[cols]) ** 2).sum(axis=1)
+    assert np.allclose(w, np.exp(-d2 / grid.graph.rho**2), rtol=0, atol=1e-15)
 
 
 def test_rho_is_mean_neighbor_chord():
     grid = sg.build_grid(2)
-    A = grid.adjacency.tocoo()
-    pairs = A.row < A.col
-    d = np.linalg.norm(grid.vertices[A.row[pairs]] - grid.vertices[A.col[pairs]], axis=1)
-    assert np.isclose(grid.rho, d.mean(), rtol=0, atol=1e-15)
+    rows, cols, _ = edges(grid)
+    pairs = rows < cols
+    d = np.linalg.norm(grid.vertices[rows[pairs]] - grid.vertices[cols[pairs]], axis=1)
+    assert np.isclose(grid.graph.rho, d.mean(), rtol=0, atol=1e-15)
 
 
 def test_build_grid_deterministic():
     a = sg.build_grid(4)
     b = sg.build_grid(4)
     assert np.array_equal(a.vertices, b.vertices)
-    assert np.array_equal(a.adjacency.data, b.adjacency.data)
+    assert np.array_equal(a.graph.values, b.graph.values)
 
 
 @pytest.mark.parametrize("nside", [0, 3, 5, 128, -2])
@@ -166,13 +206,13 @@ class TestZRotation:
         # exhaustive check over all 48^2 pairs
         grid = sg.build_grid(2)
         pi = z_rotation_permutation(grid, 1)
-        A = grid.adjacency.toarray()
+        A = dense_adjacency(grid)
         assert np.array_equal(A[np.ix_(pi, pi)], A)
 
     def test_laplacian_commutes_exactly(self):
         grid = sg.build_grid(8)
         pi = z_rotation_permutation(grid, 3)
-        L = grid.laplacian.toarray()
+        L = dense_laplacian(grid)
         assert np.array_equal(L[np.ix_(pi, pi)], L)
 
     def test_permutation_consistent_with_pooling(self):
@@ -186,7 +226,7 @@ class TestZRotation:
 
 def test_estimate_lmax_close_to_dense():
     grid = sg.build_grid(2)
-    dense = np.linalg.eigvalsh(grid.laplacian.toarray())[-1]
+    dense = np.linalg.eigvalsh(dense_laplacian(grid))[-1]
     est = sg.estimate_lmax(grid)
     assert est <= dense + 1e-9
     assert est > 0.9 * dense
@@ -195,6 +235,7 @@ def test_estimate_lmax_close_to_dense():
 def test_psd_via_sparse_eigs():
     grid = sg.build_grid(8)
     smallest = scipy.sparse.linalg.eigsh(
-        grid.laplacian, k=1, sigma=-1e-3, return_eigenvectors=False
+        scipy.sparse.csr_array(dense_laplacian(grid)), k=1, sigma=-1e-3,
+        return_eigenvectors=False,
     )
     assert smallest[0] > -1e-10
