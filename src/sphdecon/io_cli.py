@@ -546,7 +546,8 @@ def cmd_peaks(args, config):
     write_peaks(args.out, peak_sets)
     n = len(peak_sets)
     return {"out": args.out, "voxels": n,
-            "peaks_per_voxel": sum(map(len, peak_sets)) / n if n else None}
+            "peaks_per_voxel": sum(map(len, peak_sets)) / n if n else None,
+            "candidates_per_voxel": sum(p.candidates for p in peak_sets) / n if n else None}
 
 
 def cmd_evaluate(args, config):

@@ -53,6 +53,7 @@ class PeakConfig:
 class PeakSet:
     directions: np.ndarray  # (K, 3), descending amplitude, hemisphere reps
     amplitudes: np.ndarray  # (K,)
+    candidates: int = 0  # local maxima the peaks were selected from
 
     def __len__(self):
         return self.directions.shape[0]
@@ -85,6 +86,7 @@ def detect_peaks(dirs, amps, rel_threshold, min_separation_deg) -> PeakSet:
     """
     if len(amps) == 0:
         return PeakSet(np.zeros((0, 3)), np.zeros(0))
+    candidates = len(amps)
     order = np.argsort(-amps, kind="stable")
     dirs, amps = dirs[order], amps[order]
     keep = amps >= rel_threshold * amps[0]
@@ -94,7 +96,7 @@ def detect_peaks(dirs, amps, rel_threshold, min_separation_deg) -> PeakSet:
     for i in range(len(amps)):
         if np.all(angles[i, kept] >= min_separation_deg):
             kept.append(i)
-    return PeakSet(dirs[kept], amps[kept])
+    return PeakSet(dirs[kept], amps[kept], candidates)
 
 
 def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold, min_separation_deg):
@@ -104,7 +106,8 @@ def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold, min_separation_deg):
     Newton step of a tangent-plane quadratic fit over each vertex's
     neighbors. Voxels are processed _CHUNK at a time: candidates,
     refinement and amplitudes run on a whole chunk at once, and only the
-    selection (detect_peaks) runs per voxel.
+    selection (detect_peaks) runs per voxel. Each PeakSet counts the
+    local maxima it was selected from.
     """
     if grid_dense.nside < 16:
         raise InvalidArgumentError("peak grid must have nside >= 16")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,42 @@ class TestCsdSolve:
         assert field.coeffs["csf"].min() > -1e-6
 
 
+class TestConstraintPenalty:
+    @pytest.mark.parametrize("wm_degree", [4, 8, 12])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_factored_matches_explicit_rows(self, wm_degree, lam, constraint_grid):
+        # oracle: lambda B_a^T B_a from the active rows of the whole grid,
+        # where a vertex is active when its hemisphere representative is
+        basis = sh.ShBasis(wm_degree)
+        Y2, G, pair = csd._constraint_penalty(
+            basis, csd.CsdConfig(wm_degree=wm_degree, lambda_sparsity=lam))
+        verts = constraint_grid.vertices
+        hemi = verts[(sh.fold_hemisphere(verts) == verts).all(axis=1)]
+        rep = np.argmax(sh.fold_hemisphere(verts) @ hemi.T, axis=1)
+        B = sh.design_matrix(basis, verts).T
+        rng = np.random.default_rng(wm_degree)
+        masks = np.array([np.zeros(len(hemi), bool), np.ones(len(hemi), bool),
+                          rng.random(len(hemi)) < 0.3])
+        got = ((masks @ Y2) @ G)[:, pair]
+        for mask, g in zip(masks, got):
+            Ba = B[mask[rep]]
+            want = lam * (Ba.T @ Ba)
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_memory_peak(self, wm_rf):
+        # one default 128-voxel solve: 9.05 MB here, and 19.2 MB when the
+        # penalty products were packed as a (1536, 1035) matrix
+        batch, _ = single_fiber_batch(n=128, snr=30)
+        csd.csd_solve(batch.subset(np.arange(2)), {"wm": wm_rf})
+        tracemalloc.start()
+        try:
+            csd.csd_solve(batch, {"wm": wm_rf})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
 class TestFodfValues:
     def test_unit_y00_constant(self, wm_rf):
         basis = sh.ShBasis(8)
@@ -322,6 +360,16 @@ class TestBatchedMatchesReference:
         field = self.check(sm.VoxelBatch(noise, batch.gradients),
                            {t: rfs[t] for t in ("gm", "csf")})
         assert field.iterations.max() > 2
+
+    @pytest.mark.parametrize("nside", [2, 4])
+    @pytest.mark.parametrize("wm_degree", [4, 8])
+    def test_small_constraint_grid(self, nside, wm_degree, wm_rf):
+        # the hemisphere holds 24 or 96 vertices: at wm_degree 8 fewer than
+        # the 153 harmonics of degree 16, so the penalty's expansion
+        # cannot be fitted on the constraint grid
+        batch, _ = single_fiber_batch(n=16, snr=20)
+        self.check(batch, {"wm": wm_rf},
+                   csd.CsdConfig(constraint_grid_nside=nside, wm_degree=wm_degree))
 
     def test_descending_shells_same_coefficients(self):
         batch, rfs = three_tissue_batch(n=12)

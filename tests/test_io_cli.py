@@ -893,9 +893,12 @@ class TestCliPipeline:
         assert csd_line["iterations"] >= csd_line["voxels"]
         assert run_cli("peaks", "--fodf", str(fodf), "--out", str(peaks)) == 0
         peaks_line = summary()
-        assert set(peaks_line) == {"out", "voxels", "peaks_per_voxel", "elapsed_ms"}
+        assert set(peaks_line) == {"out", "voxels", "peaks_per_voxel", "candidates_per_voxel",
+                                   "elapsed_ms"}
         n_peaks = sum(len(p) for p in io_cli.read_peaks(peaks))
         assert peaks_line["peaks_per_voxel"] == n_peaks / peaks_line["voxels"]
+        # every voxel of the test split has a fiber, so a local maximum
+        assert peaks_line["candidates_per_voxel"] >= max(1.0, peaks_line["peaks_per_voxel"])
         out = tmp_path / "summary.json"
         assert run_cli("evaluate", "--peaks", str(peaks), "--dataset", str(data / "test.sdv"),
                        "--out", str(out)) == 0

@@ -122,7 +122,7 @@ def reference_detect_peaks(coeffs, grid, rel_threshold, min_separation_deg):
     for i in range(len(amps)):
         if all(pm.axis_angles_deg(dirs[i], dirs[j])[0, 0] >= min_separation_deg for j in kept):
             kept.append(i)
-    return pm.PeakSet(dirs[kept], amps[kept])
+    return pm.PeakSet(dirs[kept], amps[kept], len(idx))
 
 
 class TestDetectPeaks:
@@ -224,6 +224,7 @@ class TestBatchedMatchesReference:
             assert len(peaks) == len(ref)
             assert np.abs(peaks.directions - ref.directions).max(initial=0.0) <= 1e-9
             assert np.abs(peaks.amplitudes - ref.amplitudes).max(initial=0.0) <= 1e-9
+            assert peaks.candidates == ref.candidates >= len(ref)
             n_peaks += len(ref)
         assert len(got[-2]) == len(got[-1]) == 0
         assert n_peaks > len(coeffs)
