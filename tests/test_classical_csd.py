@@ -250,7 +250,7 @@ class TestConstraintPenalty:
             assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_memory_peak(self, wm_rf):
-        # one default 128-voxel solve: 9.05 MB here, and 19.2 MB when the
+        # one default 128-voxel solve: measured 9.05 MB, and 19.2 MB when the
         # penalty products were packed as a (1536, 1035) matrix
         batch, _ = single_fiber_batch(n=128, snr=30)
         csd.csd_solve(batch.subset(np.arange(2)), {"wm": wm_rf})
