@@ -470,11 +470,15 @@ def cmd_simulate(args, config):
     sc = build_config(config, "dataset")
     os.makedirs(args.out, exist_ok=True)
     files = {}
+    redraws = 0
     for name, batch in sm.make_dataset(sc).items():
         path = os.path.join(args.out, f"{name}.sdv")
         write_dataset(path, batch, seed=sc.seed)
         files[name] = {"path": path, "n_voxels": batch.n_voxels}
-    return {"seed": sc.seed, "files": files}
+        redraws += int(batch.redraws.sum())
+    # rejected axis and fraction draws, the cost of the crossing-angle and fraction floors
+    return {"seed": sc.seed, "files": files,
+            "redraws_per_voxel": redraws / max(sc.n_voxels, 1)}
 
 
 def cmd_response(args, config):

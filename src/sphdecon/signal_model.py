@@ -10,6 +10,7 @@ All randomness is drawn from named substreams of a single seed so that
 results are independent of evaluation order.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,6 +42,89 @@ def _stream_entropy(seed: int, stream: int, *parts) -> np.ndarray:
     if seed < 0 or words.min(initial=0) < 0 or words.max(initial=0) > 0xFFFFFFFF:
         raise InvalidArgumentError("seed stream entries must be nonnegative, parts below 2**32")
     return words.astype(np.uint32)
+
+
+# numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64's 128-bit LCG
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_STREAM_CHUNK = 256  # rows whose states are held as Python ints at once
+
+
+def _hash_constants(init, mult, n) -> list:
+    """The (xor, multiply) constant pairs of n successive hash steps.
+
+    The constant only ever advances by `mult`, whatever the data, so every
+    row of a block shares them.
+    """
+    pairs = []
+    for _ in range(n):
+        xor, init = init, init * mult & 0xFFFFFFFF
+        pairs.append((np.uint32(xor), np.uint32(init)))
+    return pairs
+
+
+def _pcg64_states(entropy) -> list:
+    """PCG64 (state, inc) of default_rng(row) for each row of an (N, k) uint32 block.
+
+    The SeedSequence hash runs on whole columns: the pool is 4 hashmix
+    words (zeros past a row's end), then mixed with each other and with the
+    words past the 4th; PCG64 takes 4 uint64 output words as the high and
+    low halves of its seed and increment, then srandom sets inc = 2 seq + 1
+    and state = (seed + inc) mult + inc.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    n, k = entropy.shape
+    n_hash = _POOL_SIZE * _POOL_SIZE + max(k - _POOL_SIZE, 0) * _POOL_SIZE
+    consts = iter(_hash_constants(_INIT_A, _MULT_A, n_hash))
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ (value >> 16)
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < k else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, k):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    out = np.empty((n, 8), dtype=np.uint32)
+    for i, (xor, mult) in enumerate(_hash_constants(_INIT_B, _MULT_B, 8)):
+        value = (pool[i % _POOL_SIZE] ^ xor) * mult
+        out[:, i] = value ^ (value >> 16)
+    states = []
+    # uint32 pairs read as little-endian uint64s: seed high, low, seq high, low
+    for s_hi, s_lo, q_hi, q_lo in out.astype("<u4").view("<u8").tolist():
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        seed = (s_hi << 64) | s_lo
+        states.append((((seed + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _streams(entropy):
+    """Yield a generator per row of an (N, k) uint32 block, seeded as default_rng(row).
+
+    It is one Generator whose state is reset for each row, so each must be
+    used up before the next is taken. States are derived a chunk at a time.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for lo in range(0, len(entropy), _STREAM_CHUNK):
+        for state, inc in _pcg64_states(entropy[lo:lo + _STREAM_CHUNK]):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 @dataclass
@@ -140,6 +224,7 @@ class VoxelBatch:
     fibers: np.ndarray | None = None  # (V, 3, 3) unit rows, zero-padded
     fiber_fractions: np.ndarray | None = None  # (V, 3), zero-padded
     tissue_fractions: np.ndarray | None = None  # (V, 3) wm/gm/csf
+    redraws: np.ndarray | None = None  # (V,) rejected axis and fraction draws, if simulated
 
     def __post_init__(self):
         if self.signals.ndim != 2 or self.signals.shape[1] != self.gradients.total_samples:
@@ -180,6 +265,7 @@ class VoxelBatch:
             None if self.fibers is None else self.fibers[idx],
             None if self.fiber_fractions is None else self.fiber_fractions[idx],
             None if self.tissue_fractions is None else self.tissue_fractions[idx],
+            None if self.redraws is None else self.redraws[idx],
         )
 
 
@@ -268,23 +354,28 @@ def rician_noise(clean, sigma: float, seed, voxel_indices,
     """Magnitude-MR noise on (V, samples) signals: sqrt((s + e1)^2 + e2^2), e ~ N(0, sigma^2).
 
     Row v is voxel voxel_indices[v]. Its noise on each key b of the table
-    is one normal(0, sigma, 2 n_b) draw, e1 then e2, from the stream
+    is the normal(0, sigma, 2 n_b) draw, e1 then e2, of the stream
     [seed, 303, voxel, b], so it does not depend on the batch the voxel is
-    in.
+    in. Each stream writes sigma times its standard normals into one key's
+    (V, 2, n_b) buffer, the same numbers as 0 + sigma z.
     """
     if sigma < 0:
         raise InvalidArgumentError("sigma must be nonnegative")
     if sigma == 0:
         return np.abs(clean)
-    keys = [(int(b), gradients.columns(b)) for b in gradients.keys]
-    entropy = _stream_entropy(seed, _STREAM_NOISE, np.asarray(voxel_indices)[:, None],
-                              [b for b, _ in keys])
-    noise = np.empty((2, *clean.shape))
-    for row, words in enumerate(entropy):
-        for (_, cols), entry in zip(keys, words):
-            rng = np.random.default_rng(entry)
-            noise[:, row, cols] = rng.normal(0.0, sigma, (2, cols.stop - cols.start))
-    return np.sqrt((clean + noise[0]) ** 2 + noise[1] ** 2)
+    voxel_indices = np.asarray(voxel_indices)
+    out = np.empty(clean.shape)
+    for b in gradients.keys:
+        cols = gradients.columns(b)
+        noise = np.empty((len(voxel_indices), 2, cols.stop - cols.start))
+        entropy = _stream_entropy(seed, _STREAM_NOISE, voxel_indices, int(b))
+        for row, rng in zip(noise, _streams(entropy)):
+            rng.standard_normal(out=row)
+        noise *= sigma
+        noise[:, 0] += clean[:, cols]
+        np.square(noise, out=noise)
+        np.sqrt(np.add(noise[:, 0], noise[:, 1], out=noise[:, 0]), out=out[:, cols])
+    return out
 
 
 def generate_gradients(n: int, seed) -> np.ndarray:
@@ -404,25 +495,45 @@ def _axis_angles_deg(dirs):
     return np.degrees(np.arccos(np.clip(dots[_PAIRS[len(dirs)]], -1, 1)))
 
 
-def _draw_voxel(config: SimConfig, rng):
-    n_fib = 1 + rng.choice(3, p=np.asarray(config.fiber_count_probs, float))
+def _flat_dirichlet(rng, k) -> list:
+    """dirichlet(ones(k)) from the same bits: k unit exponentials over their sum."""
+    draws = rng.standard_exponential(k).tolist()
+    acc = 0.0
+    for x in draws:  # numpy sums left to right, then scales by the reciprocal
+        acc += x
+    inv = 1.0 / acc
+    return [x * inv for x in draws]
+
+
+def _draw_voxel(config: SimConfig, rng, fiber_cdf):
+    """One voxel's fiber axes (array), fiber and tissue fractions (lists), and its redraws.
+
+    fiber_cdf is the cumulative fiber-count probabilities over their sum.
+    The draws are, in order and bit for bit, choice(3, p), standard normal
+    axes and dirichlet(ones(k)) fractions until they pass their floors,
+    then the tissue draw; redraws counts the axes and fractions rejected.
+    """
+    n_fib = 1 + bisect_right(fiber_cdf, rng.random())  # choice(3, p) searches side='right'
+    redraws = 0
     while True:
         dirs = rng.standard_normal((n_fib, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         if n_fib == 1 or _axis_angles_deg(dirs).min() >= config.min_crossing_angle_deg:
             break
+        redraws += 1
     while True:
-        fracs = rng.dirichlet(np.ones(n_fib))
-        if fracs.min() >= config.min_fiber_fraction or n_fib == 1:
+        fracs = _flat_dirichlet(rng, n_fib)
+        if min(fracs) >= config.min_fiber_fraction or n_fib == 1:
             break
+        redraws += 1
     if config.tissues == 1:
-        tissue = np.array([1.0, 0.0, 0.0])
+        tissue = [1.0, 0.0, 0.0]
     elif rng.random() < config.pure_voxel_prob:
-        tissue = np.zeros(3)
-        tissue[rng.choice(3)] = 1.0
+        tissue = [0.0, 0.0, 0.0]
+        tissue[rng.integers(0, 3)] = 1.0  # choice(3)
     else:
-        tissue = rng.dirichlet(np.ones(3))
-    return dirs, fracs, tissue
+        tissue = _flat_dirichlet(rng, 3)
+    return dirs, fracs, tissue, redraws
 
 
 def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -> VoxelBatch:
@@ -437,10 +548,12 @@ def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -
     fibers = np.zeros((n, 3, 3))
     fiber_fracs = np.zeros((n, 3))
     tissue_fracs = np.zeros((n, 3))
+    redraws = np.zeros(n, dtype=np.int64)
+    cdf = np.asarray(config.fiber_count_probs, float).cumsum()
+    fiber_cdf = (cdf / cdf[-1]).tolist()
     entropy = _stream_entropy(config.seed, _STREAM_VOXEL, voxel_indices)
-    for row, words in enumerate(entropy):
-        rng = np.random.default_rng(words)
-        dirs, fracs, tissue = _draw_voxel(config, rng)
+    for row, rng in enumerate(_streams(entropy)):
+        dirs, fracs, tissue, redraws[row] = _draw_voxel(config, rng, fiber_cdf)
         if tissue[0] != 0.0:  # without a WM compartment the fibers are not ground truth
             fibers[row, : len(dirs)] = dirs
             fiber_fracs[row, : len(dirs)] = fracs
@@ -448,7 +561,7 @@ def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -
     clean = tensor_signals(fibers, fiber_fracs, tissue_fracs, gradients, config.tensor)
     sigma = 0.0 if not config.snr else 1.0 / config.snr
     signals = rician_noise(clean, sigma, config.seed, voxel_indices, gradients)
-    return VoxelBatch(signals, gradients, fibers, fiber_fracs, tissue_fracs)
+    return VoxelBatch(signals, gradients, fibers, fiber_fracs, tissue_fracs, redraws)
 
 
 def make_dataset(config: SimConfig) -> dict:

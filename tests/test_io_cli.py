@@ -368,6 +368,19 @@ class TestCliPipeline:
         cfg.write_text(json.dumps({"seed": 1, "dataset": {**dataset, **json.loads(case)}}))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
 
+    def test_simulate_reports_redraws(self, tmp_path, capsys):
+        cfg = tmp_path / "cross.cfg"
+        config = {"seed": 4, "dataset": {**SIM_CONFIG["dataset"], "tissues": 3,
+                                         "fiber_count_probs": [0.2, 0.4, 0.4]}}
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "d")) == 0
+        line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        sc = io_cli.build_config(config, "dataset")
+        redraws = np.concatenate([b.redraws for b in sm.make_dataset(sc).values()])
+        assert len(redraws) == 40 and redraws.sum() > 0
+        assert line["redraws_per_voxel"] == redraws.mean()
+
     def test_response_reports_pure_voxels(self, tmp_path, capsys):
         cfg = tmp_path / "msmt.cfg"
         cfg.write_text(json.dumps({"seed": 3, "dataset": {
@@ -869,8 +882,9 @@ class TestCliPipeline:
         cfg.write_text(json.dumps(SIM_CONFIG))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "d")) == 0
         sim_line = summary()
-        assert set(sim_line) == {"seed", "files", "elapsed_ms"}
+        assert set(sim_line) == {"seed", "files", "redraws_per_voxel", "elapsed_ms"}
         assert sim_line["files"]["train"]["n_voxels"] == 28
+        assert sim_line["redraws_per_voxel"] == 0.0  # single fibers meet both floors at once
         assert run_cli("response", "--dataset", str(data / "train.sdv"),
                        "--out", str(tmp_path / "r.rf")) == 0
         rf_line = summary()

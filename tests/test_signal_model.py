@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -434,6 +436,39 @@ class TestStreamEntropy:
             sm._stream_entropy(seed, 202, [part])
 
 
+class TestBulkSeeding:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("fill", ["zeros", "ones", "random"])
+    def test_same_state_as_default_rng(self, k, fill):
+        # rows of 5 and 6 words take the hash's extra mixing loop past the pool of 4
+        rows = {"zeros": np.zeros((3, k), np.uint32),
+                "ones": np.full((3, k), 0xFFFFFFFF, np.uint32),
+                "random": np.random.default_rng(k).integers(0, 2**32, (40, k), np.uint32)}[fill]
+        got = [rng.bit_generator.state for rng in sm._streams(rows)]
+        assert got == [np.random.default_rng(row).bit_generator.state for row in rows]
+
+    def test_states_past_one_chunk(self):
+        rows = sm._stream_entropy(2**64 + 5, 303, np.arange(sm._STREAM_CHUNK + 3))
+        assert rows.shape[1] == 5
+        got = [rng.bit_generator.state for rng in sm._streams(rows)]
+        assert len(got) == len(rows)
+        for i in (0, sm._STREAM_CHUNK - 1, sm._STREAM_CHUNK, len(rows) - 1):
+            assert got[i] == np.random.default_rng(rows[i]).bit_generator.state
+
+    def test_streams_draw_what_default_rng_draws(self):
+        # integers(0, 3) leaves half a 64-bit draw buffered in the bit generator;
+        # the next stream must not start from it
+        rows = sm._stream_entropy(3, 202, np.arange(4))
+        for row, rng in zip(rows, sm._streams(rows)):
+            fresh = np.random.default_rng(row)
+            assert np.array_equal(rng.standard_normal(5), fresh.standard_normal(5))
+            assert rng.integers(0, 3) == fresh.integers(0, 3)
+            assert rng.random() == fresh.random()
+
+    def test_empty_block(self):
+        assert list(sm._streams(np.zeros((0, 3), np.uint32))) == []
+
+
 class TestBatchGeneration:
     def config(self, **kw):
         base = dict(
@@ -448,7 +483,9 @@ class TestBatchGeneration:
         base.update(kw)
         return sm.SimConfig(**base)
 
-    @pytest.mark.parametrize("case", [
+    # the 7 cases at seed 7, then again at a seed past 2**64, whose entropy
+    # rows are 5 words (voxels) and 6 words (noise), past the hash's pool of 4
+    @pytest.mark.parametrize("case", [dict(case, seed=seed) for seed in (7, 2**64 + 5) for case in [
         dict(tissues=1, snr=30, b0_count=1, gradients_per_shell=32),
         dict(tissues=3, snr=30, b0_count=0, gradients_per_shell=8,
              shells=[1000.0, 2000.0, 3000.0]),
@@ -459,7 +496,7 @@ class TestBatchGeneration:
              fiber_count_probs=(1.0, 0.0, 0.0)),
         dict(tissues=3, snr=30, b0_count=1, gradients_per_shell=16,
              shells=[1000.0, 3000.0], fiber_count_probs=(0.0, 0.0, 1.0)),
-    ])
+    ]])
     def test_matches_per_voxel_reference(self, case):
         config = self.config(n_voxels=60, split=(40, 10, 10), **case)
         table = sm.build_gradient_table(config)
@@ -469,6 +506,44 @@ class TestBatchGeneration:
             got = (batch.signals, batch.fibers, batch.fiber_fractions, batch.tissue_fractions)
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b)
+
+    def test_redraws_count_rejected_draws(self):
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, {"standard_normal": 0, "dirichlet": 0}
+
+            def __getattr__(self, name):
+                if name in self.calls:
+                    self.calls[name] += 1
+                return getattr(self.rng, name)
+
+        config = self.config(n_voxels=60, split=(40, 10, 10), min_fiber_fraction=0.3)
+        table = sm.build_gradient_table(config)
+        batch = sm.generate_batch(config, table, np.arange(60))
+        expect = []
+        for v in range(60):
+            rng = Counting(np.random.default_rng([config.seed, 202, v]))
+            reference_draw_voxel(config, rng)  # 1 tissue: every draw is an axis or fraction
+            expect.append(sum(rng.calls.values()) - 2)
+        assert batch.redraws.tolist() == expect
+        assert sum(expect) > 0
+        assert batch.subset([3, 1]).redraws.tolist() == [expect[3], expect[1]]
+
+    def test_memory_peak(self):
+        # one 5000-voxel batch of 3 shells x 32 gradients, 3 tissues, SNR 30:
+        # measured 13.95 MB, and 20.4 MB when each stream built its own
+        # generator and the noise was one (2, V, samples) array
+        config = self.config(shells=[1000.0, 2000.0, 3000.0], tissues=3, n_voxels=5000,
+                             split=(5000, 0, 0))
+        table = sm.build_gradient_table(config)
+        sm.generate_batch(config, table, np.arange(2))
+        tracemalloc.start()
+        try:
+            sm.generate_batch(config, table, np.arange(5000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_crossing_angle_floor(self):
         config = self.config(n_voxels=60, split=(40, 10, 10))
