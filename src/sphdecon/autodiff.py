@@ -277,10 +277,6 @@ class BatchNormState:
     momentum: float = 0.1
     eps: float = 1e-5
 
-    @classmethod
-    def for_channels(cls, c):
-        return cls(np.zeros(c), np.ones(c))
-
 
 def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               training: bool) -> Tensor:
@@ -334,15 +330,6 @@ def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormStat
             x.add_grad(dx.reshape(n, v, c))
 
     return _track(tape, out, (x, gamma, beta), backward)
-
-
-def relu(tape, x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.values, 0.0))
-
-    def backward():
-        x.add_grad(out.grad * (x.values > 0))
-
-    return _track(tape, out, (x,), backward)
 
 
 def softplus(tape, x: Tensor) -> Tensor:

@@ -25,8 +25,8 @@ from . import signal_model as sm
 from . import sphere_grid as sg
 from .errors import InvalidArgumentError, NumericalError
 
-# fixed output gain: fODF lobes live at ~10-20x the unit scale of
-# normalized features, and Adam is slow to grow raw magnitudes
+# fixed gain of the multi-tissue softplus head: fODF lobes live at ~10-20x
+# the unit scale of normalized features, and Adam is slow to grow raw magnitudes
 _HEAD_GAIN = 12.0
 # voxels per eval forward in infer; larger chunks fall out of cache
 _INFER_CHUNK = 32
@@ -105,11 +105,12 @@ class EsdModel:
         for lvl in range(config.depth - 2, -1, -1):
             self._add_block(rng, f"dec{lvl}_0", ch[lvl + 1] + ch[lvl], ch[lvl])
             self._add_block(rng, f"dec{lvl}_1", ch[lvl], ch[lvl])
-        # small head init: the output starts near zero (but alive through
-        # the rectifier) and _HEAD_GAIN supplies the eventual fODF scale
-        self.params["head_w"] = ad.Tensor(
-            0.05 * self._init_weights(rng, ch[0], config.tissues), requires_grad=True
-        )
+        if config.tissues == 1:
+            self._add_block(rng, "head", ch[0], 1)
+        else:  # small init: the output starts near zero, _HEAD_GAIN sets its scale
+            self.params["head_w"] = ad.Tensor(
+                0.05 * self._init_weights(rng, ch[0], config.tissues), requires_grad=True
+            )
 
     def _init_weights(self, rng, c_in, c_out):
         p1 = self.config.poly_order + 1
@@ -165,9 +166,10 @@ class EsdModel:
             h = ad.healpix_unpool(tape, h, skips.pop())
             h = self._block(tape, f"dec{lvl}_0", h, lvl, training)
             h = self._block(tape, f"dec{lvl}_1", h, lvl, training)
+        if config.tissues == 1:  # WM alone: one more conv block
+            return self._block(tape, "head", h, 0, training)
         h = ad.graph_conv(tape, h, self.params["head_w"], self.laps[0])
-        h = ad.softplus(tape, h) if config.tissues > 1 else ad.relu(tape, h)
-        return ad.scale(tape, h, _HEAD_GAIN)
+        return ad.scale(tape, ad.softplus(tape, h), _HEAD_GAIN)
 
 
 def heads_to_fodf(outputs: np.ndarray, fit: np.ndarray) -> dict:
@@ -322,15 +324,21 @@ def _summarize(config, sums, n):
 
 
 def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
-    """Eval-mode loss over a split, summed then normalized per voxel."""
+    """Eval-mode loss over a split, summed then normalized per voxel.
+
+    live_frac is the fraction of the split's voxels whose WM output is not all zero.
+    """
     sums = np.zeros(3)
+    live = 0
     for lo in range(0, len(indices), batch_size):
         idx = indices[lo : lo + batch_size]
         x = ad.Tensor(x_all[:, idx])
         out = model.forward(None, x, training=False)
         _, terms = esd_loss(None, model, out, targets[idx], ctx)
         sums += [terms["reconstruction"], terms["sparsity"], terms["negativity"]]
-    return _summarize(model.config, sums, max(len(indices), 1))
+        live += int(np.count_nonzero(np.any(out.values[:, :, 0] != 0, axis=0)))
+    n = max(len(indices), 1)
+    return dict(_summarize(model.config, sums, n), live_frac=live / n)
 
 
 def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,

@@ -40,6 +40,8 @@ from .errors import IllConditionedError, InvalidArgumentError, NumericalError
 
 MAGIC = b"SDV1"
 VERSION = 1
+# the layout of a checkpoint's blocks; a network change that alters it bumps it
+CHECKPOINT_FORMAT = 2
 _ALIGN = 32
 
 
@@ -315,6 +317,7 @@ def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: d
         blocks.append((f"bn_var/{n}", model.bn[n].running_var))
     header = {
         "kind": "checkpoint",
+        "format": CHECKPOINT_FORMAT,
         "config": config,
         "config_hash": config_hash(config),
         "epoch": result.best_epoch,
@@ -330,31 +333,26 @@ def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: d
 def read_checkpoint(path):
     """The model a checkpoint holds, and the checkpoint's header.
 
-    The payload digest is verified first. The network is float32, so a
-    block that the model reads and that holds a value beyond float32's
-    finite range is refused before any value is cast.
+    The format and then the payload digest are checked first. The network
+    is float32, so a block that the model reads and that holds a value
+    beyond float32's finite range is refused before any value is cast.
     """
     header, blocks = read_container(path, "checkpoint")
-    # checkpoints written before the digest was added have none
-    if "payload_sha256" in header and header["payload_sha256"] != _digest(blocks.values()):
+    fmt = header.get("format")  # None before format 2
+    if fmt != CHECKPOINT_FORMAT:
+        raise FormatError(f"{path}: checkpoint format {fmt}, expected {CHECKPOINT_FORMAT} "
+                          "(train the model again)")
+    if header.typed("payload_sha256", str) != _digest(blocks.values()):
         raise FormatError(f"{path}: payload does not match its SHA-256 digest")
-    # only the seed and the model section are read back; the rest of a
-    # stored config may hold keys that older versions had
+    # only the seed and the model section are read back
     stored = header.typed("config", dict)
     model = dict(stored.typed("model", dict)) if "model" in stored else {}
     config = {"seed": stored.get("seed", 0), "model": model}
-    # checkpoints from before the CSD input channel was removed store its
-    # flag; false is the only value the network still supports
-    if config["model"].pop("use_csd_input", False):
-        raise ConfigError(
-            f"{path}: the network takes a CSD input channel, which is no longer supported"
-        )
     try:
         validate_config(config)
     except ConfigError as err:
         raise ConfigError(f"{path}: stored {err}") from err
-    # the model built from the stored config and shells names every block it
-    # needs; older checkpoints' in_channels, param_names and bn_names go unread
+    # the model built from the stored config and shells names every block it needs
     model = en.EsdModel(build_config(config, "model"), header.typed("shells", list[float]))
     targets = {f"param/{n}": p.values for n, p in model.params.items()}
     for n, bn in model.bn.items():

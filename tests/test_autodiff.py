@@ -271,7 +271,7 @@ class TestBatchNorm:
         x = ad.Tensor(3 + 2 * rng.standard_normal((32, 8, 3)))
         gamma = ad.Tensor(np.ones(3))
         beta = ad.Tensor(np.full(3, 10.0))  # shifted clear of the ReLU
-        state = ad.BatchNormState.for_channels(3)
+        state = ad.BatchNormState(np.zeros(3), np.ones(3))
         y = ad.batchnorm(None, x, gamma, beta, state, training=True)
         assert np.abs(y.values.mean(axis=(0, 1)) - 10).max() < 1e-6
         assert np.abs(y.values.var(axis=(0, 1)) - 1).max() < 1e-4
@@ -282,13 +282,13 @@ class TestBatchNorm:
         x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
         y = ad.batchnorm(
             None, ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-            ad.BatchNormState.for_channels(2), training=True,
+            ad.BatchNormState(np.zeros(2), np.ones(2)), training=True,
         )
         assert np.abs(y.values - np.maximum(x, 0)).max() < 1e-4
 
     def test_eval_before_training_uses_unit_stats(self):
         x = np.full((4, 2, 1), 1.5)
-        state = ad.BatchNormState.for_channels(1)
+        state = ad.BatchNormState(np.zeros(1), np.ones(1))
         y = ad.batchnorm(
             None, ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
             state, training=False,
@@ -298,7 +298,7 @@ class TestBatchNorm:
     def test_running_stats_update(self):
         rng = np.random.default_rng(9)
         x = 2 + rng.standard_normal((64, 16, 1))
-        state = ad.BatchNormState.for_channels(1)
+        state = ad.BatchNormState(np.zeros(1), np.ones(1))
         ad.batchnorm(None, ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
                      state, training=True)
         assert state.running_mean[0] == pytest.approx(0.1 * x.mean(), rel=1e-12)
@@ -367,8 +367,6 @@ class TestBatchNorm:
 class TestActivations:
     def test_values(self):
         assert float(ad.softplus(None, ad.Tensor(0.0)).values) == pytest.approx(np.log(2))
-        assert float(ad.relu(None, ad.Tensor(-3.0)).values) == 0
-        assert float(ad.relu(None, ad.Tensor(3.0)).values) == 3
 
     def test_softplus_gradient_is_logistic(self):
         x = ad.Tensor(np.linspace(-3, 3, 13), requires_grad=True)
@@ -395,14 +393,6 @@ class TestActivations:
         tape.backward(total)
         ref = expit(x.values)
         assert np.all(np.abs(x.grad - ref) <= 1e-15 * ref)
-
-    def test_relu_gradient(self):
-        x = ad.Tensor(np.array([-2.0, -0.5, 0.5, 2.0]), requires_grad=True)
-
-        def loss(tape):
-            return sq_err(tape, ad.relu(tape, x), np.ones(4))
-
-        check_grad(loss, [x])
 
 
 class TestSmallOps:
@@ -462,7 +452,7 @@ class TestRandomizedGradChecks:
         gamma = ad.Tensor(np.ones(3), requires_grad=True)
         beta = ad.Tensor(np.zeros(3), requires_grad=True)
         w2 = ad.Tensor(0.4 * rng.standard_normal((3, 3, 1)), requires_grad=True)
-        state = ad.BatchNormState.for_channels(3)
+        state = ad.BatchNormState(np.zeros(3), np.ones(3))
         target = rng.standard_normal((3, 2, 1))
 
         def loss(tape):

@@ -69,7 +69,10 @@ class TestBuildModel:
         assert np.all(out.values >= 0)  # softplus head
 
     def test_single_tissue_relu_head(self):
+        # the WM head is a conv block: graph conv, batchnorm and its ReLU
         model = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
+        assert model.params["head_w"].values.shape == (5, 4, 1)
+        assert {"head_gamma", "head_beta"} <= set(model.params) and "head" in model.bn
         x = ad.Tensor(np.random.default_rng(1).standard_normal((48, 3, 1)))
         out = model.forward(None, x)
         assert out.values.shape == (48, 3, 1)
@@ -306,6 +309,20 @@ class TestTrainInfer:
                     + model.config.lambda_nonneg * terms["negativity"]
                 )
                 assert terms["total"] == pytest.approx(recomposed, abs=1e-10)
+            assert 0 <= record["val"]["live_frac"] <= 1 and "live_frac" not in record["train"]
+
+    def test_validation_live_fraction(self):
+        # an untrained network maps a zero input to zero at every layer, so
+        # voxels 1 and 4 are dead; batches of 4 end mid-split
+        data, table = tiny_dataset(n=6, snr=30)
+        model = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
+        ctx = en.LossContext(model, table, {"wm": tensor_response(sh.ShBasis(4), table)})
+        x, targets = en.network_inputs(model, data)
+        x[:, [1, 4]] = 0.0
+        out = model.forward(None, ad.Tensor(x)).values[:, :, 0]
+        assert np.any(out != 0, axis=0).tolist() == [True, False, True, True, False, True]
+        val = en._epoch_loss(model, ctx, x, targets, np.arange(6), 4)
+        assert val["live_frac"] == 4 / 6
 
     def test_deterministic_training(self):
         m1, r1, _, _ = self.run_train()
@@ -512,7 +529,7 @@ class TestFloat32Network:
         # a stray float64 operand promotes a whole layer and everything after it
         model, ctx, _, batch, targets = multi_tissue(tissues)
         outputs = []
-        for name in ("graph_conv", "batchnorm", "healpix_maxpool", "healpix_unpool", "relu",
+        for name in ("graph_conv", "batchnorm", "healpix_maxpool", "healpix_unpool",
                      "softplus", "scale"):
             def recorded(*args, op=getattr(ad, name)):
                 outputs.append(op(*args))
@@ -528,13 +545,16 @@ class TestFloat32Network:
         tape.backward(loss)
         ad.adam_step(params, adam, 1e-3)
         assert loss.values.dtype == np.float64
-        assert len(outputs) == 6 * 2 + 2 + 3  # six conv blocks, pool and unpool, head
+        # six conv blocks, pool and unpool, then the head: one more conv block
+        # for WM alone, graph conv, softplus and gain for three tissues
+        n_ops = 6 * 2 + 2 + (2 if tissues == 1 else 3)
+        assert len(outputs) == n_ops
         for t in outputs + params:
             assert t.values.dtype == np.float32 and t.grad.dtype == np.float32
         # eval mode reads the running statistics instead of batch ones
         outputs.clear()
         model.forward(None, ad.Tensor(x), training=False)
-        assert len(outputs) == 17 and all(t.values.dtype == np.float32 for t in outputs)
+        assert len(outputs) == n_ops and all(t.values.dtype == np.float32 for t in outputs)
         for m in adam.m + adam.v:
             assert m.dtype == np.float32
         for state in model.bn.values():

@@ -558,58 +558,18 @@ class TestCliPipeline:
         assert np.array_equal(infer(esd_run["ckpt"], "a.fodf"), expect)
 
         header, blocks = io_cli.read_container(esd_run["ckpt"])
+        assert header["format"] == io_cli.CHECKPOINT_FORMAT
         assert not any(name.startswith("adam_") for name in blocks)
         assert not any(key.startswith("adam_") for key in header)
-        assert not {"in_channels", "param_names", "bn_names"} & set(header)
-        # older checkpoints also carry Adam moments, the input channel count
-        # and the block names; loading ignores them
         names = [k.split("/", 1)[1] for k in blocks if k.startswith("param/")]
         bn_names = [k.split("/", 1)[1] for k in blocks if k.startswith("bn_mean/")]
         assert sorted(names) == sorted(model.params) and sorted(bn_names) == sorted(model.bn)
-        extra = list(blocks.items())
-        for n in names:
-            extra += [(f"adam_m/{n}", blocks[f"param/{n}"] * 0.5),
-                      (f"adam_v/{n}", blocks[f"param/{n}"] ** 2)]
-        # and no payload digest
-        old_header = dict(header, adam_step=4, in_channels=1, param_names=names,
-                          bn_names=bn_names)
-        del old_header["payload_sha256"]
-        old = tmp_path / "old.ckpt"
-        io_cli.write_container(old, old_header, extra)
-        assert np.array_equal(infer(old, "b.fodf"), expect)
-
-    @pytest.mark.parametrize("flag", [False, True])
-    def test_checkpoint_with_csd_input_flag(self, esd_run, tmp_path, capsys, flag):
-        # checkpoints written before the CSD input channel was removed store
-        # its flag in the model config
-        data = esd_run["data"]
-        header, blocks = io_cli.read_container(esd_run["ckpt"])
-        config = dict(header["config"])
-        config["model"] = dict(config["model"], use_csd_input=flag)
-        old = tmp_path / "old.ckpt"
-        io_cli.write_container(old, dict(header, config=config), list(blocks.items()))
-
-        def infer(ckpt, name):
-            out = tmp_path / name
-            code = run_cli("esd-infer", "--checkpoint", str(ckpt),
-                           "--dataset", str(data / "test.sdv"), "--out", str(out))
-            return code, out
-
-        capsys.readouterr()
-        code, out = infer(old, "old.fodf")
-        if flag:
-            lines = capsys.readouterr().err.splitlines()
-            assert code == 2
-            assert len(lines) == 1 and lines[0].startswith("error: config: ")
-            assert not out.exists()
-        else:
-            assert code == 0
-            assert out.read_bytes() == infer(esd_run["ckpt"], "plain.fodf")[1].read_bytes()
 
     @pytest.mark.parametrize("stored", ["top_level_workers", "model_workers"])
     def test_checkpoint_stored_config(self, esd_run, tmp_path, capsys, stored):
-        # the top-level config of an older checkpoint may hold the removed
-        # `workers` key, which loading ignores; its model section is checked
+        # only the seed and the model section of the stored config are read
+        # back: an unknown top-level key is ignored, one in the model section
+        # is refused
         data = esd_run["data"]
         header, blocks = io_cli.read_container(esd_run["ckpt"])
         config = dict(header["config"])
@@ -768,6 +728,7 @@ class TestCliPipeline:
     @pytest.mark.parametrize("case", [
         "fodf_degree_string", "fodf_degree_odd", "fodf_degree_negative", "fodf_wm_nan",
         "fodf_no_wm", "checkpoint_config_list", "checkpoint_digest", "checkpoint_bn_var",
+        "checkpoint_no_format", "checkpoint_format_1", "checkpoint_no_digest",
         "dataset_fibers_not_unit", "dataset_no_shells",
         # blocks whose shapes do not fit the header or the model
         "response_1d", "response_rows", "response_width0", "fodf_converged", "fodf_wm_rows",
@@ -803,9 +764,15 @@ class TestCliPipeline:
             header["config"] = [1]
         elif case == "checkpoint_digest":  # a finite, well-shaped, changed weight
             blocks["param/head_w"][0, 0, 0] *= 1e200
-        elif case == "checkpoint_bn_var":  # older checkpoints carry no digest
-            del header["payload_sha256"]
+        elif case == "checkpoint_bn_var":  # digest matched, so the variance check decides
             blocks["bn_var/enc0_0"][0] = -1.0
+            header["payload_sha256"] = io_cli._digest(blocks.values())
+        elif case == "checkpoint_no_format":  # written before the WM head became a conv block
+            del header["format"]
+        elif case == "checkpoint_format_1":
+            header["format"] = 1
+        elif case == "checkpoint_no_digest":
+            del header["payload_sha256"]
         elif case == "dataset_fibers_not_unit":
             blocks["fibers"] *= 2.0
         elif case == "dataset_no_shells":  # b=0 samples only
@@ -919,9 +886,10 @@ class TestCliPipeline:
         eval_line = summary()
         assert set(eval_line) == {*json.loads(out.read_text()), "elapsed_ms"}
         # esd-infer counts the voxels whose WM coefficients are not all zero;
-        # a zero head makes every voxel dead
+        # a head whose batchnorm scale and shift are zero makes every voxel dead
         model, header = io_cli.read_checkpoint(esd_run["ckpt"])
-        model.params["head_w"].values[...] = 0.0
+        model.params["head_gamma"].values[...] = 0.0
+        model.params["head_beta"].values[...] = 0.0
         dead = tmp_path / "dead.ckpt"
         io_cli.write_checkpoint(dead, model, en.TrainResult([], header["best_val_loss"],
                                                             header["epoch"]), header["config"])
@@ -934,7 +902,7 @@ class TestCliPipeline:
             wm = io_cli.read_fodf(out).coeffs["wm"]
             assert infer_line["voxels"] == 8
             assert infer_line["live_frac"] == np.any(wm != 0, axis=1).mean()
-        assert infer_line["live_frac"] == 0.0
+        assert infer_line["live_frac"] == 0.0  # the zeroed head
 
     @pytest.mark.parametrize("command", ["response", "csd", "peaks", "evaluate_out",
                                          "evaluate_per_voxel", "esd-train", "esd-train_log",
