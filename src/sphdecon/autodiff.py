@@ -11,8 +11,9 @@ broadcasting. Every op computes in its input's dtype: the ESD network
 runs in float32, and float64 inputs (the finite-difference tests) run the
 same ops in float64.
 
-Network activations are (N, V, C): vertex, voxel, channel. Hot inner
-loops (Laplacian products, pooling) go through the kernels module.
+Network activations are (N, V, C): vertex, voxel, channel. graph_conv
+multiplies by whatever Laplacian operator it is handed (sphere_grid
+builds the network's), and pooling goes through the kernels module.
 graph_conv picks its product order from the weight shape: it applies the
 Laplacian after mixing channels when the filter does not widen
 (C_out <= C_in), and to the input otherwise. Either way each dense
@@ -88,70 +89,14 @@ def _track(tape, out, inputs, backward_fn):
 
 
 # ---------------------------------------------------------------------------
-# Laplacian plumbing
+# Network layers
 
 
-# rows per Laplacian patch: at nside >= 4, 16 consecutive NESTED vertices
-# are a 4x4 patch of one base face, whose neighbors outside it are a ring
-# of at most 20
-_PATCH_ROWS = 16
-
-
-@dataclass
-class ChebLaplacian:
-    """Rescaled Laplacian (2/lmax) L - I as dense patches for the kernels.
-
-    The n vertex rows split into blocks of s consecutive rows (s = 16, or n
-    when the grid is smaller). own (B, s, s) holds each block's entries on
-    its own columns; halo (B, s, h) holds those on the columns halo_index
-    (B, h) outside the block, zero-padded (a pad column is the block's first
-    vertex) to the widest block's h. Values stay float64; the kernel casts
-    them to the dense operand's dtype.
-    """
-
-    own: np.ndarray
-    halo: np.ndarray
-    halo_index: np.ndarray
-    n: int
-
-    def matmul(self, x_cols):
-        """Product with a dense matrix whose first axis runs over vertices."""
-        return _kernels.patch_matmul(self.own, self.halo, self.halo_index, x_cols)
-
-
-def scaled_laplacian(graph, lmax_scale: float) -> ChebLaplacian:
-    """The patch layout of (2/lmax) L - I for a sphere_grid.HealpixGraph."""
-    n, width = graph.columns.shape
-    s = min(_PATCH_ROWS, n)
-    nb = n // s
-    rows = np.repeat(np.arange(n), width)
-    cols = graph.columns.reshape(-1)
-    keep = cols >= 0
-    rows, cols = rows[keep], cols[keep]
-    vals = (2.0 / lmax_scale) * graph.values.reshape(-1)[keep]
-    vals[rows == cols] -= 1.0
-
-    block = rows // s
-    inside = cols // s == block
-    own = np.zeros((nb, s, s))
-    own[block[inside], rows[inside] % s, cols[inside] % s] = vals[inside]
-
-    # each block's halo: the distinct outside columns its rows read, ascending
-    block, rows, cols, vals = (a[~inside] for a in (block, rows, cols, vals))
-    keys, slot = np.unique(block * n + cols, return_inverse=True)
-    first = np.searchsorted(keys, np.arange(nb) * n)
-    h = int(np.bincount(keys // n, minlength=nb).max())
-    halo_index = np.repeat(np.arange(nb) * s, h).reshape(nb, h)
-    halo_index[keys // n, np.arange(keys.size) - first[keys // n]] = keys % n
-    halo = np.zeros((nb, s, h))
-    halo[block, rows % s, slot - first[block]] = vals
-    return ChebLaplacian(own, halo, halo_index, n)
-
-
-def graph_conv(tape, x: Tensor, weights: Tensor, lap: ChebLaplacian) -> Tensor:
+def graph_conv(tape, x: Tensor, weights: Tensor, lap) -> Tensor:
     """Polynomial spectral filter: y = sum_p (L^p x) W_p over input channels.
 
     x is (N, V, C_in), weights (P+1, C_in, C_out); returns (N, V, C_out).
+    lap is any symmetric operator with .n = N and .matmul, such as a grid's.
     Exact gradients for both x and weights. The Laplacian runs on the
     narrower side of the filter, each side takes one GEMM per product, and
     neither keeps anything for backward but x:

@@ -52,6 +52,7 @@ class EsdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        sg.check_nside(self.nside_in, "nside_in")
         if len(self.channels) != self.depth:
             raise InvalidArgumentError(
                 f"channels {self.channels} must have one entry per level (depth {self.depth})"
@@ -59,8 +60,8 @@ class EsdConfig:
         if not 1 <= self.tissues <= 3:
             raise InvalidArgumentError("tissues must be 1, 2 or 3")
         # written as `not x >= low` so that NaN fails too
-        for name, low in (("max_epochs", 1), ("batch_size", 1), ("poly_order", 0),
-                          ("lambda_sparsity", 0), ("lambda_nonneg", 0)):
+        for name, low in (("depth", 1), ("max_epochs", 1), ("batch_size", 1),
+                          ("poly_order", 0), ("lambda_sparsity", 0), ("lambda_nonneg", 0)):
             if not getattr(self, name) >= low:
                 raise InvalidArgumentError(
                     f"{name} must be at least {low}, got {getattr(self, name)}")
@@ -90,9 +91,7 @@ class EsdModel:
         # one input channel per shell, ascending as a GradientTable lists them
         self.shells = [float(b) for b in shells]
         self.grids = [sg.build_grid(config.nside_in >> i) for i in range(config.depth)]
-        self.laps = [
-            ad.scaled_laplacian(g.graph, sg.estimate_lmax(g)) for g in self.grids
-        ]
+        self.laps = [g.laplacian.rescaled(sg.estimate_lmax(g)) for g in self.grids]
         self.params: dict = {}
         self.bn: dict = {}
         rng = np.random.default_rng([config.seed, 77])

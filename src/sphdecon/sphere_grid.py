@@ -1,12 +1,15 @@
-"""Hierarchical Healpix discretization of the sphere and its weighted graph.
+"""Hierarchical Healpix discretization of the sphere and its graph Laplacian.
 
 Healpix pixel centers (NESTED ordering throughout) form the vertices of a
 graph whose edges connect the standard 8-neighborhood (7 at the 24
 degenerate corner pixels, 6 everywhere at nside=1). Edge weights are
 exp(-d^2/rho^2) with d the chord distance and rho the mean chord distance
 over all neighbor pairs; the graph Laplacian is the combinatorial form
-L = D - A. A grid builds its weighted graph on first use: CSD and peak
-detection read only the vertices and the neighbor table.
+L = D - A. A grid builds L on first use, straight from the neighbor
+table, as a PatchOperator: dense patches of 16 consecutive vertices that
+_kernels.patch_matmul multiplies. The network's filters use its rescaled
+form (2/lmax) L - I, with lmax from estimate_lmax. CSD and peak detection
+read only the vertices and the neighbor table and never build L.
 
 Vertex azimuths are computed per quadrant and mapped by exact sign/swap
 rules, so the 4-fold rotation symmetry of the pixelization about z holds
@@ -19,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidArgumentError
 
 MAX_NSIDE = 64
@@ -171,26 +175,40 @@ def _neighbor_table(nside):
     return out
 
 
+# rows per Laplacian patch: at nside >= 4, 16 consecutive NESTED vertices
+# are a 4x4 patch of one base face, whose neighbors outside it are a ring
+# of at most 20
+_PATCH_ROWS = 16
+
+
 @dataclass(frozen=True)
-class HealpixGraph:
-    """The weighted graph of one grid, held as its Laplacian L = D - A.
+class PatchOperator:
+    """An (n, n) vertex operator as dense patches for _kernels.patch_matmul.
 
-    Row i of L is stored as values[i, k] at column columns[i, k] for k in
-    increasing column order: the degree on the diagonal and minus the edge
-    weight at each neighbor. Rows with fewer than 9 entries end in column
-    -1 with value 0.
-
-    Attributes
-    ----------
-    columns : (N, 9) int ndarray
-    values : (N, 9) float64 ndarray
-    rho : float
-        Mean chord distance over neighbor pairs, the Gaussian width.
+    The n vertex rows split into blocks of s consecutive rows (s = 16, or n
+    when the grid is smaller). own (B, s, s) holds each block's entries on
+    its own columns; halo (B, s, h) holds those on the columns halo_index
+    (B, h) outside the block, zero-padded (a pad column is the block's first
+    vertex) to the widest block's h. Values are float64; the kernel casts
+    them to the dense operand's dtype.
     """
 
-    columns: np.ndarray
-    values: np.ndarray
-    rho: float
+    own: np.ndarray
+    halo: np.ndarray
+    halo_index: np.ndarray
+    n: int
+
+    def matmul(self, x):
+        """Product with a dense array whose first axis runs over vertices."""
+        return _kernels.patch_matmul(self.own, self.halo, self.halo_index, x)
+
+    def rescaled(self, lmax: float) -> "PatchOperator":
+        """(2/lmax) M - I for this operator M: a spectrum in [0, lmax] maps onto [-1, 1]."""
+        scale = 2.0 / lmax
+        own = scale * self.own
+        diag = np.arange(own.shape[1])
+        own[:, diag, diag] -= 1.0
+        return PatchOperator(own, scale * self.halo, self.halo_index, self.n)
 
 
 class SphericalGrid:
@@ -204,8 +222,8 @@ class SphericalGrid:
         Unit vectors of pixel centers, NESTED order, N = 12*nside^2.
     neighbor_table : (N, 8) ndarray
         Neighbor indices with -1 padding.
-    graph : HealpixGraph
-        The weighted graph, built on first access.
+    laplacian : PatchOperator
+        L = D - A of the weighted graph, built on first access.
     """
 
     def __init__(self, nside, vertices, neighbor_table):
@@ -217,12 +235,11 @@ class SphericalGrid:
         neighbor_table.setflags(write=False)
 
     @cached_property
-    def graph(self) -> HealpixGraph:
+    def laplacian(self) -> PatchOperator:
         """Gaussian edge weights on the neighbor table, and L = D - A."""
         nbrs = self.neighbor_table
-        npix = self.n_vertices
-        pix = np.arange(npix, dtype=np.int64)
-        rows = np.repeat(pix, 8)
+        n = self.n_vertices
+        rows = np.repeat(np.arange(n), 8)
         cols = nbrs.reshape(-1)
         valid = cols >= 0
         rows, cols = rows[valid], cols[valid]
@@ -230,60 +247,58 @@ class SphericalGrid:
         diff = self.vertices[rows] - self.vertices[cols]
         d2 = (diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2
         rho = float(np.mean(np.sqrt(d2[rows < cols])))
-        weights = np.zeros(nbrs.size)
-        weights[valid] = np.exp(-d2 / (rho * rho))
-        weights = weights.reshape(npix, 8)
+        weights = np.exp(-d2 / (rho * rho))
+        padded = np.zeros(nbrs.size)
+        padded[valid] = weights
 
         # Degrees are sums of per-row sorted weights: permutation-equivalent
         # rows then sum in an identical order, keeping the quarter-turn
         # symmetry of the Laplacian bit-exact.
-        degrees = np.sort(weights, axis=1).sum(axis=1)
+        degrees = np.sort(padded.reshape(n, 8), axis=1).sum(axis=1)
 
-        columns = np.concatenate([nbrs, pix[:, None]], axis=1)
-        values = np.concatenate([0.0 - weights, degrees[:, None]], axis=1)
-        order = np.argsort(np.where(columns >= 0, columns, npix), axis=1)
-        columns = np.take_along_axis(columns, order, axis=1)
-        values = np.take_along_axis(values, order, axis=1)
-        columns.setflags(write=False)
-        values.setflags(write=False)
-        return HealpixGraph(columns, values, rho)
+        s = min(_PATCH_ROWS, n)
+        nb = n // s
+        pix = np.arange(n)
+        own = np.zeros((nb, s, s))
+        own[pix // s, pix % s, pix % s] = degrees
+        vals = 0.0 - weights
+        block = rows // s
+        inside = cols // s == block
+        own[block[inside], rows[inside] % s, cols[inside] % s] = vals[inside]
+
+        # each block's halo: the distinct outside columns its rows read, ascending
+        block, rows, cols, vals = (a[~inside] for a in (block, rows, cols, vals))
+        keys, slot = np.unique(block * n + cols, return_inverse=True)
+        first = np.searchsorted(keys, np.arange(nb) * n)
+        h = int(np.bincount(keys // n, minlength=nb).max())
+        halo_index = np.repeat(np.arange(nb) * s, h).reshape(nb, h)
+        halo_index[keys // n, np.arange(keys.size) - first[keys // n]] = keys % n
+        halo = np.zeros((nb, s, h))
+        halo[block, rows % s, slot - first[block]] = vals
+        return PatchOperator(own, halo, halo_index, n)
+
+
+def check_nside(nside: int, name: str = "nside"):
+    """Refuse an nside that is not a power of two in 1..MAX_NSIDE."""
+    if not (1 <= nside <= MAX_NSIDE and nside & (nside - 1) == 0):
+        raise InvalidArgumentError(
+            f"{name} must be a power of two in 1..{MAX_NSIDE}, got {nside}")
 
 
 def build_grid(nside: int) -> SphericalGrid:
-    """Construct the Healpix grid for one resolution.
-
-    Parameters
-    ----------
-    nside : int
-        Power of two in 1..64.
-    """
-    if nside < 1 or nside > MAX_NSIDE or (nside & (nside - 1)) != 0:
-        raise InvalidArgumentError(
-            f"nside must be a power of two in 1..{MAX_NSIDE}, got {nside}"
-        )
+    """The Healpix grid at one resolution, nside a power of two in 1..MAX_NSIDE."""
+    check_nside(nside)
     pix = np.arange(12 * nside * nside, dtype=np.int64)
     return SphericalGrid(nside, _pix2vec(nside, pix), _neighbor_table(nside))
 
 
 def estimate_lmax(grid: SphericalGrid) -> float:
-    """Largest Laplacian eigenvalue estimated by 20 power iterations.
-
-    Each row of L v sums its terms one by one in column order; a -1 pad
-    reads the last vertex times 0, which adds nothing.
-    """
-    graph = grid.graph
-
-    def laplacian(v):
-        terms = graph.values * v[graph.columns]
-        out = terms[:, 0].copy()
-        for k in range(1, terms.shape[1]):
-            out += terms[:, k]
-        return out
-
+    """Largest Laplacian eigenvalue estimated by 20 power iterations."""
+    lap = grid.laplacian
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(grid.n_vertices)
     v /= np.linalg.norm(v)
     for _ in range(20):
-        w = laplacian(v)
+        w = lap.matmul(v)
         v = w / np.linalg.norm(w)
-    return float(v @ laplacian(v))
+    return float(v @ lap.matmul(v))

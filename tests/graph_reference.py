@@ -1,29 +1,34 @@
-"""Reference forms of a grid's graph for the tests.
+"""Reference forms of a grid's Laplacian for the tests.
 
-``dense_laplacian`` writes ``grid.graph`` out as a dense matrix.
+``sparse`` writes a ``sphere_grid.PatchOperator`` out as a CSR matrix.
 ``reference_graph`` is the scipy.sparse construction of the graph that
-sphdecon used before it built the graph in numpy: it returns the CSR
-adjacency A and Laplacian L = D - A, both with sorted indices, and rho.
-``reference_lmax`` is the power iteration that ran on that Laplacian.
+sphdecon used before it built the Laplacian in numpy: it returns the CSR
+adjacency A and Laplacian L = D - A, both with sorted indices, and the
+Gaussian width rho. ``reference_lmax`` is the power iteration that ran on
+that Laplacian, and ``reference_scaled`` and ``dense_scaled_laplacian``
+are (2/lmax) L - I built from it.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 
-def dense_laplacian(grid):
-    graph = grid.graph
-    rows = np.repeat(np.arange(grid.n_vertices), graph.columns.shape[1])
-    cols = graph.columns.reshape(-1)
-    keep = cols >= 0
-    dense = np.zeros((grid.n_vertices, grid.n_vertices))
-    dense[rows[keep], cols[keep]] = graph.values.reshape(-1)[keep]
-    return dense
+def sparse(op):
+    """A patch operator's nonzero entries as a CSR matrix with sorted indices.
 
-
-def dense_scaled_laplacian(grid, lmax):
-    """(2/lmax) L - I, the matrix of autodiff.scaled_laplacian."""
-    return (2.0 / lmax) * dense_laplacian(grid) - np.eye(grid.n_vertices)
+    The zeros it drops are the own blocks' entries between vertices that
+    are not neighbors and the halo's pad columns.
+    """
+    nb, s, _ = op.halo.shape
+    rows = np.arange(op.n).reshape(nb, s, 1)
+    r = np.concatenate([np.broadcast_to(rows, a.shape).ravel() for a in (op.own, op.halo)])
+    c = np.concatenate([np.broadcast_to(rows.reshape(nb, 1, s), op.own.shape).ravel(),
+                        np.broadcast_to(op.halo_index[:, None, :], op.halo.shape).ravel()])
+    v = np.concatenate([op.own.ravel(), op.halo.ravel()])
+    keep = v != 0
+    out = sp.csr_matrix((v[keep], (r[keep], c[keep])), shape=(op.n, op.n))
+    out.sort_indices()
+    return out
 
 
 def reference_graph(grid):
@@ -65,3 +70,14 @@ def reference_lmax(laplacian):
         w = laplacian @ v
         v = w / np.linalg.norm(w)
     return float(v @ (laplacian @ v))
+
+
+def reference_scaled(laplacian, lmax):
+    """(2/lmax) L - I from the reference Laplacian, as a CSR matrix."""
+    out = ((2.0 / lmax) * laplacian - sp.identity(laplacian.shape[0])).tocsr()
+    out.sort_indices()
+    return out
+
+
+def dense_scaled_laplacian(grid, lmax):
+    return reference_scaled(reference_graph(grid)[1], lmax).toarray()

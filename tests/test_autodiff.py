@@ -63,22 +63,24 @@ def sq_err(tape, x, target):
     return scalar_loss(tape, x, lambda v: (v - target) ** 2, lambda v: 2.0 * (v - target))
 
 
+def scaled_laplacian(nside):
+    grid = sg.build_grid(nside)
+    return grid.laplacian.rescaled(sg.estimate_lmax(grid))
+
+
 @pytest.fixture(scope="module")
 def lap12():
-    grid = sg.build_grid(1)
-    return ad.scaled_laplacian(grid.graph, sg.estimate_lmax(grid))
+    return scaled_laplacian(1)
 
 
 @pytest.fixture(scope="module")
 def lap48():
-    grid = sg.build_grid(2)
-    return ad.scaled_laplacian(grid.graph, sg.estimate_lmax(grid))
+    return scaled_laplacian(2)
 
 
 @pytest.fixture(scope="module")
 def lap768():
-    grid = sg.build_grid(8)
-    return ad.scaled_laplacian(grid.graph, sg.estimate_lmax(grid))
+    return scaled_laplacian(8)
 
 
 class TestGraphConv:

@@ -19,6 +19,7 @@ from sphdecon import harmonics as sh
 from sphdecon import io_cli
 from sphdecon import peaks_metrics as pm
 from sphdecon import signal_model as sm
+from sphdecon import sphere_grid as sg
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -419,6 +420,19 @@ class TestCliPipeline:
         assert summary["success_rate"] == 1.0
         assert summary["mean_angular_error_deg"] < 2.0
 
+    def test_csd_and_peaks_build_no_laplacian(self, esd_run, tmp_path, monkeypatch):
+        # only the network builds a grid Laplacian, which keeps the CSD
+        # route's start-up flat
+        def refuse(*args):
+            raise AssertionError("the CSD route built a Laplacian")
+
+        monkeypatch.setattr(sg, "estimate_lmax", refuse)
+        monkeypatch.setattr(sg.SphericalGrid, "laplacian", property(refuse))
+        fodf = tmp_path / "test.fodf"
+        assert run_cli("csd", "--dataset", str(esd_run["data"] / "test.sdv"),
+                       "--response", str(esd_run["rf"]), "--out", str(fodf)) == 0
+        assert run_cli("peaks", "--fodf", str(fodf), "--out", str(tmp_path / "test.peaks")) == 0
+
     def test_evaluate_perfect_peaks(self, sim_dir):
         data = sim_dir / "data"
         batch = io_cli.read_dataset(data / "test.sdv")
@@ -501,6 +515,9 @@ class TestCliPipeline:
         # values that crashed, trained nothing or trained uphill
         '{"max_epochs": 0}', '{"batch_size": 0}', '{"batch_size": -4}', '{"poly_order": -1}',
         '{"channels": [0, 6]}', '{"lr": -1}', '{"lr": 0}', '{"lr": NaN}',
+        # the level count and the finest grid, each named rather than the other
+        '{"depth": 0, "channels": []}', '{"nside_in": 0}', '{"nside_in": -8}',
+        '{"nside_in": 3}', '{"nside_in": 128}',
     ])
     def test_esd_train_rejects_model_values(self, esd_run, tmp_path, capsys, case):
         settings = json.loads(case)
@@ -516,7 +533,9 @@ class TestCliPipeline:
         assert code == 2
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: config: ")
-        assert next(iter(settings)) in lines[0]
+        # the line names the setting, and blames depth only when depth is it
+        key = next(iter(settings))
+        assert key in lines[0] and ("depth" in lines[0]) == (key == "depth")
         assert "Traceback" not in captured.err and captured.out == ""
         assert not ckpt.exists()
 
@@ -565,18 +584,25 @@ class TestCliPipeline:
         bn_names = [k.split("/", 1)[1] for k in blocks if k.startswith("bn_mean/")]
         assert sorted(names) == sorted(model.params) and sorted(bn_names) == sorted(model.bn)
 
-    @pytest.mark.parametrize("stored", ["top_level_workers", "model_workers"])
+    # each refused model setting, and what the error line must say
+    REFUSED_STORED_MODEL = {
+        "model_workers": ({"workers": 2}, "model.workers"),
+        "model_depth0": ({"depth": 0, "channels": []}, "depth must be at least 1, got 0"),
+        "model_nside_in3": ({"nside_in": 3}, "nside_in must be a power of two in 1..64, got 3"),
+    }
+
+    @pytest.mark.parametrize("stored", ["top_level_workers", *REFUSED_STORED_MODEL])
     def test_checkpoint_stored_config(self, esd_run, tmp_path, capsys, stored):
         # only the seed and the model section of the stored config are read
-        # back: an unknown top-level key is ignored, one in the model section
-        # is refused
+        # back: an unknown top-level key is ignored, an unknown or invalid
+        # setting in the model section is refused
         data = esd_run["data"]
         header, blocks = io_cli.read_container(esd_run["ckpt"])
         config = dict(header["config"])
         if stored == "top_level_workers":
             config["workers"] = 2
         else:
-            config["model"] = dict(config["model"], workers=2)
+            config["model"] = dict(config["model"], **self.REFUSED_STORED_MODEL[stored][0])
         old = tmp_path / "old.ckpt"
         io_cli.write_container(old, dict(header, config=config), list(blocks.items()))
 
@@ -596,8 +622,8 @@ class TestCliPipeline:
             lines = captured.err.splitlines()
             assert code == 2
             assert len(lines) == 1 and lines[0].startswith("error: config: ")
-            assert "model.workers" in lines[0] and "Traceback" not in captured.err
-            assert not out.exists()
+            assert self.REFUSED_STORED_MODEL[stored][1] in lines[0]
+            assert "Traceback" not in captured.err and not out.exists()
 
     @pytest.mark.parametrize("case", [
         "model.lr=null", "model.lr=true", "csd.tol=null", "csd.ridge=null",

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sphdecon import _kernels as K
-from sphdecon import autodiff as ad
 from sphdecon import sphere_grid as sg
 
 from graph_reference import dense_scaled_laplacian
@@ -16,7 +15,7 @@ def levels():
     for nside in (8, 4, 2, 1):
         grid = sg.build_grid(nside)
         lmax = sg.estimate_lmax(grid)
-        lap = ad.scaled_laplacian(grid.graph, lmax)
+        lap = grid.laplacian.rescaled(lmax)
         out.append((grid, lap, dense_scaled_laplacian(grid, lmax)))
     return out
 

@@ -7,8 +7,12 @@ from sphdecon import harmonics as sh
 from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError
 
-from graph_reference import dense_laplacian, reference_graph, reference_lmax
+from graph_reference import reference_graph, reference_lmax, reference_scaled, sparse
 from grid_rotations import z_rotation_permutation
+
+
+def dense_laplacian(grid):
+    return sparse(grid.laplacian).toarray()
 
 
 def dense_adjacency(grid):
@@ -17,36 +21,43 @@ def dense_adjacency(grid):
 
 
 def edges(grid):
-    """Row, column and weight of every stored edge, in row then column order."""
-    graph = grid.graph
-    rows = np.repeat(np.arange(grid.n_vertices), graph.columns.shape[1])
-    cols = graph.columns.reshape(-1)
-    keep = (cols >= 0) & (cols != rows)
-    return rows[keep], cols[keep], -graph.values.reshape(-1)[keep]
+    """Row, column and weight of every edge, in row then column order."""
+    adjacency = dense_adjacency(grid)
+    rows, cols = np.nonzero(adjacency)
+    return rows, cols, adjacency[rows, cols]
+
+
+def assert_csr_identical(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("nside", [1, 2, 4, 8, 16])
 def test_graph_bit_identical_to_scipy_construction(nside):
-    # the numpy graph holds the Laplacian's sorted CSR rows, padded to 9
     grid = sg.build_grid(nside)
-    adjacency, laplacian, rho = reference_graph(grid)
-    keep = grid.graph.columns >= 0
-    assert np.array_equal(np.diff(laplacian.indptr), keep.sum(axis=1))
-    assert np.array_equal(laplacian.indices, grid.graph.columns[keep])
-    assert np.array_equal(laplacian.data, grid.graph.values[keep])
-    assert np.all(grid.graph.values[~keep] == 0)
-    rows, cols, weights = edges(grid)
-    assert np.array_equal(np.diff(adjacency.indptr), np.bincount(rows, minlength=grid.n_vertices))
-    assert np.array_equal(adjacency.indices, cols)
-    assert np.array_equal(adjacency.data, weights)
-    assert grid.graph.rho == rho
-    assert sg.estimate_lmax(grid) == reference_lmax(laplacian)
+    _, laplacian, _ = reference_graph(grid)
+    assert_csr_identical(sparse(grid.laplacian), laplacian)
+
+
+@pytest.mark.parametrize("nside", [1, 2, 4, 8, 16])
+def test_rescaled_laplacian_bit_identical_to_scipy_construction(nside):
+    # (2/lmax) L - I is the operator every graph convolution multiplies by.
+    # The patch product sums each row in another order than the CSR
+    # product, which moves lmax by one ulp at nside 1 and 2; 2/lmax still
+    # rounds to the same value there, so the operator is the same
+    grid = sg.build_grid(nside)
+    _, laplacian, _ = reference_graph(grid)
+    lmax = reference_lmax(laplacian)
+    est = sg.estimate_lmax(grid)
+    assert abs(est - lmax) <= (np.spacing(lmax) if nside <= 2 else 0.0)
+    assert_csr_identical(sparse(grid.laplacian.rescaled(est)), reference_scaled(laplacian, lmax))
 
 
 def test_graph_built_on_first_use():
     grid = sg.build_grid(4)
-    assert "graph" not in vars(grid)
-    assert grid.graph is grid.graph
+    assert "laplacian" not in vars(grid)
+    assert grid.laplacian is grid.laplacian
 
 
 def test_vertex_count_nside1():
@@ -62,7 +73,7 @@ def test_vertex_counts_follow_pixel_formula():
 
 def test_laplacian_row_sums_nside4():
     grid = sg.build_grid(4)
-    row_sums = grid.graph.values.sum(axis=1)
+    row_sums = dense_laplacian(grid).sum(axis=1)
     assert np.abs(row_sums).max() < 1e-12
 
 
@@ -103,7 +114,7 @@ def test_adjacency_symmetric_zero_diagonal():
 
 def test_weights_in_unit_interval_and_rho_positive():
     grid = sg.build_grid(4)
-    assert grid.graph.rho > 0
+    assert reference_graph(grid)[2] > 0
     _, _, w = edges(grid)
     assert np.all(w > 0) and np.all(w <= 1.0)
 
@@ -112,7 +123,8 @@ def test_edge_weight_formula():
     grid = sg.build_grid(2)
     rows, cols, w = edges(grid)
     d2 = ((grid.vertices[rows] - grid.vertices[cols]) ** 2).sum(axis=1)
-    assert np.allclose(w, np.exp(-d2 / grid.graph.rho**2), rtol=0, atol=1e-15)
+    rho = reference_graph(grid)[2]
+    assert np.allclose(w, np.exp(-d2 / rho**2), rtol=0, atol=1e-15)
 
 
 def test_rho_is_mean_neighbor_chord():
@@ -120,14 +132,15 @@ def test_rho_is_mean_neighbor_chord():
     rows, cols, _ = edges(grid)
     pairs = rows < cols
     d = np.linalg.norm(grid.vertices[rows[pairs]] - grid.vertices[cols[pairs]], axis=1)
-    assert np.isclose(grid.graph.rho, d.mean(), rtol=0, atol=1e-15)
+    assert np.isclose(reference_graph(grid)[2], d.mean(), rtol=0, atol=1e-15)
 
 
 def test_build_grid_deterministic():
     a = sg.build_grid(4)
     b = sg.build_grid(4)
     assert np.array_equal(a.vertices, b.vertices)
-    assert np.array_equal(a.graph.values, b.graph.values)
+    for name in ("own", "halo", "halo_index"):
+        assert np.array_equal(getattr(a.laplacian, name), getattr(b.laplacian, name))
 
 
 @pytest.mark.parametrize("nside", [0, 3, 5, 128, -2])
