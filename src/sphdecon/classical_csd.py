@@ -44,6 +44,10 @@ class CsdConfig:
             if not getattr(self, name) >= 0:
                 raise InvalidArgumentError(
                     f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.wm_degree < 0 or self.wm_degree % 2:
+            raise InvalidArgumentError(
+                f"wm_degree must be even and nonnegative, got {self.wm_degree}")
+        sg.check_nside(self.constraint_grid_nside, "constraint_grid_nside")
 
 
 class FodfField:

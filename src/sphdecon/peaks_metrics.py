@@ -17,6 +17,7 @@ import numpy as np
 from . import _kernels
 from . import harmonics as sh
 from . import signal_model as sm
+from . import sphere_grid as sg
 from .errors import InvalidArgumentError
 
 # voxels per peak-extraction chunk; bounds the (chunk, grid) value matrix
@@ -47,6 +48,9 @@ class PeakConfig:
         if not 0 < self.min_separation_deg <= 90:
             raise InvalidArgumentError(
                 f"min_separation_deg must be in (0, 90], got {self.min_separation_deg}")
+        sg.check_nside(self.grid_nside, "grid_nside")
+        if self.grid_nside < 16:
+            raise InvalidArgumentError(f"grid_nside must be at least 16, got {self.grid_nside}")
 
 
 @dataclass

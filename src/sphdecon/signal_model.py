@@ -385,14 +385,14 @@ def generate_gradients(n: int, seed) -> np.ndarray:
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     if n == 1:
         return pts
-    iu = np.triu_indices(n, 1)
+    upper = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
     step = 0.1
-    energy, pairs = _scheme_energy(pts, iu)
+    energy, pairs = _scheme_energy(pts, upper)
     force = _scheme_force(pts, *pairs)
     for _ in range(300):
         trial = pts + step * force / np.abs(force).max()
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        e2, pairs = _scheme_energy(trial, iu)
+        e2, pairs = _scheme_energy(trial, upper)
         if e2 < energy:
             pts, energy, step = trial, e2, step * 1.1
             force = _scheme_force(pts, *pairs)
@@ -403,21 +403,41 @@ def generate_gradients(n: int, seed) -> np.ndarray:
     return pts
 
 
-def _scheme_energy(pts, iu):
-    """Coulomb energy of the charges and their antipodes, and the pair arrays it used."""
-    diff = pts[:, None] - pts[None, :]
-    anti = pts[:, None] + pts[None, :]
-    d1 = np.linalg.norm(diff, axis=2)
-    d2 = np.linalg.norm(anti, axis=2)
-    energy = (1 / d1[iu]).sum() + (1 / d2[iu]).sum() + (1 / d2.diagonal()).sum()
+def _scheme_energy(pts, upper):
+    """Coulomb energy of the charges and their antipodes, and the pair arrays it used.
+
+    Each pair array is (3, n, n), one (n, n) plane per component: entry
+    [k, j, i] is component k of p_i - p_j (diff) or p_i + p_j (anti).
+    `upper` holds the flat indices of the pairs i < j in row-major order.
+    """
+    c = pts.T.copy()
+    diff = c[:, None, :] - c[:, :, None]
+    anti = c[:, None, :] + c[:, :, None]
+    d1 = _pair_norm(diff)
+    d2 = _pair_norm(anti)
+    energy = (1 / d1.take(upper)).sum() + (1 / d2.take(upper)).sum() + (1 / d2.diagonal()).sum()
     return energy, (diff, d1, anti, d2)
 
 
+def _pair_norm(v):
+    """Norms of (3, n, n) pair vectors, adding x*x + y*y + z*z left to right."""
+    x, y, z = v
+    s = x * x
+    s += y * y
+    s += z * z
+    return np.sqrt(s, out=s)
+
+
 def _scheme_force(pts, diff, d1, anti, d2):
-    """The force on each charge, projected onto the sphere's tangent plane."""
+    """The force on each charge, projected onto the sphere's tangent plane.
+
+    Each component plane is summed over its rows j = 0, 1, ... in turn;
+    the pair arrays are overwritten.
+    """
     np.fill_diagonal(d1, np.inf)
-    f = (diff / d1[:, :, None] ** 3).sum(axis=1)
-    f += (anti / d2[:, :, None] ** 3).sum(axis=1)
+    f = np.divide(diff, d1 ** 3, out=diff).sum(axis=1)
+    f += np.divide(anti, d2 ** 3, out=anti).sum(axis=1)
+    f = f.T
     f -= (f * pts).sum(axis=1, keepdims=True) * pts
     return f
 
@@ -578,6 +598,12 @@ class ResponseConfig:
 
     degree: int = 16  # WM response SH degree, lowered to what the shells can fit
 
+    def __post_init__(self):
+        # the degree is lowered in steps of 2, so an odd one never becomes valid
+        if self.degree < 0 or self.degree % 2:
+            raise InvalidArgumentError(
+                f"degree must be even and nonnegative, got {self.degree}")
+
 
 def estimate_response(batch: VoxelBatch, basis: sh.ShBasis) -> ResponseFunction:
     """WM response from single-fiber voxels with known fiber directions.
@@ -595,14 +621,19 @@ def estimate_response(batch: VoxelBatch, basis: sh.ShBasis) -> ResponseFunction:
             f"need at least 10 single-fiber voxels, got {batch.n_voxels}"
         )
     degrees = np.arange(0, basis.l_max + 1, 2)
+    rots = [rotation_to_z(fiber).T for fiber in batch.fibers[:, 0]]
     r = {}
     for b in batch.gradients.shells:
         samples = batch.shell(b)
+        dirs = batch.gradients.directions[b]
+        # one design over every voxel's rotated gradients, cut into
+        # contiguous (degrees, n_b) blocks, one per voxel
+        rotated = np.concatenate([dirs @ rot for rot in rots])
+        Z = sh.zonal_design(degrees, rotated).reshape(len(degrees), batch.n_voxels, len(dirs))
+        Z = np.ascontiguousarray(Z.transpose(1, 0, 2))
         acc = np.zeros(len(degrees))
         for v in range(batch.n_voxels):
-            rot = rotation_to_z(batch.fibers[v, 0])
-            rotated = batch.gradients.directions[b] @ rot.T
-            acc += _zonal_fit(samples[v], rotated, degrees)
+            acc += np.linalg.solve(Z[v] @ Z[v].T, Z[v] @ samples[v])
         r[b] = acc / batch.n_voxels
     if batch.gradients.b0_count:
         r[0] = np.zeros(len(degrees))
@@ -616,8 +647,3 @@ def isotropic_response(batch: VoxelBatch, tissue: str) -> ResponseFunction:
     for b in batch.gradients.keys:
         r[b] = np.array([np.sqrt(4 * np.pi) * float(np.mean(batch.shell(b)))])
     return ResponseFunction(tissue, r)
-
-
-def _zonal_fit(samples, points, degrees):
-    Z = sh.zonal_design(degrees, points)
-    return np.linalg.solve(Z @ Z.T, Z @ samples)

@@ -298,6 +298,7 @@ def run_with_config_value(esd_run, csd_fodf, tmp_path, capsys, key, value):
                   "--val", str(data / "val.sdv"), "--response", rf],
         "csd": ["csd", "--dataset", str(data / "test.sdv"), "--response", rf],
         "peaks": ["peaks", "--fodf", str(csd_fodf)],
+        "response": ["response", "--dataset", str(data / "train.sdv")],
     }[sections[0]]
     out = tmp_path / "out"
     capsys.readouterr()
@@ -652,6 +653,10 @@ class TestCliPipeline:
         "peaks.min_separation_deg=0", "peaks.min_separation_deg=90.5",
         "model.lambda_sparsity=-1e-4", "model.lambda_nonneg=-1",
         "model.plateau_factor=-1", "model.plateau_factor=0", "model.plateau_factor=1.5",
+        # degrees and grid resolutions that the stage would refuse later, under another name
+        "response.degree=15", "response.degree=-2", "csd.wm_degree=7", "csd.wm_degree=-2",
+        "csd.constraint_grid_nside=3", "peaks.grid_nside=3", "peaks.grid_nside=128",
+        "peaks.grid_nside=8",
     ])
     def test_config_value_out_of_range_exits_2(self, esd_run, csd_fodf, tmp_path, capsys,
                                                case):

@@ -12,9 +12,10 @@ from test_harmonics import eval_sh
 
 
 # ---------------------------------------------------------------------------
-# References: the per-voxel generator and the gradient scheme as they were
-# before the simulator was batched. Datasets written before then have their
-# bytes, so the batched code must reproduce them exactly.
+# References: the per-voxel generator, the gradient scheme and the response
+# fit as they were before they were batched. Datasets and responses written
+# before then have their bytes, so the batched code must reproduce them
+# exactly.
 
 
 def reference_simulate_voxel(fibers, tissue_fractions, gradients, tensor_params=None):
@@ -136,6 +137,21 @@ def reference_generate_gradients(n, seed):
             if step < 1e-8:
                 break
     return pts
+
+
+def reference_estimate_response(batch, basis):
+    """Per-shell zonal WM response, one fit per voxel, as {b: coefficients}."""
+    degrees = np.arange(0, basis.l_max + 1, 2)
+    r = {}
+    for b in batch.gradients.shells:
+        samples = batch.shell(b)
+        acc = np.zeros(len(degrees))
+        for v in range(batch.n_voxels):
+            rot = sm.rotation_to_z(batch.fibers[v, 0])
+            Z = sh.zonal_design(degrees, batch.gradients.directions[b] @ rot.T)
+            acc += np.linalg.solve(Z @ Z.T, Z @ samples[v])
+        r[b] = acc / batch.n_voxels
+    return r
 
 
 def make_table(n=64, shells=(3000.0,), b0=1, seed=0):
@@ -346,7 +362,7 @@ class TestGradients:
     def test_deterministic(self):
         assert np.array_equal(sm.generate_gradients(16, 5), sm.generate_gradients(16, 5))
 
-    @pytest.mark.parametrize("n", [1, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64, 128])
     def test_matches_reference(self, n):
         for seed in (0, 1, 7):
             assert np.array_equal(sm.generate_gradients(n, seed),
@@ -579,14 +595,15 @@ class TestBatchGeneration:
 
 
 class TestEstimateResponse:
-    def single_fiber_batch(self, n=20, axis_aligned=False, seed=3):
+    def single_fiber_batch(self, n=20, axis_aligned=False, seed=3, shells=(3000.0,),
+                           gradients_per_shell=64, snr=None):
         config = sm.SimConfig(
-            shells=[3000.0],
-            gradients_per_shell=64,
+            shells=list(shells),
+            gradients_per_shell=gradients_per_shell,
             n_voxels=n,
             split=(n, 0, 0),
             seed=seed,
-            snr=None,
+            snr=snr,
             tissues=1,
             fiber_count_probs=(1.0, 0.0, 0.0),
         )
@@ -607,6 +624,19 @@ class TestEstimateResponse:
         degrees = np.arange(0, 10, 2)
         Z = sh.zonal_design(degrees, table.directions[3000.0])
         assert np.abs(est.r[3000.0] @ Z - oracle.r[3000.0] @ Z).max() < 1e-3
+
+    @pytest.mark.parametrize("shells, gradients_per_shell", [
+        pytest.param((3000.0,), 64, id="1shell"),
+        pytest.param((1000.0, 2000.0, 3000.0), 32, id="3shell")])
+    def test_matches_reference(self, shells, gradients_per_shell):
+        batch, _ = self.single_fiber_batch(n=37, shells=shells,
+                                           gradients_per_shell=gradients_per_shell, snr=30.0)
+        basis = sh.ShBasis(8)
+        est = sm.estimate_response(batch, basis)
+        ref = reference_estimate_response(batch, basis)
+        assert set(est.r) == {0, *shells}
+        for b in shells:
+            assert np.array_equal(est.r[b], ref[b])
 
     def test_axis_aligned_equals_plain_zonal_fit(self):
         batch, table = self.single_fiber_batch(axis_aligned=True)
