@@ -216,5 +216,5 @@ def _constraint_penalty(basis: sh.ShBasis, config: CsdConfig):
 
 def _hemisphere(nside):
     """The vertices of a Healpix grid that fold_hemisphere keeps."""
-    vertices = sg.build_grid(nside).vertices
-    return vertices[(sh.fold_hemisphere(vertices) == vertices).all(axis=1)]
+    grid = sg.build_grid(nside)
+    return grid.vertices[grid.hemisphere.index]

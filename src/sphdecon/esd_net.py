@@ -91,7 +91,9 @@ class EsdModel:
         # one input channel per shell, ascending as a GradientTable lists them
         self.shells = [float(b) for b in shells]
         self.grids = [sg.build_grid(config.nside_in >> i) for i in range(config.depth)]
-        self.laps = [g.laplacian.rescaled(sg.estimate_lmax(g)) for g in self.grids]
+        # built outside the grids' caches, so only the rescaled copy is kept
+        self.laps = [lap.rescaled(sg.estimate_lmax(lap))
+                     for lap in map(sg.graph_laplacian, self.grids)]
         self.params: dict = {}
         self.bn: dict = {}
         rng = np.random.default_rng([config.seed, 77])

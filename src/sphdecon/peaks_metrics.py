@@ -1,10 +1,14 @@
 """Peak extraction from fODFs and the evaluation scores.
 
 Peaks are strict local maxima over the dense-grid 8-neighborhood, refined
-by one Newton step of a tangent-plane quadratic fit, antipodally merged,
-thresholded relative to the strongest peak, and greedily suppressed
-within a minimum separation. Candidates, refinement and amplitudes run
-on a chunk of voxels at once; only the final selection is per voxel.
+by one Newton step of a tangent-plane quadratic fit, thresholded relative
+to the strongest peak, and greedily suppressed within a minimum
+separation. fODFs are even and the Healpix grid is point-symmetric, so
+the search runs on the half of the grid that fold_hemisphere keeps and
+finds each antipodal pair of maxima once. Grid values are computed a
+chunk of voxels at a time and refined amplitudes a block of candidates
+at a time; the refinement's fits (one pseudo-inverse call) and the
+selection (one pass over the batch) cover the whole batch at once.
 Matching against ground truth uses optimal assignment under a 25-degree
 cone; all angles treat directions as axes (arccos of |dot|).
 """
@@ -22,13 +26,17 @@ from .errors import InvalidArgumentError
 
 # voxels per peak-extraction chunk; bounds the (chunk, grid) value matrix
 _CHUNK = 32
+# candidates refined at once; bounds their (block, L) amplitude arrays
+_BLOCK = 1024
 _design_cache: dict = {}
 
 
 def _grid_design(l_max, grid):
+    """The (L, N/2) design on the grid's hemisphere, cached per (l_max, nside)."""
     key = (l_max, grid.nside)
     if key not in _design_cache:
-        _design_cache[key] = sh.design_matrix(sh.ShBasis(l_max), grid.vertices)
+        vertices = grid.vertices[grid.hemisphere.index]
+        _design_cache[key] = sh.design_matrix(sh.ShBasis(l_max), vertices)
     return _design_cache[key]
 
 
@@ -80,52 +88,37 @@ def axis_angles_deg(u, v):
     return np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
 
 
-def detect_peaks(dirs, amps, rel_threshold, min_separation_deg) -> PeakSet:
-    """Select one voxel's peaks from its refined candidates.
-
-    dirs (K, 3) and amps (K,) hold the candidates in vertex order. The
-    strongest first, candidates below rel_threshold times the strongest
-    are dropped, then each one closer than min_separation_deg to a
-    stronger kept peak.
-    """
-    if len(amps) == 0:
-        return PeakSet(np.zeros((0, 3)), np.zeros(0))
-    candidates = len(amps)
-    order = np.argsort(-amps, kind="stable")
-    dirs, amps = dirs[order], amps[order]
-    keep = amps >= rel_threshold * amps[0]
-    dirs, amps = dirs[keep], amps[keep]
-    angles = axis_angles_deg(dirs, dirs)
-    kept = []
-    for i in range(len(amps)):
-        if np.all(angles[i, kept] >= min_separation_deg):
-            kept.append(i)
-    return PeakSet(dirs[kept], amps[kept], candidates)
-
-
 def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold, min_separation_deg):
     """Detect peaks for every row of a (V, L) WM coefficient matrix.
 
-    Peaks are strict local maxima of the grid values, refined by one
-    Newton step of a tangent-plane quadratic fit over each vertex's
-    neighbors. Voxels are processed _CHUNK at a time: candidates,
-    refinement and amplitudes run on a whole chunk at once, and only the
-    selection (detect_peaks) runs per voxel. Each PeakSet counts the
-    local maxima it was selected from.
+    An fODF is even, so it is evaluated on the grid's hemisphere only:
+    the vertices fold_hemisphere keeps, whose neighbors across the equator
+    read their antipodes' values. Peaks are strict local maxima of those
+    values, refined by one Newton step of a tangent-plane quadratic fit
+    over each vertex's neighbors. The values are computed _CHUNK voxels
+    at a time and the refined amplitudes _BLOCK candidates at a time; the
+    fits' pseudo-inverses and the selection each take one pass over the
+    whole batch. Each PeakSet counts the hemisphere maxima it was
+    selected from.
     """
     if grid_dense.nside < 16:
         raise InvalidArgumentError("peak grid must have nside >= 16")
     wm_coeffs = np.asarray(wm_coeffs)
     basis = sh.ShBasis(_lmax_from_count(wm_coeffs.shape[1]))
+    n_voxels = wm_coeffs.shape[0]
+    if n_voxels == 0:
+        return []
     design = _grid_design(basis.l_max, grid_dense)
-    out = []
-    for lo in range(0, wm_coeffs.shape[0], _CHUNK):
-        # each voxel's coefficients are scaled by a power of two that brings
-        # their largest magnitude into [0.5, 1): exact, so the peaks are the
-        # unscaled ones, and no product overflows however large they are
-        _, shift = np.frexp(np.abs(wm_coeffs[lo : lo + _CHUNK]).max(axis=1, initial=0.0))
-        block = np.ldexp(wm_coeffs[lo : lo + _CHUNK], -shift[:, None])
-        values = block @ design
+    half = grid_dense.hemisphere
+    # each voxel's coefficients are scaled by a power of two that brings
+    # their largest magnitude into [0.5, 1): exact, so the peaks are the
+    # unscaled ones, and no product overflows however large they are
+    shift = np.empty(n_voxels, np.int32)
+    found = []
+    for lo in range(0, n_voxels, _CHUNK):
+        block = wm_coeffs[lo : lo + _CHUNK]
+        _, shift[lo : lo + _CHUNK] = np.frexp(np.abs(block).max(axis=1, initial=0.0))
+        values = np.ldexp(block, -shift[lo : lo + _CHUNK, None]) @ design
         # only vertices at or above the pre-prune threshold, 0.5 *
         # rel_threshold times the strongest local maximum, can be kept;
         # that maximum is the global one unless the field is constant,
@@ -133,31 +126,73 @@ def peaks_for_batch(wm_coeffs, grid_dense, rel_threshold, min_separation_deg):
         top = values.max(axis=1)
         above = (values >= 0.5 * rel_threshold * top[:, None]) & (top[:, None] > 0)
         rows, verts = np.nonzero(above)
-        strict = _kernels.local_maxima(values, grid_dense.neighbor_table, rows, verts)
+        strict = _kernels.local_maxima(values, half.neighbor_table, rows, verts)
         rows, verts = rows[strict], verts[strict]
-        dirs, amps = np.zeros((0, 3)), values[rows, verts]
-        if rows.size:
-            dirs = _refine(values, grid_dense, rows, verts)
-            refined = np.einsum("kl,lk->k", block[rows], sh.design_matrix(basis, dirs))
-            # keep the vertex itself where refinement moved off the ridge
-            worse = refined < amps
-            dirs[worse] = grid_dense.vertices[verts[worse]]
-            amps = np.ldexp(np.where(worse, amps, refined), shift[rows])
-            dirs = sh.fold_hemisphere(dirs)
-        bounds = np.cumsum(np.bincount(rows, minlength=block.shape[0]))[:-1]
-        out.extend(detect_peaks(d, a, rel_threshold, min_separation_deg)
-                   for d, a in zip(np.split(dirs, bounds), np.split(amps, bounds)))
-    return out
+        # each candidate's value and its neighbors' (0 where one is missing)
+        ring = np.concatenate([verts[:, None], half.neighbor_table[verts]], axis=1)
+        found.append((rows + lo, half.index[verts], values[rows, verts],
+                      np.where(ring >= 0, values[rows[:, None], ring], 0.0)))
+    rows, verts, amps, ring_values = (np.concatenate(parts) for parts in zip(*found))
+    del found
+    inv, fits = _tangent_fits(grid_dense, verts)
+    dirs, refined = np.empty((rows.size, 3)), np.empty(rows.size)
+    for lo in range(0, rows.size, _BLOCK):
+        at = slice(lo, lo + _BLOCK)
+        dirs[at] = _refine([a[inv[at]] for a in fits], ring_values[at])
+        coeffs = np.ldexp(wm_coeffs[rows[at]], -shift[rows[at], None])
+        refined[at] = np.einsum("kl,lk->k", coeffs, sh.design_matrix(basis, dirs[at]))
+    # keep the vertex itself where refinement moved off the ridge
+    worse = refined < amps
+    dirs[worse] = grid_dense.vertices[verts[worse]]
+    dirs = sh.fold_hemisphere(dirs)
+    amps = np.ldexp(np.where(worse, amps, refined), shift[rows])
+    candidates = np.bincount(rows, minlength=n_voxels)
+    rows, dirs, amps = _select(rows, dirs, amps, n_voxels, rel_threshold, min_separation_deg)
+    ends = np.cumsum(np.bincount(rows, minlength=n_voxels)).tolist()
+    return [PeakSet(dirs[a:b], amps[a:b], c)
+            for a, b, c in zip([0, *ends], ends, candidates.tolist())]
 
 
-def _refine(values, grid, rows, verts):
-    """One Newton step of a tangent-plane quadratic fit at each (row, vertex).
+def _select(rows, dirs, amps, n_voxels, rel_threshold, min_separation_deg):
+    """Select each voxel's peaks from the refined candidates of a batch.
 
-    The fit's design depends only on the grid, so its pseudo-inverse is
-    computed once per distinct vertex. Vertices with 7 neighbors get a
-    zero design row (and value) in the 8th slot, which leaves the fit as
-    it is. Steps are clipped to the neighborhood's radius; a singular
-    Hessian takes no step. Returns the (K, 3) unit directions.
+    Candidates are ordered by voxel and, stably, by descending amplitude.
+    Those below rel_threshold times their voxel's strongest are dropped,
+    then each one closer than min_separation_deg to a stronger kept peak
+    of its voxel: round i decides every voxel's i-th candidate at once.
+    Returns the kept (rows, dirs, amps), in that order.
+    """
+    order = np.lexsort((-amps, rows))
+    rows, dirs, amps = rows[order], dirs[order], amps[order]
+    count = np.bincount(rows, minlength=n_voxels)
+    first = np.cumsum(count) - count
+    keep = amps >= rel_threshold * amps[first[rows]]
+    rows, dirs, amps = rows[keep], dirs[keep], amps[keep]
+    count = np.bincount(rows, minlength=n_voxels)
+    first = (np.cumsum(count) - count)[count > 0]
+    count = count[count > 0]
+    kept = np.zeros(rows.size, bool)
+    for i in range(count.max(initial=0)):
+        live = first[count > i]
+        stronger = live[:, None] + np.arange(i)
+        dots = np.abs(np.einsum("kjd,kd->kj", dirs[stronger], dirs[live + i]))
+        near = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0))) < min_separation_deg
+        kept[live + i] = ~(near & kept[stronger]).any(axis=1)
+    return rows[kept], dirs[kept], amps[kept]
+
+
+def _tangent_fits(grid, verts):
+    """The tangent-plane quadratic fit at each distinct vertex of verts.
+
+    The fit's design depends only on the grid, so it is built once per
+    distinct vertex, and one pinv call inverts them all (inverting every
+    grid vertex's fit up front would cost more than the peaks of a few
+    hundred voxels). The fit
+    places the neighbors at their true positions. A vertex with 7
+    neighbors gets a zero design row in the 8th slot, which leaves the fit
+    as it is. Returns inv, each entry's position among the distinct
+    vertices, and per distinct vertex: the (6, 9) pseudo-inverse, the
+    center, the tangent frame e1 and e2, and the neighborhood's radius.
     """
     uniq, inv = np.unique(verts, return_inverse=True)
     center = grid.vertices[uniq]
@@ -176,18 +211,30 @@ def _refine(values, grid, rows, verts):
     design = np.stack([np.ones_like(u0), u0, u1, u0 ** 2, u0 * u1, u1 ** 2], axis=2)
     pinv = np.linalg.pinv(design * valid[..., None])
     radius = np.maximum(np.abs(u0[:, 1:]), np.abs(u1[:, 1:])).max(axis=1)
+    return inv, (pinv, center, e1, e2, radius)
 
-    f = np.where(valid[inv], values[rows[:, None], idx[inv]], 0.0)
-    beta = np.einsum("kij,kj->ki", pinv[inv], f)
+
+def _refine(fit, ring_values):
+    """One Newton step of each candidate's tangent-plane fit.
+
+    fit holds _tangent_fits' tables at each candidate's vertex, and
+    ring_values (K, 9) the field there and at its neighbors in
+    neighbor_table order, 0 where one is missing; a neighbor across the
+    equator carries its antipode's value, which an even field shares.
+    Steps are clipped to the neighborhood's radius; a singular Hessian
+    takes no step. Returns the (K, 3) unit directions.
+    """
+    pinv, center, e1, e2, radius = fit
+    beta = np.einsum("kij,kj->ki", pinv, ring_values)
     g0, g1 = beta[:, 1], beta[:, 2]
     h00, h01, h11 = 2 * beta[:, 3], beta[:, 4], 2 * beta[:, 5]
     det = (h00 * h11 - h01 * h01)[:, None]
     step = -np.stack([h11 * g0 - h01 * g1, h00 * g1 - h01 * g0], axis=1)
     step = np.divide(step, det, out=np.zeros_like(step), where=det != 0)
     norm = np.linalg.norm(step, axis=1)
-    scale = np.where(norm > radius[inv], radius[inv] / np.maximum(norm, 1e-30), 1.0)
+    scale = np.where(norm > radius, radius / np.maximum(norm, 1e-30), 1.0)
     step *= scale[:, None]
-    refined = center[inv] + step[:, :1] * e1[inv] + step[:, 1:] * e2[inv]
+    refined = center + step[:, :1] * e1 + step[:, 1:] * e2
     return refined / np.linalg.norm(refined, axis=1, keepdims=True)
 
 

@@ -9,7 +9,9 @@ L = D - A. A grid builds L on first use, straight from the neighbor
 table, as a PatchOperator: dense patches of 16 consecutive vertices that
 _kernels.patch_matmul multiplies. The network's filters use its rescaled
 form (2/lmax) L - I, with lmax from estimate_lmax. CSD and peak detection
-read only the vertices and the neighbor table and never build L.
+read only the vertices and the neighbor table and never build L; peak
+detection reads them on the half of the grid that
+harmonics.fold_hemisphere keeps (SphericalGrid.hemisphere).
 
 Vertex azimuths are computed per quadrant and mapped by exact sign/swap
 rules, so the 4-fold rotation symmetry of the pixelization about z holds
@@ -23,12 +25,16 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from . import harmonics as sh
 from .errors import InvalidArgumentError
 
 MAX_NSIDE = 64
 
 _JRLL = np.array([2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4], dtype=np.int64)
 _JPLL = np.array([1, 3, 5, 7, 0, 2, 4, 6, 1, 3, 5, 7], dtype=np.int64)
+# the base face holding each face's antipodes: north polar <-> south polar
+# and equatorial <-> equatorial, half a turn about z apart
+_ANTIPODAL_FACE = np.array([10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1], dtype=np.int64)
 
 # Neighbor lookup tables for pixels on face edges, indexed by the
 # direction bucket (S, SE, E, SW, center, NE, W, NW, N) and face number.
@@ -146,6 +152,19 @@ def _pix2vec(nside, pix):
     return vec / norm[:, None]
 
 
+def _antipodes(nside):
+    """NESTED index of each pixel's antipode.
+
+    The point reflection maps face f to _ANTIPODAL_FACE[f] and turns the
+    face over its diagonal: (ix, iy) -> (nside-1-iy, nside-1-ix). The ring
+    index goes to 4 nside minus itself and the azimuth offset gains half a
+    turn, so _pix2vec gives the antipode exactly -vertices: bit for bit,
+    but for an equator vertex's z, which is +0.0 at both ends of its axis.
+    """
+    face, ix, iy = _nest2xyf(nside, np.arange(12 * nside * nside, dtype=np.int64))
+    return _xyf2nest(nside, _ANTIPODAL_FACE[face], nside - 1 - iy, nside - 1 - ix)
+
+
 def _neighbor_table(nside):
     """(N, 8) NESTED neighbor indices, -1 where a diagonal is missing."""
     npix = 12 * nside * nside
@@ -211,6 +230,24 @@ class PatchOperator:
         return PatchOperator(own, scale * self.halo, self.halo_index, self.n)
 
 
+@dataclass(frozen=True)
+class Hemisphere:
+    """The half of a grid that harmonics.fold_hemisphere keeps.
+
+    An even field takes the same value at a vertex and at its antipode, so
+    it is known from the N/2 kept vertices alone. index (N/2,) holds their
+    grid indices, ascending; rep (N,) the half-grid position of each grid
+    vertex's representative (itself or its antipode); neighbor_table
+    (N/2, 8) each kept vertex's neighbors as half-grid positions of their
+    representatives, -1 where a diagonal is missing, so that a neighbor
+    across the equator reads its antipode's value.
+    """
+
+    index: np.ndarray
+    rep: np.ndarray
+    neighbor_table: np.ndarray
+
+
 class SphericalGrid:
     """Immutable Healpix grid at one resolution.
 
@@ -224,6 +261,8 @@ class SphericalGrid:
         Neighbor indices with -1 padding.
     laplacian : PatchOperator
         L = D - A of the weighted graph, built on first access.
+    hemisphere : Hemisphere
+        The kept half and its neighbor table, built on first access.
     """
 
     def __init__(self, nside, vertices, neighbor_table):
@@ -236,46 +275,66 @@ class SphericalGrid:
 
     @cached_property
     def laplacian(self) -> PatchOperator:
-        """Gaussian edge weights on the neighbor table, and L = D - A."""
-        nbrs = self.neighbor_table
-        n = self.n_vertices
-        rows = np.repeat(np.arange(n), 8)
-        cols = nbrs.reshape(-1)
-        valid = cols >= 0
-        rows, cols = rows[valid], cols[valid]
+        """L = D - A, cached; graph_laplacian builds it without caching."""
+        return graph_laplacian(self)
 
-        diff = self.vertices[rows] - self.vertices[cols]
-        d2 = (diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2
-        rho = float(np.mean(np.sqrt(d2[rows < cols])))
-        weights = np.exp(-d2 / (rho * rho))
-        padded = np.zeros(nbrs.size)
-        padded[valid] = weights
+    @cached_property
+    def hemisphere(self) -> Hemisphere:
+        """The vertices fold_hemisphere keeps, each vertex's representative
+        among them, and their neighbor table."""
+        anti = _antipodes(self.nside)
+        kept = (sh.fold_hemisphere(self.vertices) == self.vertices).all(axis=1)
+        position = np.cumsum(kept) - 1
+        rep = position[np.where(kept, np.arange(self.n_vertices), anti)]
+        index = np.flatnonzero(kept)
+        nbrs = self.neighbor_table[index]
+        half_nbrs = np.where(nbrs >= 0, rep[nbrs], -1)
+        for a in (index, rep, half_nbrs):
+            a.setflags(write=False)
+        return Hemisphere(index, rep, half_nbrs)
 
-        # Degrees are sums of per-row sorted weights: permutation-equivalent
-        # rows then sum in an identical order, keeping the quarter-turn
-        # symmetry of the Laplacian bit-exact.
-        degrees = np.sort(padded.reshape(n, 8), axis=1).sum(axis=1)
 
-        s = min(_PATCH_ROWS, n)
-        nb = n // s
-        pix = np.arange(n)
-        own = np.zeros((nb, s, s))
-        own[pix // s, pix % s, pix % s] = degrees
-        vals = 0.0 - weights
-        block = rows // s
-        inside = cols // s == block
-        own[block[inside], rows[inside] % s, cols[inside] % s] = vals[inside]
+def graph_laplacian(grid: SphericalGrid) -> PatchOperator:
+    """Gaussian edge weights on a grid's neighbor table, and L = D - A."""
+    nbrs = grid.neighbor_table
+    n = grid.n_vertices
+    rows = np.repeat(np.arange(n), 8)
+    cols = nbrs.reshape(-1)
+    valid = cols >= 0
+    rows, cols = rows[valid], cols[valid]
 
-        # each block's halo: the distinct outside columns its rows read, ascending
-        block, rows, cols, vals = (a[~inside] for a in (block, rows, cols, vals))
-        keys, slot = np.unique(block * n + cols, return_inverse=True)
-        first = np.searchsorted(keys, np.arange(nb) * n)
-        h = int(np.bincount(keys // n, minlength=nb).max())
-        halo_index = np.repeat(np.arange(nb) * s, h).reshape(nb, h)
-        halo_index[keys // n, np.arange(keys.size) - first[keys // n]] = keys % n
-        halo = np.zeros((nb, s, h))
-        halo[block, rows % s, slot - first[block]] = vals
-        return PatchOperator(own, halo, halo_index, n)
+    diff = grid.vertices[rows] - grid.vertices[cols]
+    d2 = (diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2
+    rho = float(np.mean(np.sqrt(d2[rows < cols])))
+    weights = np.exp(-d2 / (rho * rho))
+    padded = np.zeros(nbrs.size)
+    padded[valid] = weights
+
+    # Degrees are sums of per-row sorted weights: permutation-equivalent
+    # rows then sum in an identical order, keeping the quarter-turn
+    # symmetry of the Laplacian bit-exact.
+    degrees = np.sort(padded.reshape(n, 8), axis=1).sum(axis=1)
+
+    s = min(_PATCH_ROWS, n)
+    nb = n // s
+    pix = np.arange(n)
+    own = np.zeros((nb, s, s))
+    own[pix // s, pix % s, pix % s] = degrees
+    vals = 0.0 - weights
+    block = rows // s
+    inside = cols // s == block
+    own[block[inside], rows[inside] % s, cols[inside] % s] = vals[inside]
+
+    # each block's halo: the distinct outside columns its rows read, ascending
+    block, rows, cols, vals = (a[~inside] for a in (block, rows, cols, vals))
+    keys, slot = np.unique(block * n + cols, return_inverse=True)
+    first = np.searchsorted(keys, np.arange(nb) * n)
+    h = int(np.bincount(keys // n, minlength=nb).max())
+    halo_index = np.repeat(np.arange(nb) * s, h).reshape(nb, h)
+    halo_index[keys // n, np.arange(keys.size) - first[keys // n]] = keys % n
+    halo = np.zeros((nb, s, h))
+    halo[block, rows % s, slot - first[block]] = vals
+    return PatchOperator(own, halo, halo_index, n)
 
 
 def check_nside(nside: int, name: str = "nside"):
@@ -292,11 +351,10 @@ def build_grid(nside: int) -> SphericalGrid:
     return SphericalGrid(nside, _pix2vec(nside, pix), _neighbor_table(nside))
 
 
-def estimate_lmax(grid: SphericalGrid) -> float:
-    """Largest Laplacian eigenvalue estimated by 20 power iterations."""
-    lap = grid.laplacian
+def estimate_lmax(lap: PatchOperator) -> float:
+    """Largest eigenvalue of a Laplacian, estimated by 20 power iterations."""
     rng = np.random.default_rng(1234)
-    v = rng.standard_normal(grid.n_vertices)
+    v = rng.standard_normal(lap.n)
     v /= np.linalg.norm(v)
     for _ in range(20):
         w = lap.matmul(v)

@@ -65,7 +65,7 @@ def sq_err(tape, x, target):
 
 def scaled_laplacian(nside):
     grid = sg.build_grid(nside)
-    return grid.laplacian.rescaled(sg.estimate_lmax(grid))
+    return grid.laplacian.rescaled(sg.estimate_lmax(grid.laplacian))
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ class TestGraphConv:
     def test_matches_dense_chebyshev_sum(self, lap48, c_in, c_out):
         # oracle: sum_p T^p x W_p with the dense scaled Laplacian T
         grid = sg.build_grid(2)
-        lmax = sg.estimate_lmax(grid)
+        lmax = sg.estimate_lmax(grid.laplacian)
         dense = dense_scaled_laplacian(grid, lmax)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((48, 3, c_in))

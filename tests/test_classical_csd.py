@@ -398,3 +398,14 @@ class TestBatchedMatchesReference:
         batch, _ = single_fiber_batch(n=2)
         field = self.check(batch.subset(np.arange(0)), {"wm": wm_rf})
         assert field.n_voxels == 0 and field.coeffs["wm"].shape == (0, 45)
+
+
+@pytest.mark.parametrize("nside", [1, 2, 4, 8, 16])
+def test_hemisphere_reads_the_grid_table(nside):
+    # the constraint rows are the vertices fold_hemisphere keeps, in grid
+    # order, whichever table selects them
+    vertices = sg.build_grid(nside).vertices
+    expect = vertices[(sh.fold_hemisphere(vertices) == vertices).all(axis=1)]
+    got = csd._hemisphere(nside)
+    assert got.shape == (6 * nside * nside, 3)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))

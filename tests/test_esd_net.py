@@ -446,9 +446,9 @@ def test_operator_hooks_for_the_tracer(monkeypatch):
     lmax_grids = []
     estimate_lmax, graph_conv = sg.estimate_lmax, ad.graph_conv
 
-    def counted_lmax(grid):
-        lmax_grids.append(grid.n_vertices)
-        return estimate_lmax(grid)
+    def counted_lmax(lap):
+        lmax_grids.append(lap.n)
+        return estimate_lmax(lap)
 
     monkeypatch.setattr(sg, "estimate_lmax", counted_lmax)
     model = en.EsdModel(en.EsdConfig(), [3000.0])
@@ -465,6 +465,20 @@ def test_operator_hooks_for_the_tracer(monkeypatch):
     model.forward(None, ad.Tensor(np.zeros((768, 2, 1), np.float32)))
     assert all(n == rows for n, rows in convs)
     assert sorted({n for n, _ in convs}) == [48, 192, 768]
+
+
+def test_model_keeps_only_the_rescaled_laplacians():
+    # each level's operator is built outside the grid's cache, so the
+    # unscaled float64 copy is not held next to the rescaled one
+    model = en.EsdModel(en.EsdConfig(), [3000.0])
+    for grid, lap in zip(model.grids, model.laps):
+        assert "laplacian" not in vars(grid)
+        unscaled = sg.build_grid(grid.nside).laplacian
+        expect = unscaled.rescaled(sg.estimate_lmax(unscaled))
+        for name in ("own", "halo", "halo_index"):
+            got, ref = getattr(lap, name), getattr(expect, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_training_step_memory_peak():

@@ -14,7 +14,7 @@ def levels():
     out = []
     for nside in (8, 4, 2, 1):
         grid = sg.build_grid(nside)
-        lmax = sg.estimate_lmax(grid)
+        lmax = sg.estimate_lmax(grid.laplacian)
         lap = grid.laplacian.rescaled(lmax)
         out.append((grid, lap, dense_scaled_laplacian(grid, lmax)))
     return out

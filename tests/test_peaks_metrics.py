@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphdecon import _kernels
 from sphdecon import harmonics as sh
 from sphdecon import peaks_metrics as pm
 from sphdecon import signal_model as sm
@@ -224,10 +225,62 @@ class TestBatchedMatchesReference:
             assert len(peaks) == len(ref)
             assert np.abs(peaks.directions - ref.directions).max(initial=0.0) <= 1e-9
             assert np.abs(peaks.amplitudes - ref.amplitudes).max(initial=0.0) <= 1e-9
-            assert peaks.candidates == ref.candidates >= len(ref)
+            # the reference searches the full sphere and finds every maximum
+            # twice, once at each end of its axis
+            assert 2 * peaks.candidates == ref.candidates >= len(ref)
             n_peaks += len(ref)
         assert len(got[-2]) == len(got[-1]) == 0
         assert n_peaks > len(coeffs)
+
+    @pytest.mark.parametrize("nside", [16, 32])
+    @pytest.mark.parametrize("l_max", [8, 20])
+    def test_zonal_ties_in_a_mixed_batch(self, nside, l_max):
+        # a zonal field (m = 0 only) peaked at the pole: the 4 vertices
+        # around the pole tie bit for bit, and so do their refined
+        # amplitudes, while their refined directions lie 0.01-0.2 degrees
+        # apart; the first in vertex order must win, as in the reference
+        basis = sh.ShBasis(l_max)
+        zonal = lobes([np.array([0.0, 0.0, 1.0])], [1.0], l_max)
+        zonal[[m != 0 for _, m in basis.degrees]] = 0.0
+        grid = sg.build_grid(nside)
+        values = zonal @ grid_design(l_max, nside)
+        ring = np.argsort(-grid.vertices[:, 2], kind="stable")[:4]
+        assert np.all(values[ring] == values[ring[0]])
+        rng = np.random.default_rng(3 * nside + l_max)
+        coeffs = np.vstack([rotated_lobes(rng, l_max, 3), zonal, rotated_lobes(rng, l_max, 2)])
+        got = pm.peaks_for_batch(coeffs, grid, 0.25, 15.0)
+        for row, peaks in zip(coeffs, got):
+            ref = reference_detect_peaks(row, grid, 0.25, 15.0)
+            assert len(peaks) == len(ref)
+            assert np.abs(peaks.directions - ref.directions).max(initial=0.0) <= 1e-9
+            assert np.abs(peaks.amplitudes - ref.amplitudes).max(initial=0.0) <= 1e-9
+        assert got[3].candidates == 4
+
+    def test_no_candidate_anywhere(self):
+        # constant and zero fields have no strict maximum; each voxel still gets its empty set
+        coeffs = np.zeros((3, 45))
+        coeffs[1, 0] = 1.0
+        got = pm.peaks_for_batch(coeffs, sg.build_grid(16), 0.25, 15.0)
+        assert len(got) == 3
+        for peaks in got:
+            assert peaks.directions.shape == (0, 3) and peaks.amplitudes.shape == (0,)
+            assert peaks.candidates == 0
+
+    def test_values_on_the_hemisphere(self, monkeypatch):
+        # the grid values peaks_for_batch scans have one column per half-grid vertex
+        shapes = []
+        local_maxima = _kernels.local_maxima
+
+        def recorded(values, nbrs, rows, cols):
+            shapes.append((values.shape[1], nbrs.shape[0]))
+            return local_maxima(values, nbrs, rows, cols)
+
+        monkeypatch.setattr(_kernels, "local_maxima", recorded)
+        for nside in (16, 32):
+            pm.peaks_for_batch(rotated_lobes(np.random.default_rng(4), 8, 2),
+                               sg.build_grid(nside), 0.25, 15.0)
+            assert shapes.pop() == (6 * nside * nside, 6 * nside * nside)
+            assert pm._grid_design(8, sg.build_grid(nside)).shape == (45, 6 * nside * nside)
 
     def test_voxel_chunks(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -235,6 +288,7 @@ class TestBatchedMatchesReference:
         grid = sg.build_grid(16)
         whole = pm.peaks_for_batch(coeffs, grid, 0.25, 15.0)
         monkeypatch.setattr(pm, "_CHUNK", 5)
+        monkeypatch.setattr(pm, "_BLOCK", 3)
         chunked = pm.peaks_for_batch(coeffs, grid, 0.25, 15.0)
         assert len(chunked) == len(whole) == len(coeffs)
         for a, b in zip(chunked, whole):
@@ -255,6 +309,48 @@ class TestBatchedMatchesReference:
         for a, b in zip(base, scaled):
             assert np.array_equal(a.directions, b.directions)
             assert np.array_equal(np.ldexp(a.amplitudes, power), b.amplitudes)
+
+
+class TestHemisphereMaxima:
+    @pytest.mark.parametrize("nside", [16, 32, 64])
+    @pytest.mark.parametrize("l_max", [8, 20])
+    def test_half_table_maxima_are_the_full_grid_maxima(self, nside, l_max):
+        # on an even field, the strict maxima of the half table are the
+        # full grid's, restricted to the hemisphere
+        grid = sg.build_grid(nside)
+        half = grid.hemisphere
+        basis = sh.ShBasis(l_max)
+        rng = np.random.default_rng(nside * l_max)
+        coeffs = rng.standard_normal((3, basis.L)) / (1 + np.arange(basis.L))
+        values = np.hstack([coeffs @ sh.design_matrix(basis, grid.vertices[lo : lo + 8192])
+                            for lo in range(0, grid.n_vertices, 8192)])
+        on_half = values[:, half.index]
+        rows, cols = np.nonzero(np.ones(on_half.shape, bool))
+        strict = _kernels.local_maxima(on_half, half.neighbor_table, rows, cols)
+        strict = strict.reshape(on_half.shape)
+        for row, maxima in zip(values, strict):
+            expect = reference_local_maxima(row, grid.neighbor_table)
+            assert np.array_equal(maxima, expect[half.index])
+            assert 2 * maxima.sum() == expect.sum() > 0
+
+
+class TestSelect:
+    def test_stable_order_and_suppression(self):
+        # voxel 0 keeps its two peaks 90 degrees apart, strongest first, and
+        # drops the one below the threshold; voxel 1's two tied candidates
+        # stay in input order. In the second call the tied pair lies 10
+        # degrees apart, and only the first in input order is kept
+        a = np.radians(10.0)
+        dirs = np.array([[1.0, 0, 0], [0, np.cos(a), np.sin(a)], [0, 1.0, 0],
+                         [0, 0, 1.0], [0, 1.0, 0]])
+        rows = np.array([1, 1, 0, 0, 0])
+        amps = np.array([2.0, 2.0, 1.0, 3.0, 0.5])
+        got_rows, got_dirs, got_amps = pm._select(rows, dirs, amps, 3, 0.25, 15.0)
+        assert got_rows.tolist() == [0, 0, 1, 1]
+        assert got_amps.tolist() == [3.0, 1.0, 2.0, 2.0]
+        assert np.array_equal(got_dirs, dirs[[3, 2, 0, 1]])
+        got_rows, got_dirs, _ = pm._select(rows[:2], dirs[[1, 4]], amps[:2], 2, 0.25, 15.0)
+        assert got_rows.tolist() == [1] and np.array_equal(got_dirs, dirs[[1]])
 
 
 class TestMatchFibers:

@@ -49,7 +49,7 @@ def test_rescaled_laplacian_bit_identical_to_scipy_construction(nside):
     grid = sg.build_grid(nside)
     _, laplacian, _ = reference_graph(grid)
     lmax = reference_lmax(laplacian)
-    est = sg.estimate_lmax(grid)
+    est = sg.estimate_lmax(grid.laplacian)
     assert abs(est - lmax) <= (np.spacing(lmax) if nside <= 2 else 0.0)
     assert_csr_identical(sparse(grid.laplacian.rescaled(est)), reference_scaled(laplacian, lmax))
 
@@ -133,6 +133,35 @@ def test_rho_is_mean_neighbor_chord():
     pairs = rows < cols
     d = np.linalg.norm(grid.vertices[rows[pairs]] - grid.vertices[cols[pairs]], axis=1)
     assert np.isclose(reference_graph(grid)[2], d.mean(), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nside", [1, 2, 4, 8, 16, 32, 64])
+def test_antipodes_exact(nside):
+    # exact up to the sign of a zero: an equator vertex has z = 0.0, and so
+    # has its antipode, where -vertices holds -0.0
+    grid = sg.build_grid(nside)
+    anti = sg._antipodes(nside)
+    assert np.array_equal(np.sort(anti), np.arange(grid.n_vertices))
+    assert np.array_equal(grid.vertices[anti], -grid.vertices)
+    assert np.array_equal(anti[anti], np.arange(grid.n_vertices))
+
+
+@pytest.mark.parametrize("nside", [16, 32, 64])
+def test_hemisphere_tables(nside):
+    grid = sg.build_grid(nside)
+    half = grid.hemisphere
+    assert half is grid.hemisphere
+    assert half.index.size == 6 * nside * nside
+    assert np.all(np.diff(half.index) > 0)
+    kept = grid.vertices[half.index]
+    # every half vertex is its own fold, bit for bit, and every vertex's
+    # representative is its fold (a zero's sign aside, as above)
+    assert sh.fold_hemisphere(kept).tobytes() == kept.tobytes()
+    assert np.array_equal(grid.vertices[half.index[half.rep]], sh.fold_hemisphere(grid.vertices))
+    assert np.array_equal(half.rep[half.index], np.arange(half.index.size))
+    # a neighbor across the equator is replaced by its antipode's representative
+    nbrs = grid.neighbor_table[half.index]
+    assert np.array_equal(half.neighbor_table, np.where(nbrs >= 0, half.rep[nbrs], -1))
 
 
 def test_build_grid_deterministic():
@@ -240,7 +269,7 @@ class TestZRotation:
 def test_estimate_lmax_close_to_dense():
     grid = sg.build_grid(2)
     dense = np.linalg.eigvalsh(dense_laplacian(grid))[-1]
-    est = sg.estimate_lmax(grid)
+    est = sg.estimate_lmax(grid.laplacian)
     assert est <= dense + 1e-9
     assert est > 0.9 * dense
 
