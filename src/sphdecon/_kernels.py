@@ -47,11 +47,12 @@ def maxpool4(x):
 
     x is (n_fine, cols) with n_fine divisible by 4. Returns (out, argmax),
     both (n_fine / 4, cols), where argmax holds the winning offset 0..3
-    inside each block; ties resolve to the lowest index.
+    inside each block as uint8 (a training tape keeps it until backward);
+    ties resolve to the lowest index.
     """
     g = x.reshape(-1, 4, x.shape[1])
     arg = np.argmax(g, axis=1)  # first max wins: lowest child index
-    return np.take_along_axis(g, arg[:, None], axis=1)[:, 0], arg
+    return np.take_along_axis(g, arg[:, None], axis=1)[:, 0], arg.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ same ops in float64.
 Network activations are (N, V, C): vertex, voxel, channel. graph_conv
 multiplies by whatever Laplacian operator it is handed (sphere_grid
 builds the network's), and pooling goes through the kernels module.
+unpool_conv is a decoder level's first convolution with the unpooling
+and the skip connection folded in, so its widest input is never kept.
 graph_conv picks its product order from the weight shape: it applies the
 Laplacian after mixing channels when the filter does not widen
 (C_out <= C_in), and to the input otherwise. Either way each dense
@@ -190,24 +192,58 @@ def healpix_maxpool(tape, x: Tensor) -> Tensor:
     return _track(tape, out, (x,), backward)
 
 
-def healpix_unpool(tape, x: Tensor, skip: Tensor) -> Tensor:
-    """Copy each coarse vertex row to its 4 children, then append skip's channels.
+def unpool_conv(tape, coarse: Tensor, skip: Tensor, weights: Tensor, lap) -> Tensor:
+    """graph_conv of the unpooled input: each coarse vertex row copied to its
+    4 children, with skip's channels appended.
 
-    x is (N, V, C), skip (4 N, V, C_skip); returns (4 N, V, C + C_skip).
+    coarse is (N, V, C), skip (4 N, V, C_skip) and weights (P+1, C + C_skip,
+    C_out) with C_out <= C + C_skip; returns (4 N, V, C_out). The
+    (4 N, V, C + C_skip) input lives only while a product needs it: forward
+    builds it for the channel mix, and backward rebuilds it for dW after
+    the gradient's power stack. So the tape keeps nothing that coarse and
+    skip do not hold already. The GEMMs and sums are graph_conv's narrow
+    side, term for term, so the output and every gradient equal graph_conv
+    of the built input bit for bit.
     """
-    n, v, c = x.values.shape
-    out = Tensor(np.empty((4 * n, v, c + skip.values.shape[2]),
-                          np.result_type(x.values, skip.values)))
-    out.values.reshape(n, 4, v, -1)[..., :c] = x.values[:, None]
-    out.values[..., c:] = skip.values
+    n, v, c = coarse.values.shape
+    p1, c_in, c_out = weights.values.shape
+    if skip.values.shape[:2] != (4 * n, v) or lap.n != 4 * n:
+        raise InvalidArgumentError(
+            f"unpool_conv inputs {coarse.values.shape} and {skip.values.shape} "
+            f"do not match N={lap.n}"
+        )
+    if c_in != c + skip.values.shape[2] or c_out > c_in:
+        raise InvalidArgumentError(
+            f"weights {weights.values.shape} do not map {c} + {skip.values.shape[2]} "
+            "channels onto at most as many"
+        )
+    w_cat = weights.values.transpose(1, 0, 2).reshape(c_in, p1 * c_out)
+    u = _unpooled(coarse.values, skip.values) @ w_cat
+    out = Tensor(_horner(lap, u.reshape(4 * n, v, p1, c_out)))
 
     def backward():
-        if x.requires_grad:
-            x.add_grad(out.grad[..., :c].reshape(n, 4, v, c).sum(axis=1))
-        if skip.requires_grad:
-            skip.add_grad(out.grad[..., c:].copy())  # a view of out.grad
+        g_stack = _powers(lap, out.grad, p1)
+        if weights.requires_grad:
+            dw = (_unpooled(coarse.values, skip.values).T @ g_stack).reshape(c_in, p1, c_out)
+            weights.add_grad(dw.transpose(1, 0, 2))
+        if coarse.requires_grad or skip.requires_grad:
+            dx = (g_stack @ w_cat.T).reshape(4 * n, v, c_in)
+            if coarse.requires_grad:
+                coarse.add_grad(dx[..., :c].reshape(n, 4, v, c).sum(axis=1))
+            if skip.requires_grad:
+                skip.add_grad(dx[..., c:].copy())  # a view of dx
 
-    return _track(tape, out, (x, skip), backward)
+    return _track(tape, out, (coarse, skip, weights), backward)
+
+
+def _unpooled(coarse, skip):
+    """(N, V, C) rows copied to their 4 children next to skip's (4 N, V, C_skip),
+    as one (4 N V, C + C_skip) matrix."""
+    n, v, c = coarse.shape
+    x = np.empty((4 * n, v, c + skip.shape[2]), np.result_type(coarse, skip))
+    x.reshape(n, 4, v, -1)[..., :c] = coarse[:, None]
+    x[..., c:] = skip
+    return x.reshape(4 * n * v, -1)
 
 
 @dataclass

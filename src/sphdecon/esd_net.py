@@ -14,6 +14,7 @@ down once, and the loss casts the head output up once and hands back a
 float32 gradient.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +146,14 @@ class EsdModel:
             self.bn[k].running_mean[...] = mean
             self.bn[k].running_var[...] = var
 
-    def _block(self, tape, name, x, lvl, training):
-        h = ad.graph_conv(tape, x, self.params[f"{name}_w"], self.laps[lvl])
+    def _block(self, tape, name, x, lvl, training, skip=None):
+        """conv, batchnorm and ReLU; with a skip, x is the coarser level,
+        unpooled onto the skip's vertices and joined to its channels."""
+        w = self.params[f"{name}_w"]
+        if skip is None:
+            h = ad.graph_conv(tape, x, w, self.laps[lvl])
+        else:
+            h = ad.unpool_conv(tape, x, skip, w, self.laps[lvl])
         return ad.batchnorm(  # includes the block's ReLU
             tape, h, self.params[f"{name}_gamma"], self.params[f"{name}_beta"],
             self.bn[name], training,
@@ -164,8 +171,7 @@ class EsdModel:
                 skips.append(h)
                 h = ad.healpix_maxpool(tape, h)
         for lvl in range(config.depth - 2, -1, -1):
-            h = ad.healpix_unpool(tape, h, skips.pop())
-            h = self._block(tape, f"dec{lvl}_0", h, lvl, training)
+            h = self._block(tape, f"dec{lvl}_0", h, lvl, training, skips.pop())
             h = self._block(tape, f"dec{lvl}_1", h, lvl, training)
         if config.tissues == 1:  # WM alone: one more conv block
             return self._block(tape, "head", h, 0, training)
@@ -342,6 +348,12 @@ def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
     return dict(_summarize(model.config, sums, n), live_frac=live / n)
 
 
+def _grad_norm(params) -> float:
+    """The global L2 norm of the parameters' gradients, summed in float64."""
+    return float(np.sqrt(sum(np.sum(np.square(p.grad, dtype=np.float64))
+                             for p in params if p.grad is not None)))
+
+
 def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
           rfs: dict) -> TrainResult:
     """Optimize the model on one dataset; deterministic for a fixed seed.
@@ -369,8 +381,10 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
     log = []
     n_train = x_train.shape[1]
     for epoch in range(config.max_epochs):
+        t0 = time.perf_counter()
         order = np.random.default_rng([config.seed, 13, epoch]).permutation(n_train)
         train_sums = np.zeros(3)
+        norms = []
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             tape = ad.Tape()
@@ -379,6 +393,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
             loss, terms = esd_loss(tape, model, out, t_train[idx], ctx)
             ad.zero_grads(params)
             tape.backward(loss)
+            norms.append(_grad_norm(params))
             ad.adam_step(params, adam, lr)
             train_sums += [
                 terms["reconstruction"], terms["sparsity"], terms["negativity"]
@@ -390,6 +405,8 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
             "lr": lr,
             "val": val,
             "train": _summarize(config, train_sums, n_train),
+            "grad_norm": sum(norms) / max(len(norms), 1),
+            "elapsed_ms": round(1000.0 * (time.perf_counter() - t0), 3),
         }
         log.append(record)
         if val["total"] < best_val:

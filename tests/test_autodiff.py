@@ -11,6 +11,7 @@ from sphdecon.errors import InvalidArgumentError
 
 from graph_reference import dense_scaled_laplacian
 from grid_rotations import z_rotation_permutation
+from unpool_reference import healpix_unpool
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -61,6 +62,12 @@ def scalar_loss(tape, x, f, df):
 def sq_err(tape, x, target):
     """Sum of squared errors against a constant target."""
     return scalar_loss(tape, x, lambda v: (v - target) ** 2, lambda v: 2.0 * (v - target))
+
+
+def unpool(tape, x, skip, lap):
+    """unpool_conv through an order-0 identity filter: the unpooled input itself."""
+    eye = np.eye(x.values.shape[2] + skip.values.shape[2], dtype=x.values.dtype)
+    return ad.unpool_conv(tape, x, skip, ad.Tensor(eye[None]), lap)
 
 
 def scaled_laplacian(nside):
@@ -212,52 +219,71 @@ class TestPooling:
 
         check_grad(loss, [x], rtol=1e-5)
 
-    def test_unpool_of_pooled_constant_blocks(self):
+    def test_unpool_of_pooled_constant_blocks(self, lap12):
         rng = np.random.default_rng(4)
-        coarse = rng.standard_normal((4, 1, 1))
+        coarse = rng.standard_normal((3, 1, 1))
         x = ad.Tensor(np.repeat(coarse, 4, axis=0))
         pooled = ad.healpix_maxpool(None, x)
-        back = ad.healpix_unpool(None, pooled, ad.Tensor(np.zeros((16, 1, 0))))
+        back = unpool(None, pooled, ad.Tensor(np.zeros((12, 1, 0))), lap12)
         assert np.array_equal(back.values, x.values)
 
-    def test_unpool_adjoint_of_sum_pool(self):
+    def test_unpool_adjoint_of_sum_pool(self, lap12):
         # <unpool(x), y> == <x, sum-pool(y)>
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 2, 3))
-        y = rng.standard_normal((16, 2, 3))
-        no_skip = ad.Tensor(np.zeros((16, 2, 0)))
-        lhs = np.sum(ad.healpix_unpool(None, ad.Tensor(x), no_skip).values * y)
-        rhs = np.sum(x * y.reshape(4, 4, 2, 3).sum(axis=1))
+        x = rng.standard_normal((3, 2, 3))
+        y = rng.standard_normal((12, 2, 3))
+        no_skip = ad.Tensor(np.zeros((12, 2, 0)))
+        lhs = np.sum(unpool(None, ad.Tensor(x), no_skip, lap12).values * y)
+        rhs = np.sum(x * y.reshape(3, 4, 2, 3).sum(axis=1))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_unpool_gradient(self):
+    def test_unpool_gradient(self, lap12):
         rng = np.random.default_rng(6)
-        x = ad.Tensor(rng.standard_normal((4, 1, 2)), requires_grad=True)
-        skip = ad.Tensor(rng.standard_normal((16, 1, 1)), requires_grad=True)
-        target = rng.standard_normal((16, 1, 3))
+        x = ad.Tensor(rng.standard_normal((3, 1, 2)), requires_grad=True)
+        skip = ad.Tensor(rng.standard_normal((12, 1, 1)), requires_grad=True)
+        w = ad.Tensor(0.3 * rng.standard_normal((3, 3, 2)), requires_grad=True)
+        target = rng.standard_normal((12, 1, 2))
 
         def loss(tape):
-            return sq_err(tape, ad.healpix_unpool(tape, x, skip), target)
+            return sq_err(tape, ad.unpool_conv(tape, x, skip, w, lap12), target)
 
-        check_grad(loss, [x, skip])
+        check_grad(loss, [x, skip, w])
 
-    def test_unpool_joins_skip_channels(self):
+    def test_unpool_joins_skip_channels(self, lap12):
         rng = np.random.default_rng(12)
-        x = ad.Tensor(rng.standard_normal((4, 3, 2)))
-        skip = ad.Tensor(rng.standard_normal((16, 3, 1)))
-        up = ad.healpix_unpool(None, x, skip)
+        x = ad.Tensor(rng.standard_normal((3, 3, 2)))
+        skip = ad.Tensor(rng.standard_normal((12, 3, 1)))
+        up = unpool(None, x, skip, lap12)
         expect = np.concatenate([np.repeat(x.values, 4, axis=0), skip.values], axis=-1)
         assert np.array_equal(up.values, expect)
 
-    def test_unpool_round_trip(self):
+    def test_unpool_round_trip(self, lap48):
         x = ad.Tensor(np.random.default_rng(4).standard_normal((12, 1, 3)), requires_grad=True)
         skip = ad.Tensor(np.zeros((48, 1, 2)))
         tape = ad.Tape()
-        up = ad.healpix_unpool(tape, x, skip)
+        up = unpool(tape, x, skip, lap48)
         assert up.values.shape == (48, 1, 5)
         tape.backward(sq_err(tape, up, up.values / 2))  # d/dup = up
         assert np.array_equal(x.grad / 4.0, x.values)
         assert skip.grad is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_backward_routes_as_int64_offsets_did(self, dtype):
+        # small integers tie often; the gradient goes to the first of the tied
+        # children, as numpy's int64 argmax placed it before the offsets
+        # became uint8
+        rng = np.random.default_rng(9)
+        x = ad.Tensor(rng.integers(0, 3, size=(48, 5, 3)).astype(dtype), requires_grad=True)
+        g = rng.standard_normal((12, 5, 3)).astype(dtype)
+        tape = ad.Tape()
+        out = ad.healpix_maxpool(tape, x)
+        tape.backward(scalar_loss(tape, out, lambda v: v * g, lambda v: g))
+        blocks = x.values.reshape(12, 4, 15)
+        expect = np.zeros_like(blocks)
+        np.put_along_axis(expect, np.argmax(blocks, axis=1)[:, None],
+                          g.reshape(12, 1, 15), axis=1)
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == expect.reshape(48, 5, 3).tobytes()
 
     def test_maxpool_backward_routes_to_argmax(self):
         x = ad.Tensor(np.array([1.0, 3.0, 2.0, 0.0])[:, None, None], requires_grad=True)
@@ -265,6 +291,68 @@ class TestPooling:
         out = ad.healpix_maxpool(tape, x)
         tape.backward(sq_err(tape, out, out.values - 2.5))  # d/dout = 5
         assert np.array_equal(x.grad[:, 0, 0], [0.0, 5.0, 0.0, 0.0])
+
+
+class TestUnpoolConv:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_bit_for_bit(self, lap768, dtype):
+        # the default network's level-0 decoder block: 192 coarse vertices of
+        # 32 channels, a 16-channel skip, 32 voxels, order 4, 48 -> 16
+        rng = np.random.default_rng(21)
+        init = {"coarse": (192, 32, 32), "skip": (768, 32, 16), "weights": (5, 48, 16)}
+        g = rng.standard_normal((768, 32, 16)).astype(dtype)
+        results = []
+        for op in ("new", "reference"):
+            ts = {k: ad.Tensor(np.random.default_rng(22 + i).standard_normal(shape)
+                               .astype(dtype), requires_grad=True)
+                  for i, (k, shape) in enumerate(init.items())}
+            tape = ad.Tape()
+            if op == "new":
+                y = ad.unpool_conv(tape, ts["coarse"], ts["skip"], ts["weights"], lap768)
+            else:
+                up = healpix_unpool(tape, ts["coarse"], ts["skip"])
+                y = ad.graph_conv(tape, up, ts["weights"], lap768)
+            tape.backward(scalar_loss(tape, y, lambda v: v * g, lambda v: g))
+            results.append([y.values] + [ts[k].grad for k in init])
+        for got, ref in zip(*results):
+            assert got.dtype == ref.dtype == dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_tape_keeps_nothing_beyond_the_output(self, lap768):
+        # a recorded call against an unrecorded one at the same shape; the
+        # unpooled (768, 32, 48) float32 input is 4.7 MB
+        rng = np.random.default_rng(23)
+        coarse = ad.Tensor(rng.standard_normal((192, 32, 32)).astype(np.float32),
+                           requires_grad=True)
+        skip = ad.Tensor(rng.standard_normal((768, 32, 16)).astype(np.float32),
+                         requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((5, 48, 16)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.unpool_conv(None, coarse, skip, w, lap768)
+            unrecorded = tracemalloc.get_traced_memory()[0] - base
+            del out
+            base = tracemalloc.get_traced_memory()[0]
+            tape = ad.Tape()
+            out = ad.unpool_conv(tape, coarse, skip, w, lap768)
+            recorded = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert recorded - unrecorded < 32e3, (
+            f"the tape pins {(recorded - unrecorded) / 1e6:.2f} MB beyond the output"
+        )
+
+    @pytest.mark.parametrize("coarse, skip, w", [
+        ((3, 2, 2), (12, 2, 1), (2, 2, 1)),  # weights miss the skip channel
+        ((3, 2, 2), (12, 2, 1), (2, 3, 4)),  # a widening filter
+        ((3, 2, 2), (12, 1, 1), (2, 3, 1)),  # voxel counts differ
+        ((12, 2, 2), (48, 2, 1), (2, 3, 1)),  # the operator is level 1's
+    ])
+    def test_shape_mismatch(self, lap12, coarse, skip, w):
+        with pytest.raises(InvalidArgumentError):
+            ad.unpool_conv(None, ad.Tensor(np.zeros(coarse)), ad.Tensor(np.zeros(skip)),
+                           ad.Tensor(np.zeros(w)), lap12)
 
 
 class TestBatchNorm:
@@ -398,14 +486,14 @@ class TestActivations:
 
 
 class TestSmallOps:
-    def test_gradient_accumulates_across_uses(self):
-        x = ad.Tensor(np.array([2.0])[:, None, None], requires_grad=True)
+    def test_gradient_accumulates_across_uses(self, lap12):
+        x = ad.Tensor(np.full((3, 1, 1), 2.0), requires_grad=True)
         tape = ad.Tape()
-        up = ad.healpix_unpool(tape, x, ad.Tensor(np.zeros((4, 1, 0))))
-        y = ad.healpix_unpool(tape, ad.scale(tape, x, 3.0), up)
-        total = sq_err(tape, y, np.zeros((4, 1, 2)))  # 4 ((3x)^2 + x^2) -> d/dx = 80x
+        up = unpool(tape, x, ad.Tensor(np.zeros((12, 1, 0))), lap12)
+        y = unpool(tape, ad.scale(tape, x, 3.0), up, lap12)
+        total = sq_err(tape, y, np.zeros((12, 1, 2)))  # 4 ((3x)^2 + x^2) -> d/dx = 80x
         tape.backward(total)
-        assert x.grad[0, 0, 0] == pytest.approx(160.0)
+        assert np.all(x.grad == pytest.approx(160.0))
 
 
 class TestTape:

@@ -311,6 +311,25 @@ class TestTrainInfer:
                 )
                 assert terms["total"] == pytest.approx(recomposed, abs=1e-10)
             assert 0 <= record["val"]["live_frac"] <= 1 and "live_frac" not in record["train"]
+            for key in ("grad_norm", "elapsed_ms"):
+                assert np.isfinite(record[key]) and record[key] > 0
+
+    def test_logged_gradient_norm_is_the_steps_mean(self, monkeypatch):
+        # the same run again, with each step's gradient norm read off before
+        # Adam's update
+        norms = []
+        step = ad.adam_step
+
+        def spy(params, state, lr):
+            norms.append(np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2)
+                                     for p in params if p.grad is not None)))
+            step(params, state, lr)
+
+        monkeypatch.setattr(ad, "adam_step", spy)
+        _, result, _, _ = self.run_train()
+        per_epoch = np.array(norms).reshape(len(result.log), -1)
+        for record, epoch_norms in zip(result.log, per_epoch):
+            assert record["grad_norm"] == pytest.approx(epoch_norms.mean(), rel=1e-12)
 
     def test_validation_live_fraction(self):
         # an untrained network maps a zero input to zero at every layer, so
@@ -483,11 +502,12 @@ def test_model_keeps_only_the_rescaled_laplacians():
 
 def test_training_step_memory_peak():
     # one default-config step at batch 32, forward, loss and backward, under
-    # tracemalloc (numpy reports its buffers to it). Measured: 30.3 MB after
-    # the forward pass and a 41.2 MB peak with a float32 network; 59.5 and
-    # 81.1 MB in float64, 117.2 and 138.8 MB when the wide graph convs also
-    # kept their monomial stacks, and a 267.8 MB peak when the tape also
-    # kept every record to the end.
+    # tracemalloc (numpy reports its buffers to it). Measured: 22.2 MB after
+    # the forward pass and a 33.7 MB peak; 30.3 and 41.7 MB while the tape
+    # kept each decoder level's unpooled input and int64 pool offsets; 59.5
+    # and 81.1 MB in float64, 117.2 and 138.8 MB when the wide graph convs
+    # also kept their monomial stacks, and a 267.8 MB peak when the tape
+    # also kept every record to the end.
     batch, table = tiny_dataset(n=32, n_grad=64, snr=30)
     model = en.EsdModel(en.EsdConfig(), [3000.0])
     ctx = en.LossContext(model, table, {"wm": tensor_response(sh.ShBasis(20), table)})
@@ -503,8 +523,8 @@ def test_training_step_memory_peak():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert after_forward < 33e6, f"the tape held {after_forward / 1e6:.1f} MB after forward"
-    assert peak < 44e6, f"training step peaked at {peak / 1e6:.1f} MB"
+    assert after_forward < 24e6, f"the tape held {after_forward / 1e6:.1f} MB after forward"
+    assert peak < 36e6, f"training step peaked at {peak / 1e6:.1f} MB"
     assert not tape._records
     assert all(p.grad is not None for p in model.parameters())
 
@@ -566,7 +586,7 @@ class TestFloat32Network:
         # a stray float64 operand promotes a whole layer and everything after it
         model, ctx, _, batch, targets = multi_tissue(tissues)
         outputs = []
-        for name in ("graph_conv", "batchnorm", "healpix_maxpool", "healpix_unpool",
+        for name in ("graph_conv", "unpool_conv", "batchnorm", "healpix_maxpool",
                      "softplus", "scale"):
             def recorded(*args, op=getattr(ad, name)):
                 outputs.append(op(*args))
@@ -582,9 +602,10 @@ class TestFloat32Network:
         tape.backward(loss)
         ad.adam_step(params, adam, 1e-3)
         assert loss.values.dtype == np.float64
-        # six conv blocks, pool and unpool, then the head: one more conv block
-        # for WM alone, graph conv, softplus and gain for three tissues
-        n_ops = 6 * 2 + 2 + (2 if tissues == 1 else 3)
+        # six conv blocks (the decoder's first one unpools), one pool, then the
+        # head: one more conv block for WM alone, graph conv, softplus and
+        # gain for three tissues
+        n_ops = 6 * 2 + 1 + (2 if tissues == 1 else 3)
         assert len(outputs) == n_ops
         for t in outputs + params:
             assert t.values.dtype == np.float32 and t.grad.dtype == np.float32

@@ -109,6 +109,15 @@ class TestBackendsAgree:
         out, arg = K.maxpool4(x)
         assert np.all(arg == 0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_offsets_are_uint8_first_wins(self, dtype):
+        # each column ties children 1 and 3, so the winner is 1 (not 3)
+        x = np.array([[0, 5, 2, 5], [7, 7, 7, 7], [-1, 0, -1, 0]], dtype).T
+        out, arg = K.maxpool4(x)
+        assert arg.dtype == np.uint8 and out.dtype == dtype
+        assert np.array_equal(arg, [[1, 0, 1]])
+        assert np.array_equal(out, [[5, 7, 0]])
+
     def test_local_maxima(self, levels):
         rng = np.random.default_rng(3)
         for grid, _, _ in levels:
