@@ -177,10 +177,15 @@ def _horner(lap, u):
 
 
 def healpix_maxpool(tape, x: Tensor) -> Tensor:
-    """Max over the 4 NESTED children, which are 4 consecutive vertex rows."""
+    """Max over the 4 NESTED children, which are 4 consecutive vertex rows.
+
+    Without a tape nothing reads the winners, so the max alone is taken.
+    """
     n, v, c = x.values.shape
     if n % 4:
         raise InvalidArgumentError(f"vertex count {n} is not divisible by 4")
+    if tape is None:
+        return Tensor(x.values.reshape(n // 4, 4, v, c).max(axis=1))
     pooled, arg = _kernels.maxpool4(x.values.reshape(n, v * c))
     out = Tensor(pooled.reshape(n // 4, v, c))
 
@@ -248,14 +253,18 @@ def _unpooled(coarse, skip):
 
 @dataclass
 class BatchNormState:
-    """Per-channel running statistics (biased variance), momentum 0.1.
+    """Per-channel statistics (biased variance) that eval mode normalizes with.
 
-    batchnorm casts them to its input's dtype where they meet it.
+    A train-mode batchnorm without a tape is a statistics pass: it folds
+    its batch's mean and variance into the state's cumulative means, of
+    which batches counts the terms (set it to 0 to start over). Training
+    steps record on a tape and leave the state alone. batchnorm casts the
+    statistics to its input's dtype where they meet it.
     """
 
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
+    mean: np.ndarray
+    var: np.ndarray
+    batches: int = 0
     eps: float = 1e-5
 
 
@@ -263,12 +272,13 @@ def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormStat
               training: bool) -> Tensor:
     """Per-channel normalization of (N, V, C) over the N and V axes, then ReLU.
 
-    x is viewed as (N V, C). Each per-channel sum is a product with a ones
-    vector and each per-channel sum of products a column-wise einsum, both
-    several times faster than a numpy reduction over the two leading axes.
-    The output is its own ReLU mask; backward rebuilds xhat from x. The
-    ones vector and the running statistics take x's dtype, so that no
-    float64 operand promotes a float32 layer.
+    Training mode normalizes with the batch's statistics, eval mode with
+    the state's. x is viewed as (N V, C). Each per-channel sum is a product
+    with a ones vector and each per-channel sum of products a column-wise
+    einsum, both several times faster than a numpy reduction over the two
+    leading axes. The output is its own ReLU mask; backward rebuilds xhat
+    from x. The ones vector and the state's statistics take x's dtype, so
+    that no float64 operand promotes a float32 layer.
     """
     n, v, c = x.values.shape
     m = n * v
@@ -279,11 +289,16 @@ def batchnorm(tape, x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormStat
         mean = (ones @ x2) / m
         y = x2 - mean
         var = np.einsum("ij,ij->j", y, y) / m
-        state.running_mean += state.momentum * (mean - state.running_mean)
-        state.running_var += state.momentum * (var - state.running_var)
+        if tape is None:  # the first term replaces the start values exactly
+            state.batches += 1
+            w = 1.0 / state.batches
+            state.mean *= 1.0 - w
+            state.mean += w * mean
+            state.var *= 1.0 - w
+            state.var += w * var
     else:
-        mean = state.running_mean.astype(x2.dtype, copy=False)
-        var = state.running_var.astype(x2.dtype, copy=False)
+        mean = state.mean.astype(x2.dtype, copy=False)
+        var = state.var.astype(x2.dtype, copy=False)
         y = x2 - mean
     invstd = 1.0 / np.sqrt(var + state.eps)
     y *= invstd

@@ -7,6 +7,19 @@ convolved with the response functions to reconstruct the measured
 samples; training minimizes reconstruction error plus a Cauchy sparsity
 penalty and a squared hinge on negative fODF values.
 
+The signal is antipodally even, and so is every activation: the graph
+Laplacian commutes with the point reflection, and batchnorm, ReLU and
+pooling act per vertex or per NESTED family. So the network runs on base
+faces 0-5 of every level, the first half of its NESTED vertices, which
+hold one vertex of each antipodal pair and are closed under pooling; each
+level's convolutions use the folded Laplacian (sphere_grid). Sums over
+the whole sphere are twice their sums over these vertices.
+
+Batchnorm normalizes a training step with the batch's statistics; eval
+mode uses statistics set after each epoch's steps from train-mode
+forwards of that epoch's batches under its final weights ("precise BN"),
+so they are never stale.
+
 The network runs in float32: its parameters, batchnorm statistics,
 activations and Adam moments. The input resampling, the loss with its
 system matrix, and the SH refit run in float64; the network input is cast
@@ -92,9 +105,12 @@ class EsdModel:
         # one input channel per shell, ascending as a GradientTable lists them
         self.shells = [float(b) for b in shells]
         self.grids = [sg.build_grid(config.nside_in >> i) for i in range(config.depth)]
-        # built outside the grids' caches, so only the rescaled copy is kept
-        self.laps = [lap.rescaled(sg.estimate_lmax(lap))
-                     for lap in map(sg.graph_laplacian, self.grids)]
+        # the input level's vertices that the network runs on: base faces 0-5
+        self.vertices = self.grids[0].vertices[: self.grids[0].n_vertices // 2]
+        # built outside the grids' caches, so only the rescaled folded copies
+        # are kept; each is scaled by the whole Laplacian's top eigenvalue
+        self.laps = [sg.graph_laplacian(g, folded=True).rescaled(
+            sg.estimate_lmax(sg.graph_laplacian(g))) for g in self.grids]
         self.params: dict = {}
         self.bn: dict = {}
         rng = np.random.default_rng([config.seed, 77])
@@ -133,9 +149,7 @@ class EsdModel:
     def state_dict(self):
         return {
             "params": {k: t.values.copy() for k, t in self.params.items()},
-            "bn": {
-                k: (s.running_mean.copy(), s.running_var.copy()) for k, s in self.bn.items()
-            },
+            "bn": {k: (s.mean.copy(), s.var.copy()) for k, s in self.bn.items()},
         }
 
     def load_state(self, state):
@@ -143,8 +157,8 @@ class EsdModel:
         for k, vals in state["params"].items():
             self.params[k].values[...] = vals
         for k, (mean, var) in state["bn"].items():
-            self.bn[k].running_mean[...] = mean
-            self.bn[k].running_var[...] = var
+            self.bn[k].mean[...] = mean
+            self.bn[k].var[...] = var
 
     def _block(self, tape, name, x, lvl, training, skip=None):
         """conv, batchnorm and ReLU; with a skip, x is the coarser level,
@@ -160,7 +174,12 @@ class EsdModel:
         )
 
     def forward(self, tape, x: ad.Tensor, training: bool = False) -> ad.Tensor:
-        """(N, V, C_in) -> (N, V, T) nonnegative per-tissue fields."""
+        """(N, V, C_in) -> (N, V, T) nonnegative per-tissue fields on the
+        N = len(self.vertices) network vertices.
+
+        In training mode without a tape, the forward is a statistics pass
+        (see precise_statistics).
+        """
         config = self.config
         skips = []
         h = x
@@ -178,11 +197,20 @@ class EsdModel:
         h = ad.graph_conv(tape, h, self.params["head_w"], self.laps[0])
         return ad.scale(tape, ad.softplus(tape, h), _HEAD_GAIN)
 
+    def precise_statistics(self, x: np.ndarray, batches):
+        """Set each block's statistics to the mean of its train-mode batch
+        statistics over batches (index arrays into x's voxels), under the
+        current weights."""
+        for state in self.bn.values():
+            state.batches = 0
+        for idx in batches:
+            self.forward(None, ad.Tensor(x[:, idx]), training=True)
+
 
 def heads_to_fodf(outputs: np.ndarray, fit: np.ndarray) -> dict:
     """Per-tissue fODF coefficients of (N, V, T) head outputs.
 
-    WM: even-degree SH refit of channel 0 by the grid's (L, N) fit matrix;
+    WM: even-degree SH refit of channel 0 by the vertices' (L, N) fit matrix;
     isotropic tissues: max over vertices of their channel. Both in float64.
     """
     outputs = outputs.astype(np.float64, copy=False)
@@ -207,12 +235,11 @@ class LossContext:
                 f"model tissues {missing} have no response function (have {sorted(rfs)})"
             )
         basis = sh.ShBasis(config.fodf_degree)
-        grid = model.grids[0]
         A, _ = ccsd.system_matrix(
             gradients, {t: rfs[t] for t in config.tissue_names}, basis
         )
         self.a_t = np.ascontiguousarray(A.T)  # (L + T - 1, samples)
-        self.y_grid = sh.design_matrix(basis, grid.vertices)  # (L, N)
+        self.y_grid = sh.design_matrix(basis, model.vertices)  # (L, N)
         self.fit_t = sh.fit_from_design(self.y_grid).T  # (N, L)
 
 
@@ -223,9 +250,10 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
     targets is (V, samples) in the system matrix's row order, as
     network_inputs returns it. The WM channel refit to SH coefficients and
     each isotropic channel's (first) maximum reconstruct the samples; the
-    sparsity and negativity terms act on the refit WM fODF on the grid.
-    The terms are computed in float64 from the outputs cast up once, and
-    the outputs' gradient has their dtype.
+    sparsity and negativity terms act on the refit WM fODF on the whole
+    grid, twice its sums over the network's vertices. The terms are
+    computed in float64 from the outputs cast up once, and the outputs'
+    gradient has their dtype.
     """
     config = model.config
     two_s2 = 2.0 * config.sigma_cauchy * config.sigma_cauchy
@@ -236,9 +264,9 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
     diff = np.concatenate([f_wm, iso], axis=1) @ ctx.a_t - targets
     recon = np.sum(diff * diff)
     grid = f_wm @ ctx.y_grid
-    sparsity = np.sum(np.log1p(grid * grid / two_s2))
+    sparsity = 2.0 * np.sum(np.log1p(grid * grid / two_s2))
     neg = np.minimum(grid, 0.0)
-    negativity = np.sum(neg * neg)
+    negativity = 2.0 * np.sum(neg * neg)
     total = ad.Tensor(
         recon + sparsity * config.lambda_sparsity + negativity * config.lambda_nonneg
     )
@@ -246,8 +274,8 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
     def backward():
         s = total.grad
         d_coeffs = (2.0 * diff * s) @ ctx.a_t.T
-        d_grid = 2.0 * neg * (s * config.lambda_nonneg)
-        d_grid += (s * config.lambda_sparsity) * (2.0 * grid) / (two_s2 + grid * grid)
+        d_grid = 4.0 * neg * (s * config.lambda_nonneg)
+        d_grid += (s * config.lambda_sparsity) * (4.0 * grid) / (two_s2 + grid * grid)
         d_wm = d_grid @ ctx.y_grid.T
         d_wm += d_coeffs[:, : f_wm.shape[1]]
         g = np.zeros_like(outputs.values)
@@ -272,12 +300,12 @@ def esd_loss(tape, model: EsdModel, outputs: ad.Tensor, targets: np.ndarray,
 
 
 def _input_matrices(model: EsdModel, table: sm.GradientTable) -> list:
-    """Each shell's resampling matrices onto the input grid, in shell order."""
+    """Each shell's resampling matrices onto the network's vertices, in shell order."""
     if table.shells != model.shells:
         raise InvalidArgumentError(
             f"batch shells {table.shells} do not match the model's {model.shells}"
         )
-    return [sh.resample_matrices(table.directions[b], model.grids[0]) for b in table.shells]
+    return [sh.resample_matrices(table.directions[b], model.vertices) for b in table.shells]
 
 
 def _resampled(batch: sm.VoxelBatch, matrices: list) -> np.ndarray:
@@ -296,7 +324,7 @@ def _resampled(batch: sm.VoxelBatch, matrices: list) -> np.ndarray:
 
 
 def network_inputs(model: EsdModel, batch: sm.VoxelBatch) -> tuple:
-    """Resample a batch onto the input grid; returns (x array, targets).
+    """Resample a batch onto the network's vertices; returns (x array, targets).
 
     x is the float32 (N, V, C_in) network input, with one channel per shell
     in ascending order, resampled in float64 and cast once. targets is the
@@ -385,8 +413,9 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
         order = np.random.default_rng([config.seed, 13, epoch]).permutation(n_train)
         train_sums = np.zeros(3)
         norms = []
-        for lo in range(0, n_train, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
+        batches = [order[lo : lo + config.batch_size]
+                   for lo in range(0, n_train, config.batch_size)]
+        for idx in batches:
             tape = ad.Tape()
             x = ad.Tensor(x_train[:, idx])
             out = model.forward(tape, x, training=True)
@@ -398,6 +427,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
             train_sums += [
                 terms["reconstruction"], terms["sparsity"], terms["negativity"]
             ]
+        model.precise_statistics(x_train, batches)
         val = _epoch_loss(model, ctx, x_val, t_val, np.arange(x_val.shape[1]),
                           config.batch_size)
         record = {
@@ -432,7 +462,7 @@ def infer(model: EsdModel, batch: sm.VoxelBatch) -> ccsd.FodfField:
     """
     matrices = _input_matrices(model, batch.gradients)
     basis = sh.ShBasis(model.config.fodf_degree)
-    fit = sh.fit_matrix(model.grids[0].vertices, basis.l_max)
+    fit = sh.fit_matrix(model.vertices, basis.l_max)
     coeffs = {t: np.empty((batch.n_voxels, basis.L if t == "wm" else 1))
               for t in model.config.tissue_names}
     for lo in range(0, batch.n_voxels, _INFER_CHUNK):

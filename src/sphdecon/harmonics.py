@@ -137,23 +137,23 @@ def default_fit_degree(n_gradients: int) -> int:
     return l
 
 
-def resample_matrices(gradients, grid) -> tuple:
-    """The two matrices that resample samples on these gradients onto a grid.
+def resample_matrices(gradients, points) -> tuple:
+    """The two matrices that resample samples on these gradients onto points.
 
     Returns (fit_t, y_grid): the (n, L) transposed SH fit at
     default_fit_degree with a small ridge, and the (L, N) basis on the
-    grid's vertices. Build them once and resample any number of batches.
+    N points. Build them once and resample any number of batches.
     """
     gradients = _check_unit(gradients)
     l_max_fit = default_fit_degree(gradients.shape[0])
     M = fit_matrix(gradients, l_max_fit, _RESAMPLE_TIKHONOV)
-    return M.T, design_matrix(ShBasis(l_max_fit), grid.vertices)
+    return M.T, design_matrix(ShBasis(l_max_fit), points)
 
 
 def resample(samples, matrices) -> np.ndarray:
-    """Interpolate gradient-direction samples onto a Healpix grid via SH.
+    """Interpolate gradient-direction samples onto a point set via SH.
 
-    matrices is resample_matrices(gradients, grid). samples may be a
+    matrices is resample_matrices(gradients, points). samples may be a
     vector over gradients or a (V, n) batch; the result has vertices on
     the last axis.
     """

@@ -313,8 +313,8 @@ def _digest(blocks):
 def write_checkpoint(path, model: en.EsdModel, result: en.TrainResult, config: dict):
     blocks = [(f"param/{n}", model.params[n].values) for n in sorted(model.params)]
     for n in sorted(model.bn):
-        blocks.append((f"bn_mean/{n}", model.bn[n].running_mean))
-        blocks.append((f"bn_var/{n}", model.bn[n].running_var))
+        blocks.append((f"bn_mean/{n}", model.bn[n].mean))
+        blocks.append((f"bn_var/{n}", model.bn[n].var))
     header = {
         "kind": "checkpoint",
         "format": CHECKPOINT_FORMAT,
@@ -356,16 +356,16 @@ def read_checkpoint(path):
     model = en.EsdModel(build_config(config, "model"), header.typed("shells", list[float]))
     targets = {f"param/{n}": p.values for n, p in model.params.items()}
     for n, bn in model.bn.items():
-        targets[f"bn_mean/{n}"] = bn.running_mean
-        targets[f"bn_var/{n}"] = bn.running_var
+        targets[f"bn_mean/{n}"] = bn.mean
+        targets[f"bn_var/{n}"] = bn.var
     for name, target in targets.items():
         block = blocks.shaped(name, *target.shape)
         if np.abs(block).max(initial=0.0) > np.finfo(target.dtype).max:
             raise FormatError(f"{path}: block {name!r} holds a value beyond {target.dtype}'s range")
     for name, target in targets.items():
         target[...] = blocks[name]
-    if any(np.any(bn.running_var < 0) for bn in model.bn.values()):
-        raise FormatError(f"{path}: a batchnorm running variance is negative")
+    if any(np.any(bn.var < 0) for bn in model.bn.values()):
+        raise FormatError(f"{path}: a batchnorm variance is negative")
     return model, header
 
 

@@ -7,8 +7,10 @@ exp(-d^2/rho^2) with d the chord distance and rho the mean chord distance
 over all neighbor pairs; the graph Laplacian is the combinatorial form
 L = D - A. A grid builds L on first use, straight from the neighbor
 table, as a PatchOperator: dense patches of 16 consecutive vertices that
-_kernels.patch_matmul multiplies. The network's filters use its rescaled
-form (2/lmax) L - I, with lmax from estimate_lmax. CSD and peak detection
+_kernels.patch_matmul multiplies. The network's filters use the folded L,
+which acts on even fields through base faces 0-5 alone (half the
+vertices), in the rescaled form (2/lmax) L - I, with lmax from
+estimate_lmax of the whole L. CSD and peak detection
 read only the vertices and the neighbor table and never build L; peak
 detection reads them on the half of the grid that
 harmonics.fold_hemisphere keeps (SphericalGrid.hemisphere).
@@ -205,7 +207,7 @@ class PatchOperator:
     """An (n, n) vertex operator as dense patches for _kernels.patch_matmul.
 
     The n vertex rows split into blocks of s consecutive rows (s = 16, or n
-    when the grid is smaller). own (B, s, s) holds each block's entries on
+    when 16 does not divide n). own (B, s, s) holds each block's entries on
     its own columns; halo (B, s, h) holds those on the columns halo_index
     (B, h) outside the block, zero-padded (a pad column is the block's first
     vertex) to the widest block's h. Values are float64; the kernel casts
@@ -294,8 +296,17 @@ class SphericalGrid:
         return Hemisphere(index, rep, half_nbrs)
 
 
-def graph_laplacian(grid: SphericalGrid) -> PatchOperator:
-    """Gaussian edge weights on a grid's neighbor table, and L = D - A."""
+def graph_laplacian(grid: SphericalGrid, folded: bool = False) -> PatchOperator:
+    """Gaussian edge weights on a grid's neighbor table, and L = D - A.
+
+    folded gives L as it acts on even fields, whose value at a vertex and
+    at its antipode agree: the rows of base faces 0-5, which are the first
+    N/2 NESTED vertices and hold one vertex of each antipodal pair, with
+    each column sent to its representative among them (itself, or its
+    antipode). For an even field f, (L f) on those rows is this (N/2, N/2)
+    operator times f on them. It is symmetric, because L commutes with the
+    point reflection.
+    """
     nbrs = grid.neighbor_table
     n = grid.n_vertices
     rows = np.repeat(np.arange(n), 8)
@@ -314,16 +325,30 @@ def graph_laplacian(grid: SphericalGrid) -> PatchOperator:
     # rows then sum in an identical order, keeping the quarter-turn
     # symmetry of the Laplacian bit-exact.
     degrees = np.sort(padded.reshape(n, 8), axis=1).sum(axis=1)
+    vals = 0.0 - weights
+    if folded:
+        n //= 2
+        keep = rows < n
+        rows, cols, vals, degrees = rows[keep], cols[keep], vals[keep], degrees[:n]
+        cols = np.where(cols < n, cols, _antipodes(grid.nside)[cols])
+    return _patch_operator(rows, cols, vals, degrees)
 
-    s = min(_PATCH_ROWS, n)
+
+def _patch_operator(rows, cols, vals, diagonal) -> PatchOperator:
+    """The PatchOperator with the given diagonal plus vals at (rows, cols).
+
+    Entries that share a position add up, in the order given. A block is
+    16 rows, or all n rows when 16 does not divide n.
+    """
+    n = diagonal.size
+    s = _PATCH_ROWS if n % _PATCH_ROWS == 0 else n
     nb = n // s
     pix = np.arange(n)
     own = np.zeros((nb, s, s))
-    own[pix // s, pix % s, pix % s] = degrees
-    vals = 0.0 - weights
+    own[pix // s, pix % s, pix % s] = diagonal
     block = rows // s
     inside = cols // s == block
-    own[block[inside], rows[inside] % s, cols[inside] % s] = vals[inside]
+    np.add.at(own, (block[inside], rows[inside] % s, cols[inside] % s), vals[inside])
 
     # each block's halo: the distinct outside columns its rows read, ascending
     block, rows, cols, vals = (a[~inside] for a in (block, rows, cols, vals))
@@ -333,7 +358,7 @@ def graph_laplacian(grid: SphericalGrid) -> PatchOperator:
     halo_index = np.repeat(np.arange(nb) * s, h).reshape(nb, h)
     halo_index[keys // n, np.arange(keys.size) - first[keys // n]] = keys % n
     halo = np.zeros((nb, s, h))
-    halo[block, rows % s, slot - first[block]] = vals
+    np.add.at(halo, (block, rows % s, slot - first[block]), vals)
     return PatchOperator(own, halo, halo_index, n)
 
 

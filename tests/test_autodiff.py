@@ -209,6 +209,24 @@ class TestPooling:
         expect[1] = 5.0
         assert np.array_equal(out.values[:, 0, 0], expect)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_pool_takes_the_max_alone(self, dtype, monkeypatch):
+        # without a tape no winner offsets are computed, and the output is the
+        # recorded pool's byte for byte: ReLU zeros, exact ties and signed values
+        rng = np.random.default_rng(12)
+        x = np.maximum(rng.standard_normal((96, 5, 3)), 0.0).astype(dtype)
+        x[8:12] = x[8]  # a family whose 4 children tie
+        x[20:24] = 0.0
+        recorded = ad.healpix_maxpool(ad.Tape(), ad.Tensor(x, requires_grad=True)).values
+
+        def refuse(values):
+            raise AssertionError("an eval pool computed winner offsets")
+
+        monkeypatch.setattr(_kernels, "maxpool4", refuse)
+        out = ad.healpix_maxpool(None, ad.Tensor(x)).values
+        assert out.dtype == dtype and out.shape == (24, 5, 3)
+        assert out.tobytes() == recorded.tobytes()
+
     def test_maxpool_gradient(self):
         rng = np.random.default_rng(3)
         x = ad.Tensor(rng.standard_normal((16, 2, 2)), requires_grad=True)
@@ -386,12 +404,22 @@ class TestBatchNorm:
         assert np.abs(y.values - x / np.sqrt(1 + state.eps)).max() < 1e-12
 
     def test_running_stats_update(self):
+        # a tape-free train-mode pass folds each batch into cumulative means,
+        # the first one replacing the start values; a training step, which
+        # records on a tape, leaves the statistics alone
         rng = np.random.default_rng(9)
-        x = 2 + rng.standard_normal((64, 16, 1))
-        state = ad.BatchNormState(np.zeros(1), np.ones(1))
-        ad.batchnorm(None, ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
-                     state, training=True)
-        assert state.running_mean[0] == pytest.approx(0.1 * x.mean(), rel=1e-12)
+        xs = [2 + k + rng.standard_normal((64, 16, 1)) for k in range(3)]
+        state = ad.BatchNormState(np.full(1, 5.0), np.full(1, 7.0))
+        for k, x in enumerate(xs, start=1):
+            ad.batchnorm(None, ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
+                         state, training=True)
+            assert state.batches == k
+            assert state.mean[0] == pytest.approx(np.mean([x.mean() for x in xs[:k]]), rel=1e-12)
+            assert state.var[0] == pytest.approx(np.mean([x.var() for x in xs[:k]]), rel=1e-12)
+        ad.batchnorm(ad.Tape(), ad.Tensor(xs[0] + 9, requires_grad=True), ad.Tensor(np.ones(1)),
+                     ad.Tensor(np.zeros(1)), state, training=True)
+        assert state.batches == 3
+        assert state.mean[0] == pytest.approx(np.mean([x.mean() for x in xs]), rel=1e-12)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_matches_axis_reductions(self, training):
@@ -411,12 +439,10 @@ class TestBatchNorm:
         tape.backward(scalar_loss(tape, out, lambda v: v * g, lambda v: g))
 
         xv, m = x.values, 48 * 5
-        if training:
+        if training:  # a step on a tape leaves the statistics as they were
             mean, var = xv.mean(axis=(0, 1)), xv.var(axis=(0, 1))
-            ref_state.running_mean += 0.1 * (mean - ref_state.running_mean)
-            ref_state.running_var += 0.1 * (var - ref_state.running_var)
         else:
-            mean, var = ref_state.running_mean, ref_state.running_var
+            mean, var = ref_state.mean, ref_state.var
         invstd = 1.0 / np.sqrt(var + state.eps)
         xhat = (xv - mean) * invstd
         pre = gamma.values * xhat + beta.values
@@ -432,8 +458,8 @@ class TestBatchNorm:
             (x.grad, dx),
             (gamma.grad, (g_pre * xhat).sum(axis=(0, 1))),
             (beta.grad, g_pre.sum(axis=(0, 1))),
-            (state.running_mean, ref_state.running_mean),
-            (state.running_var, ref_state.running_var),
+            (state.mean, ref_state.mean),
+            (state.var, ref_state.var),
         ]
         for got, expect in pairs:
             assert np.abs(got - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1.0)

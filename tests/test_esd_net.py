@@ -14,9 +14,9 @@ from sphdecon import sphere_grid as sg
 from sphdecon.errors import InvalidArgumentError, NumericalError
 
 from forward_model import forward
-from graph_reference import sparse
+from graph_reference import dense_scaled_laplacian, reference_graph, reference_lmax, sparse
 from grid_rotations import z_rotation_permutation
-from test_autodiff import check_grad
+from test_autodiff import check_grad, scalar_loss
 from test_signal_model import tensor_response
 
 
@@ -42,8 +42,8 @@ def as_float64(model):
     for p in model.params.values():
         p.values = p.values.astype(np.float64)
     for state in model.bn.values():
-        state.running_mean = state.running_mean.astype(np.float64)
-        state.running_var = state.running_var.astype(np.float64)
+        state.mean = state.mean.astype(np.float64)
+        state.var = state.var.astype(np.float64)
     return model
 
 
@@ -53,20 +53,21 @@ def float64_fodf(model, batch):
     The input is resampled in float64 and never rounded to float32.
     """
     batch = batch.b0_normalized()
-    table, grid = batch.gradients, model.grids[0]
-    x = np.stack([sh.resample(batch.shell(b), sh.resample_matrices(table.directions[b], grid)).T
+    table, points = batch.gradients, model.vertices
+    x = np.stack([sh.resample(batch.shell(b), sh.resample_matrices(table.directions[b], points)).T
                   for b in table.shells], axis=-1)
     out = as_float64(model).forward(None, ad.Tensor(x)).values
-    return en.heads_to_fodf(out, sh.fit_matrix(grid.vertices, model.config.fodf_degree))
+    return en.heads_to_fodf(out, sh.fit_matrix(points, model.config.fodf_degree))
 
 
 class TestBuildModel:
     def test_default_output_shape(self):
         config = en.EsdConfig(tissues=3, seed=0)
         model = en.EsdModel(config, [1000.0, 2000.0, 3000.0])
-        x = ad.Tensor(np.random.default_rng(0).standard_normal((768, 2, 3)))
+        # the network runs on half of the 768 input vertices
+        x = ad.Tensor(np.random.default_rng(0).standard_normal((384, 2, 3)))
         out = model.forward(None, x)
-        assert out.values.shape == (768, 2, 3)
+        assert out.values.shape == (384, 2, 3)
         assert np.all(out.values >= 0)  # softplus head
 
     def test_single_tissue_relu_head(self):
@@ -74,9 +75,9 @@ class TestBuildModel:
         model = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
         assert model.params["head_w"].values.shape == (5, 4, 1)
         assert {"head_gamma", "head_beta"} <= set(model.params) and "head" in model.bn
-        x = ad.Tensor(np.random.default_rng(1).standard_normal((48, 3, 1)))
+        x = ad.Tensor(np.random.default_rng(1).standard_normal((24, 3, 1)))
         out = model.forward(None, x)
-        assert out.values.shape == (48, 3, 1)
+        assert out.values.shape == (24, 3, 1)
         assert np.all(out.values >= 0)
         assert np.any(out.values == 0)  # relu clips
 
@@ -91,7 +92,7 @@ class TestBuildModel:
         model = en.EsdModel(en.EsdConfig(**TINY), [1000.0, 3000.0])
         assert model.params["enc0_0_w"].values.shape == (5, 2, 4)
         x, targets = en.network_inputs(model, batch)
-        assert x.shape == (48, 3, 2) and targets.shape == (3, batch.gradients.total_samples)
+        assert x.shape == (24, 3, 2) and targets.shape == (3, batch.gradients.total_samples)
 
     def test_untrained_model_refuses_other_shells(self):
         batch, _ = tiny_dataset(n=3, shells=(1000.0,))
@@ -164,7 +165,7 @@ class TestLoss:
         batch, table = tiny_dataset()
         config = en.EsdConfig(**TINY)
         model, ctx, _ = self.make_ctx(batch, table, config)
-        outputs = ad.Tensor(np.zeros((48, batch.n_voxels, 1)))
+        outputs = ad.Tensor(np.zeros((24, batch.n_voxels, 1)))
         _, targets = en.network_inputs(model, batch)
         _, terms = en.esd_loss(None, model, outputs, targets, ctx)
         assert terms["sparsity"] == 0.0
@@ -177,20 +178,21 @@ class TestLoss:
         config = en.EsdConfig(**TINY)
         model, ctx, _ = self.make_ctx(batch, table, config)
         zero_targets = np.zeros((2, table.total_samples))
-        outputs = ad.Tensor(np.zeros((48, 2, 1)))
+        outputs = ad.Tensor(np.zeros((24, 2, 1)))
         _, terms = en.esd_loss(None, model, outputs, zero_targets, ctx)
         assert terms["total"] == 0.0
 
     def test_sparsity_probe_ln2(self):
         # a constant field refits to the same constant on every vertex, so
         # each of the 48 grid values costs log(1 + 1) = ln 2, and a negative
-        # one also costs its square in the negativity term
+        # one also costs its square in the negativity term; the network's 24
+        # vertices hold one of each antipodal pair, and the terms count both
         batch, table = tiny_dataset(n=1)
         config = en.EsdConfig(**TINY)
         model, ctx, _ = self.make_ctx(batch, table, config)
         _, targets = en.network_inputs(model, batch)
         for probe in np.array([1.0, -1.0]) * config.sigma_cauchy * np.sqrt(2):
-            outputs = ad.Tensor(np.full((48, 1, 1), probe))
+            outputs = ad.Tensor(np.full((24, 1, 1), probe))
             _, terms = en.esd_loss(None, model, outputs, targets, ctx)
             assert terms["sparsity"] == pytest.approx(48 * np.log(2), rel=1e-9)
             assert terms["negativity"] == pytest.approx(48 * min(probe, 0.0) ** 2, rel=1e-9)
@@ -200,7 +202,7 @@ class TestLoss:
         config = en.EsdConfig(**TINY, lambda_sparsity=0.37, lambda_nonneg=1.7)
         model, ctx, _ = self.make_ctx(batch, table, config)
         rng = np.random.default_rng(0)
-        outputs = ad.Tensor(np.abs(rng.standard_normal((48, 6, 1))))
+        outputs = ad.Tensor(np.abs(rng.standard_normal((24, 6, 1))))
         _, targets = en.network_inputs(model, batch)
         _, terms = en.esd_loss(None, model, outputs, targets, ctx)
         recomposed = (
@@ -216,7 +218,7 @@ class TestLoss:
         config = en.EsdConfig(**TINY, lambda_sparsity=0.0)
         model, ctx, _ = self.make_ctx(batch, table, config)
         rng = np.random.default_rng(1)
-        outputs = ad.Tensor(np.abs(rng.standard_normal((48, 2, 1))))
+        outputs = ad.Tensor(np.abs(rng.standard_normal((24, 2, 1))))
         _, targets = en.network_inputs(model, batch)
         _, terms = en.esd_loss(None, model, outputs, targets, ctx)
         assert terms["total"] == pytest.approx(
@@ -229,12 +231,12 @@ class TestLoss:
         # reads off the same outputs (WM refit, isotropic maxima)
         model, ctx, rfs, batch, targets = multi_tissue(tissues)
         rng = np.random.default_rng(5)
-        outputs = np.abs(rng.standard_normal((48, 5, tissues)))
+        outputs = np.abs(rng.standard_normal((24, 5, tissues)))
         _, terms = en.esd_loss(None, model, ad.Tensor(outputs), targets, ctx)
 
         config, table = model.config, batch.gradients
         basis = sh.ShBasis(config.fodf_degree)
-        F = en.heads_to_fodf(outputs, sh.fit_matrix(model.grids[0].vertices, config.fodf_degree))
+        F = en.heads_to_fodf(outputs, sh.fit_matrix(model.vertices, config.fodf_degree))
         pred = forward(F, rfs, basis, table)
         expect = np.sum((pred - batch.b0_normalized().signals) ** 2)
         assert targets.shape == (5, table.total_samples)
@@ -246,8 +248,8 @@ class TestLoss:
         # grid, and one clear spike per isotropic channel and voxel
         model, ctx, _, _, targets = multi_tissue(tissues)
         rng = np.random.default_rng(6)
-        outputs = ad.Tensor(rng.standard_normal((48, 5, tissues)), requires_grad=True)
-        spikes = rng.integers(0, 48, size=(5, tissues))
+        outputs = ad.Tensor(rng.standard_normal((24, 5, tissues)), requires_grad=True)
+        spikes = rng.integers(0, 24, size=(5, tissues))
         for v in range(5):
             for i in range(1, tissues):
                 outputs.values[spikes[v, i], v, i] = outputs.values[:, v, i].max() + 1.0
@@ -344,6 +346,36 @@ class TestTrainInfer:
         val = en._epoch_loss(model, ctx, x, targets, np.arange(6), 4)
         assert val["live_frac"] == 4 / 6
 
+    def test_checkpoint_statistics_are_the_best_epochs_batch_means(self):
+        # after each epoch's steps, every block's statistics become the mean
+        # of its train-mode statistics over that epoch's batches, under the
+        # epoch's final weights; the best epoch's are the ones kept
+        model, result, batch, _ = self.run_train()
+        config = model.config
+        order = np.random.default_rng([config.seed, 13, result.best_epoch]).permutation(12)
+        x, _ = en.network_inputs(model, batch)
+        redo = copy.deepcopy(model)
+        redo.precise_statistics(x, [order[lo : lo + 4] for lo in range(0, 12, 4)])
+        for name, state in model.bn.items():
+            assert redo.bn[name].batches == 3
+            assert state.mean.tobytes() == redo.bn[name].mean.tobytes()
+            assert state.var.tobytes() == redo.bn[name].var.tobytes()
+            assert not np.array_equal(state.var, np.ones_like(state.var))
+
+    def test_one_batch_statistics_make_eval_match_training(self):
+        # with one batch's statistics, eval mode normalizes that batch as a
+        # training step does, bit for bit, and a training step on a tape
+        # leaves the statistics alone
+        data, _ = tiny_dataset(n=6, snr=30)
+        model = en.EsdModel(en.EsdConfig(**TINY), [3000.0])
+        x, _ = en.network_inputs(model, data)
+        model.precise_statistics(x, [np.arange(6)])
+        kept = copy.deepcopy(model.bn)
+        trained = model.forward(ad.Tape(), ad.Tensor(x), training=True).values
+        assert all(model.bn[k].mean.tobytes() == s.mean.tobytes() for k, s in kept.items())
+        assert model.forward(None, ad.Tensor(x)).values.tobytes() == trained.tobytes()
+        assert np.any(trained > 0)
+
     def test_deterministic_training(self):
         m1, r1, _, _ = self.run_train()
         m2, r2, _, _ = self.run_train()
@@ -365,7 +397,7 @@ class TestTrainInfer:
         model = en.EsdModel(en.EsdConfig(**dict(TINY, tissues=3)), [3000.0])
         x, _ = en.network_inputs(model, data)
         out = model.forward(None, ad.Tensor(x)).values
-        expect = en.heads_to_fodf(out, sh.fit_matrix(model.grids[0].vertices, 4))
+        expect = en.heads_to_fodf(out, sh.fit_matrix(model.vertices, 4))
         field = en.infer(model, data)
         assert field.coeffs.keys() == expect.keys()
         for t, ref in expect.items():
@@ -422,14 +454,22 @@ class TestTrainInfer:
         assert "reconstruction" in str(err.value)
 
 
+def half_grid_rep(grid):
+    """Each grid vertex's representative among base faces 0-5: itself, or its antipode."""
+    half = np.arange(grid.n_vertices) < grid.n_vertices // 2
+    return np.where(half, np.arange(grid.n_vertices), sg._antipodes(grid.nside))
+
+
 class TestEquivariance:
     def test_model_commutes_with_quarter_turn(self):
+        # on even fields the turn permutes the network's vertices through
+        # each turned vertex's representative
         config = en.EsdConfig(seed=2, channels=(8, 8, 8))
         model = en.EsdModel(config, [3000.0])
         grid = model.grids[0]
-        perm = z_rotation_permutation(grid, 1)
+        perm = half_grid_rep(grid)[z_rotation_permutation(grid, 1)[: len(model.vertices)]]
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((grid.n_vertices, 2, 1))
+        x = rng.standard_normal((len(model.vertices), 2, 1))
         out = model.forward(None, ad.Tensor(x)).values
         out_p = model.forward(None, ad.Tensor(x[perm])).values
         assert np.abs(out_p - out[perm]).max() < 1e-9
@@ -439,7 +479,7 @@ def test_eval_forward_matches_dense_laplacian(monkeypatch):
     # a freshly built default model has a live ReLU head, so the outputs
     # compared below are not all zero; x is float64, so the ops run in float64
     model = en.EsdModel(en.EsdConfig(), [3000.0])
-    x = ad.Tensor(np.abs(np.random.default_rng(0).standard_normal((768, 4, 1))))
+    x = ad.Tensor(np.abs(np.random.default_rng(0).standard_normal((384, 4, 1))))
     out = model.forward(None, x, training=False).values
 
     calls = []
@@ -453,15 +493,68 @@ def test_eval_forward_matches_dense_laplacian(monkeypatch):
     # also where profilers wrap it
     monkeypatch.setattr(_kernels, "patch_matmul", dense_matmul)
     ref = model.forward(None, x, training=False).values
-    assert sorted(set(calls)) == [48, 192, 768]
+    assert sorted(set(calls)) == [24, 96, 384]
     assert (out > 0).mean() > 0
     assert np.abs(out - ref).max() <= 1e-10 * np.abs(out).max()
+
+
+class DenseOperator:
+    """A dense (n, n) matrix with the .n and .matmul that graph_conv reads."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.n = matrix.shape[0]
+
+    def matmul(self, x):
+        return (self.matrix @ x.reshape(self.n, -1)).reshape(x.shape)
+
+
+@pytest.mark.parametrize("tissues", [1, 3])
+@pytest.mark.parametrize("training", [False, True])
+def test_half_network_matches_a_dense_full_grid_forward(tissues, training):
+    # reference: the same weights in float64 on every vertex of every level,
+    # with each level's dense (2/lmax) L - I from the scipy construction of
+    # the graph, fed the even extension of the network's input. Its output
+    # is even, and on base faces 0-5 it is the network's. The parameters'
+    # gradients of sum(out * G), G even, agree too: on the network's
+    # vertices, that sum's gradient counts each antipodal pair twice.
+    model = as_float64(en.EsdModel(en.EsdConfig(tissues=tissues, seed=2), [1000.0, 3000.0]))
+    rng = np.random.default_rng(4)
+    for state in model.bn.values():
+        state.mean = 0.3 * rng.standard_normal(state.mean.shape)
+        state.var = rng.uniform(0.5, 2.0, state.var.shape)
+    full = copy.deepcopy(model)
+    full.laps = [DenseOperator(dense_scaled_laplacian(g, reference_lmax(reference_graph(g)[1])))
+                 for g in model.grids]
+    rep = half_grid_rep(model.grids[0])
+    half = len(model.vertices)
+    x = rng.standard_normal((half, 3, 2))
+    weight = rng.standard_normal((half, 3, tissues))
+
+    grads = []
+    for net, x_in, g in ((model, x, 2.0 * weight), (full, x[rep], weight[rep])):
+        params = net.parameters()
+        ad.zero_grads(params)
+        tape = ad.Tape()
+        out = net.forward(tape, ad.Tensor(x_in), training)
+        tape.backward(scalar_loss(tape, out, lambda v, g=g: v * g, lambda v, g=g: g))
+        grads.append([p.grad for p in params])
+        if net is model:
+            got = out.values
+        else:
+            ref = out.values
+    assert np.abs(ref - ref[rep]).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(got - ref[:half]).max() <= 1e-12 * np.abs(ref).max()
+    assert (got > 0).mean() > 0.2
+    for g_half, g_full in zip(*grads):
+        assert np.linalg.norm(g_half - g_full) <= 1e-12 * np.linalg.norm(g_full)
 
 
 def test_operator_hooks_for_the_tracer(monkeypatch):
     # the benchmark's tracer (perfbench/tracing.py) times
     # sphere_grid.estimate_lmax through the module attribute and names each
-    # graph_conv span after the level whose vertex count is the operator's .n
+    # graph_conv span after the operator's .n: each level's vertex count on
+    # the network's half of the grid, while lmax comes from the whole grid
     lmax_grids = []
     estimate_lmax, graph_conv = sg.estimate_lmax, ad.graph_conv
 
@@ -472,7 +565,7 @@ def test_operator_hooks_for_the_tracer(monkeypatch):
     monkeypatch.setattr(sg, "estimate_lmax", counted_lmax)
     model = en.EsdModel(en.EsdConfig(), [3000.0])
     assert lmax_grids == [768, 192, 48]
-    assert [lap.n for lap in model.laps] == [g.n_vertices for g in model.grids]
+    assert [lap.n for lap in model.laps] == [g.n_vertices // 2 for g in model.grids]
 
     convs = []
 
@@ -481,19 +574,20 @@ def test_operator_hooks_for_the_tracer(monkeypatch):
         return graph_conv(tape, x, weights, lap)
 
     monkeypatch.setattr(ad, "graph_conv", recorded_conv)
-    model.forward(None, ad.Tensor(np.zeros((768, 2, 1), np.float32)))
+    model.forward(None, ad.Tensor(np.zeros((384, 2, 1), np.float32)))
     assert all(n == rows for n, rows in convs)
-    assert sorted({n for n, _ in convs}) == [48, 192, 768]
+    assert sorted({n for n, _ in convs}) == [24, 96, 384]
 
 
 def test_model_keeps_only_the_rescaled_laplacians():
-    # each level's operator is built outside the grid's cache, so the
-    # unscaled float64 copy is not held next to the rescaled one
+    # each level's operators are built outside the grid's cache, so neither
+    # unscaled float64 copy is held next to the rescaled folded one, which
+    # is scaled by the whole Laplacian's top eigenvalue
     model = en.EsdModel(en.EsdConfig(), [3000.0])
     for grid, lap in zip(model.grids, model.laps):
         assert "laplacian" not in vars(grid)
-        unscaled = sg.build_grid(grid.nside).laplacian
-        expect = unscaled.rescaled(sg.estimate_lmax(unscaled))
+        fresh = sg.build_grid(grid.nside)
+        expect = sg.graph_laplacian(fresh, folded=True).rescaled(sg.estimate_lmax(fresh.laplacian))
         for name in ("own", "halo", "halo_index"):
             got, ref = getattr(lap, name), getattr(expect, name)
             assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -502,8 +596,9 @@ def test_model_keeps_only_the_rescaled_laplacians():
 
 def test_training_step_memory_peak():
     # one default-config step at batch 32, forward, loss and backward, under
-    # tracemalloc (numpy reports its buffers to it). Measured: 22.2 MB after
-    # the forward pass and a 33.7 MB peak; 30.3 and 41.7 MB while the tape
+    # tracemalloc (numpy reports its buffers to it). Measured: 11.2 MB after
+    # the forward pass and a 17.1 MB peak; 22.2 and 33.7 MB while the network
+    # ran on every vertex instead of base faces 0-5; 30.3 and 41.7 MB while the tape
     # kept each decoder level's unpooled input and int64 pool offsets; 59.5
     # and 81.1 MB in float64, 117.2 and 138.8 MB when the wide graph convs
     # also kept their monomial stacks, and a 267.8 MB peak when the tape
@@ -523,8 +618,8 @@ def test_training_step_memory_peak():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert after_forward < 24e6, f"the tape held {after_forward / 1e6:.1f} MB after forward"
-    assert peak < 36e6, f"training step peaked at {peak / 1e6:.1f} MB"
+    assert after_forward < 12.5e6, f"the tape held {after_forward / 1e6:.1f} MB after forward"
+    assert peak < 19e6, f"training step peaked at {peak / 1e6:.1f} MB"
     assert not tape._records
     assert all(p.grad is not None for p in model.parameters())
 
@@ -544,10 +639,14 @@ class TestFloat32Network:
         return model, result, data.subset(np.arange(46, 146))
 
     def assert_agrees(self, field, expect):
-        # measured: WM within 4.9e-7 relative (Frobenius) on this model, 5.2e-7
-        # from the float64 checkpoint, and 1.8e-7 to 7.1e-7 over three seeds
+        # measured: WM within 5.7e-6 relative (Frobenius) on this model, 7.0e-6
+        # from the float64 checkpoint, and 3.2e-6 to 1.3e-5 over seeds 3-7.
+        # Batchnorm divides each channel by its standard deviation, so float32
+        # rounding grows where a channel barely varies: this model's smallest
+        # variance is 1.3e-4. Running statistics (momentum 0.1 from 1) put it
+        # at 0.35, and the fODFs then agreed within 2e-7 to 7e-7.
         for t, ref in expect.items():
-            assert np.linalg.norm(field.coeffs[t] - ref) <= 5e-6 * np.linalg.norm(ref)
+            assert np.linalg.norm(field.coeffs[t] - ref) <= 2e-5 * np.linalg.norm(ref)
             live = np.any(ref != 0, axis=1)
             assert live.sum() == 100
             assert np.array_equal(np.any(field.coeffs[t] != 0, axis=1), live)
@@ -564,8 +663,8 @@ class TestFloat32Network:
             assert loaded.params[k].values.dtype == np.float32
             assert np.array_equal(loaded.params[k].values, p.values)
         for k, bn in model.bn.items():
-            assert np.array_equal(loaded.bn[k].running_mean, bn.running_mean)
-            assert np.array_equal(loaded.bn[k].running_var, bn.running_var)
+            assert np.array_equal(loaded.bn[k].mean, bn.mean)
+            assert np.array_equal(loaded.bn[k].var, bn.var)
         assert np.array_equal(en.infer(loaded, test).coeffs["wm"], en.infer(model, test).coeffs["wm"])
 
     def test_float64_checkpoint_loads_rounded(self, trained, tmp_path):
@@ -616,7 +715,7 @@ class TestFloat32Network:
         for m in adam.m + adam.v:
             assert m.dtype == np.float32
         for state in model.bn.values():
-            assert state.running_mean.dtype == state.running_var.dtype == np.float32
+            assert state.mean.dtype == state.var.dtype == np.float32
 
 
 def test_infer_memory_per_voxel():

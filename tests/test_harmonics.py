@@ -167,20 +167,20 @@ class TestResample:
         c = rng.standard_normal(sh.ShBasis(4).L)
         samples = c @ sh.design_matrix(sh.ShBasis(4), grads)
         grid = sg.build_grid(8)
-        on_grid = sh.resample(samples, sh.resample_matrices(grads, grid))
+        on_grid = sh.resample(samples, sh.resample_matrices(grads, grid.vertices))
         refit = sh.fit_matrix(grid.vertices, 4) @ on_grid
         assert np.abs(refit - c).max() < 1e-6
 
     def test_zero_samples(self):
         grid = sg.build_grid(4)
-        out = sh.resample(np.zeros(64), sh.resample_matrices(fibonacci_points(64), grid))
+        out = sh.resample(np.zeros(64), sh.resample_matrices(fibonacci_points(64), grid.vertices))
         assert np.abs(out).max() == 0.0
 
     def test_basis_reproduction(self):
         grads = fibonacci_points(64, jitter_seed=2)
         grid = sg.build_grid(8)
         samples = np.array([eval_sh(2, 0, g) for g in grads])
-        out = sh.resample(samples, sh.resample_matrices(grads, grid))
+        out = sh.resample(samples, sh.resample_matrices(grads, grid.vertices))
         expect = np.array([eval_sh(2, 0, v) for v in grid.vertices])
         assert np.abs(out - expect).max() < 1e-6
 
@@ -196,7 +196,7 @@ class TestResample:
         grid = sg.build_grid(4)
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((2, 32))
-        mats = sh.resample_matrices(grads, grid)
+        mats = sh.resample_matrices(grads, grid.vertices)
         lhs = sh.resample(2 * a + 3 * b, mats)
         rhs = 2 * sh.resample(a, mats) + 3 * sh.resample(b, mats)
         assert np.abs(lhs - rhs).max() < 1e-12

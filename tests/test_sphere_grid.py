@@ -146,6 +146,32 @@ def test_antipodes_exact(nside):
     assert np.array_equal(anti[anti], np.arange(grid.n_vertices))
 
 
+@pytest.mark.parametrize("nside", [1, 2, 4, 8])
+def test_folded_laplacian_equals_the_folded_dense_one(nside):
+    # the scipy construction's L on the rows of base faces 0-5, each column
+    # added onto its representative there: the faces' antipodes are faces
+    # 6-11, so they hold one vertex of each antipodal pair. At nside 1 one
+    # vertex reaches another both directly and through its antipode, and
+    # the 24 rows at nside 2 are one patch, as 16 does not divide them
+    grid = sg.build_grid(nside)
+    n = grid.n_vertices
+    half = np.arange(n) < n // 2
+    assert np.array_equal(np.unique(sg._ANTIPODAL_FACE[:6]), np.arange(6, 12))
+    rep = np.where(half, np.arange(n), sg._antipodes(nside))
+    fold = np.zeros((n, n // 2))
+    fold[np.arange(n), rep] = 1.0
+    expect = reference_graph(grid)[1].toarray()[half] @ fold
+    folded = sg.graph_laplacian(grid, folded=True)
+    assert folded.n == n // 2 == 6 * nside * nside
+    got = sparse(folded).toarray()
+    assert np.array_equal(got, expect)
+    assert np.array_equal(got, got.T)
+    # on an even field the folded product is the whole one, restricted
+    x = np.random.default_rng(nside).standard_normal((n // 2, 3))
+    whole = sparse(grid.laplacian) @ x[rep]
+    assert np.abs(folded.matmul(x) - whole[half]).max() <= 1e-13 * np.abs(whole).max()
+
+
 @pytest.mark.parametrize("nside", [16, 32, 64])
 def test_hemisphere_tables(nside):
     grid = sg.build_grid(nside)
