@@ -98,7 +98,9 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap) -> Tensor:
     """Polynomial spectral filter: y = sum_p (L^p x) W_p over input channels.
 
     x is (N, V, C_in), weights (P+1, C_in, C_out); returns (N, V, C_out).
-    lap is any symmetric operator with .n = N and .matmul, such as a grid's.
+    lap is a symmetric operator with .n = N and .matmul that maps constant
+    fields to minus themselves, such as a grid's Laplacian rescaled onto
+    [-1, 1].
     Exact gradients for both x and weights. The Laplacian runs on the
     narrower side of the filter, each side takes one GEMM per product, and
     neither keeps anything for backward but x:
@@ -110,7 +112,11 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap) -> Tensor:
     - C_out > C_in: the monomial stack [x, Lx, ..., L^P x] is one
       (N V, (P+1) C_in) matrix, and y is its product with W viewed as
       ((P+1) C_in, C_out). Backward rebuilds the stack from x for the
-      one-GEMM dW; dx runs Horner on C_in columns.
+      one-GEMM dW; dx runs Horner on C_in columns. The forward stack is
+      built from x less the mean over vertices of each (voxel, channel)
+      column, so that the operator, which the kernel rounds to x's
+      dtype, never carries a large constant part: batchnorm would
+      amplify its rounding on a channel that barely varies.
     """
     if x.values.ndim != 3 or x.values.shape[0] != lap.n:
         raise InvalidArgumentError(
@@ -140,7 +146,14 @@ def graph_conv(tape, x: Tensor, weights: Tensor, lap) -> Tensor:
         return _track(tape, out, (x, weights), backward)
 
     w_cat = weights.values.reshape(p1 * c_in, c_out)
-    out = Tensor((_powers(lap, x.values, p1) @ w_cat).reshape(n, v, c_out))
+    # L^p takes each column's vertex mean m to (-1)^p m, so the powers run
+    # on the rest and m's share is added exactly. A contiguous copy fixes
+    # the mean's sum order whatever x's layout.
+    xc = np.ascontiguousarray(x.values)
+    mean = ((np.ones(n, xc.dtype) @ xc.reshape(n, v * c_in)) / n).reshape(v, c_in)
+    y = (_powers(lap, xc - mean, p1) @ w_cat).reshape(n, v, c_out)
+    y += (mean @ np.einsum("p,pio->io", (-1.0) ** np.arange(p1), weights.values)).astype(y.dtype)
+    out = Tensor(y)
 
     def backward():
         g = out.grad.reshape(n * v, c_out)

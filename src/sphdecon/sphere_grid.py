@@ -167,6 +167,19 @@ def _antipodes(nside):
     return _xyf2nest(nside, _ANTIPODAL_FACE[face], nside - 1 - iy, nside - 1 - ix)
 
 
+def face_half_rep(nside):
+    """(N,) each NESTED vertex's representative on base faces 0-5: itself
+    there, its antipode on faces 6-11.
+
+    Faces 0-5 are the first N/2 vertices. Their antipodes are faces 6-11,
+    so they hold one vertex of each antipodal pair, and the children of
+    vertex p are rows 4p..4p+3 of the next level's half. An even field is
+    known from its values there.
+    """
+    pix = np.arange(12 * nside * nside, dtype=np.int64)
+    return np.where(pix < 6 * nside * nside, pix, _antipodes(nside))
+
+
 def _neighbor_table(nside):
     """(N, 8) NESTED neighbor indices, -1 where a diagonal is missing."""
     npix = 12 * nside * nside
@@ -300,12 +313,10 @@ def graph_laplacian(grid: SphericalGrid, folded: bool = False) -> PatchOperator:
     """Gaussian edge weights on a grid's neighbor table, and L = D - A.
 
     folded gives L as it acts on even fields, whose value at a vertex and
-    at its antipode agree: the rows of base faces 0-5, which are the first
-    N/2 NESTED vertices and hold one vertex of each antipodal pair, with
-    each column sent to its representative among them (itself, or its
-    antipode). For an even field f, (L f) on those rows is this (N/2, N/2)
-    operator times f on them. It is symmetric, because L commutes with the
-    point reflection.
+    at its antipode agree: the rows of base faces 0-5, with each column
+    sent to its representative there (face_half_rep). For an even field
+    f, (L f) on those rows is this (N/2, N/2) operator times f on them. It
+    is symmetric, because L commutes with the point reflection.
     """
     nbrs = grid.neighbor_table
     n = grid.n_vertices
@@ -330,7 +341,7 @@ def graph_laplacian(grid: SphericalGrid, folded: bool = False) -> PatchOperator:
         n //= 2
         keep = rows < n
         rows, cols, vals, degrees = rows[keep], cols[keep], vals[keep], degrees[:n]
-        cols = np.where(cols < n, cols, _antipodes(grid.nside)[cols])
+        cols = face_half_rep(grid.nside)[cols]
     return _patch_operator(rows, cols, vals, degrees)
 
 

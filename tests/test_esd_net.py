@@ -454,12 +454,6 @@ class TestTrainInfer:
         assert "reconstruction" in str(err.value)
 
 
-def half_grid_rep(grid):
-    """Each grid vertex's representative among base faces 0-5: itself, or its antipode."""
-    half = np.arange(grid.n_vertices) < grid.n_vertices // 2
-    return np.where(half, np.arange(grid.n_vertices), sg._antipodes(grid.nside))
-
-
 class TestEquivariance:
     def test_model_commutes_with_quarter_turn(self):
         # on even fields the turn permutes the network's vertices through
@@ -467,7 +461,8 @@ class TestEquivariance:
         config = en.EsdConfig(seed=2, channels=(8, 8, 8))
         model = en.EsdModel(config, [3000.0])
         grid = model.grids[0]
-        perm = half_grid_rep(grid)[z_rotation_permutation(grid, 1)[: len(model.vertices)]]
+        turned = z_rotation_permutation(grid, 1)[: len(model.vertices)]
+        perm = sg.face_half_rep(grid.nside)[turned]
         rng = np.random.default_rng(3)
         x = rng.standard_normal((len(model.vertices), 2, 1))
         out = model.forward(None, ad.Tensor(x)).values
@@ -526,7 +521,7 @@ def test_half_network_matches_a_dense_full_grid_forward(tissues, training):
     full = copy.deepcopy(model)
     full.laps = [DenseOperator(dense_scaled_laplacian(g, reference_lmax(reference_graph(g)[1])))
                  for g in model.grids]
-    rep = half_grid_rep(model.grids[0])
+    rep = sg.face_half_rep(model.grids[0].nside)
     half = len(model.vertices)
     x = rng.standard_normal((half, 3, 2))
     weight = rng.standard_normal((half, 3, tissues))
@@ -639,14 +634,13 @@ class TestFloat32Network:
         return model, result, data.subset(np.arange(46, 146))
 
     def assert_agrees(self, field, expect):
-        # measured: WM within 5.7e-6 relative (Frobenius) on this model, 7.0e-6
-        # from the float64 checkpoint, and 3.2e-6 to 1.3e-5 over seeds 3-7.
+        # measured: WM within 2.0e-6 relative (Frobenius) on this model, 3.4e-6
+        # from the float64 checkpoint, and 1.4e-6 to 4.7e-6 over seeds 3-7.
         # Batchnorm divides each channel by its standard deviation, so float32
         # rounding grows where a channel barely varies: this model's smallest
-        # variance is 1.3e-4. Running statistics (momentum 0.1 from 1) put it
-        # at 0.35, and the fODFs then agreed within 2e-7 to 7e-7.
+        # variance is 1.3e-4 (1.8e-5 at seed 6).
         for t, ref in expect.items():
-            assert np.linalg.norm(field.coeffs[t] - ref) <= 2e-5 * np.linalg.norm(ref)
+            assert np.linalg.norm(field.coeffs[t] - ref) <= 5e-6 * np.linalg.norm(ref)
             live = np.any(ref != 0, axis=1)
             assert live.sum() == 100
             assert np.array_equal(np.any(field.coeffs[t] != 0, axis=1), live)

@@ -157,7 +157,9 @@ def test_folded_laplacian_equals_the_folded_dense_one(nside):
     n = grid.n_vertices
     half = np.arange(n) < n // 2
     assert np.array_equal(np.unique(sg._ANTIPODAL_FACE[:6]), np.arange(6, 12))
-    rep = np.where(half, np.arange(n), sg._antipodes(nside))
+    rep = sg.face_half_rep(nside)
+    assert np.array_equal(rep[half], np.arange(n // 2))
+    assert np.array_equal(rep[~half], sg._antipodes(nside)[~half])
     fold = np.zeros((n, n // 2))
     fold[np.arange(n), rep] = 1.0
     expect = reference_graph(grid)[1].toarray()[half] @ fold
