@@ -412,8 +412,9 @@ def _check(value, hint, path, what="config key"):
 def validate_config(config):
     """Check a config document against the section dataclasses' fields."""
     _check(config, {"seed": int, **SECTIONS}, "")
-    if config.get("seed", 0) < 0:  # the seed is drawn into numpy generators' entropy
-        raise ConfigError(f"config key 'seed' must be nonnegative, got {config['seed']}")
+    # the seed is the simulator's 128-bit Philox key
+    if not 0 <= config.get("seed", 0) < 2**128:
+        raise ConfigError(f"config key 'seed' must lie in [0, 2**128), got {config['seed']}")
     return config
 
 

@@ -6,11 +6,14 @@ directions. The synthetic generator draws multi-tensor voxels (1-3 axially
 symmetric fiber tensors plus isotropic GM/CSF compartments) and corrupts
 them with Rician noise.
 
-All randomness is drawn from named substreams of a single seed so that
-results are independent of evaluation order.
+A voxel's random draws come from numpy's counter-based Philox generator
+(Salmon et al., SC'11), keyed by the seed. Each lane of a stream gives
+every voxel the same number of words at its own counter blocks, so its
+draws do not depend on the batch it is drawn in, and a run of voxels is
+one random_raw call. Stream 202 holds the voxel parameters and stream 303
+the noise; words become uniforms, Box-Muller normals and exponentials.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,111 +23,67 @@ from .errors import InvalidArgumentError
 
 TISSUES = ("wm", "gm", "csf")
 
-# substream tags for seeded generators
+# stream tags: a seeded generator's entropy for the scheme, the Philox
+# counter's third word for the voxel parameters and the noise
 _STREAM_SCHEME = 101
 _STREAM_VOXEL = 202
 _STREAM_NOISE = 303
+_CHUNK = 1024  # voxels simulated at once
+# a gap between two voxels is drawn and dropped, rather than skipped with a
+# new generator, when it is shorter than this many words (building a
+# generator costs about as much as drawing 3,000)
+_SKIP_WORDS = 4096
 
 
-def _stream_entropy(seed: int, stream: int, *parts) -> np.ndarray:
-    """Entropy words of the streams [seed, stream, *parts], one uint32 row each.
+def _philox_words(seed, stream, lane, voxels, n) -> np.ndarray:
+    """(V, n) uint64 words of one lane of a stream, row v from voxel voxels[v].
 
-    numpy seeds a generator from a list of Python ints by splitting each
-    int into 32-bit words, least significant first; default_rng of a row
-    here gets the state the list gets, without the per-element coercion.
-    parts broadcast against each other, and each of their values (voxel
-    indices, b-values) must fit one word.
+    Each voxel owns blocks = ceil(n / 4) of Philox's 4-word outputs: voxel
+    v's words are the first n that Philox(key=seed, counter=[v blocks,
+    lane, stream, 0]).random_raw draws. The voxels are drawn in ascending
+    runs, one generator and one random_raw call each.
     """
     seed = int(seed)
-    head = [(seed >> s) & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    words = np.stack(np.broadcast_arrays(*head, stream, *(np.asarray(p, np.int64) for p in parts)),
-                     axis=-1)
-    if seed < 0 or words.min(initial=0) < 0 or words.max(initial=0) > 0xFFFFFFFF:
-        raise InvalidArgumentError("seed stream entries must be nonnegative, parts below 2**32")
-    return words.astype(np.uint32)
+    if not 0 <= seed < 2**128:
+        raise InvalidArgumentError(f"the seed must lie in [0, 2**128), got {seed}")
+    blocks = -(-n // 4)
+    voxels = np.asarray(voxels, dtype=np.int64)
+    order = np.argsort(voxels, kind="stable")
+    ordered = voxels[order]
+    out = np.empty((len(voxels), n), dtype=np.uint64)
+    if not len(voxels):
+        return out
+    if ordered[0] < 0:
+        raise InvalidArgumentError("voxel indices must be nonnegative")
+    bounds = [0, *(np.flatnonzero(np.diff(ordered) * 4 * blocks > _SKIP_WORDS) + 1), len(voxels)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        run = ordered[lo:hi]
+        first = int(run[0])
+        gen = np.random.Philox(key=seed, counter=[first * blocks, lane, stream, 0])
+        words = gen.random_raw((int(run[-1]) - first + 1) * 4 * blocks).reshape(-1, 4 * blocks)
+        out[order[lo:hi]] = words[run - first, :n]
+    return out
 
 
-# numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64's 128-bit LCG
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_STREAM_CHUNK = 256  # rows whose states are held as Python ints at once
+def _uniforms(seed, stream, lane, voxels, n) -> np.ndarray:
+    """(V, n) uniforms in [0, 1): the top 53 bits of each of _philox_words' words."""
+    words = _philox_words(seed, stream, lane, voxels, n)
+    return np.right_shift(words, 11, out=words) * 2.0**-53
 
 
-def _hash_constants(init, mult, n) -> list:
-    """The (xor, multiply) constant pairs of n successive hash steps.
+def _box_muller(u) -> np.ndarray:
+    """Standard normals from (V, 2m) uniforms, in place: radii from the first m, angles from the last m.
 
-    The constant only ever advances by `mult`, whatever the data, so every
-    row of a block shares them.
+    Row v becomes the m cosine normals, then the m sine normals.
     """
-    pairs = []
-    for _ in range(n):
-        xor, init = init, init * mult & 0xFFFFFFFF
-        pairs.append((np.uint32(xor), np.uint32(init)))
-    return pairs
-
-
-def _pcg64_states(entropy) -> list:
-    """PCG64 (state, inc) of default_rng(row) for each row of an (N, k) uint32 block.
-
-    The SeedSequence hash runs on whole columns: the pool is 4 hashmix
-    words (zeros past a row's end), then mixed with each other and with the
-    words past the 4th; PCG64 takes 4 uint64 output words as the high and
-    low halves of its seed and increment, then srandom sets inc = 2 seq + 1
-    and state = (seed + inc) mult + inc.
-    """
-    entropy = np.asarray(entropy, dtype=np.uint32)
-    n, k = entropy.shape
-    n_hash = _POOL_SIZE * _POOL_SIZE + max(k - _POOL_SIZE, 0) * _POOL_SIZE
-    consts = iter(_hash_constants(_INIT_A, _MULT_A, n_hash))
-
-    def hashmix(value):
-        xor, mult = next(consts)
-        value = (value ^ xor) * mult
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return value ^ (value >> 16)
-
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < k else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, k):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    out = np.empty((n, 8), dtype=np.uint32)
-    for i, (xor, mult) in enumerate(_hash_constants(_INIT_B, _MULT_B, 8)):
-        value = (pool[i % _POOL_SIZE] ^ xor) * mult
-        out[:, i] = value ^ (value >> 16)
-    states = []
-    # uint32 pairs read as little-endian uint64s: seed high, low, seq high, low
-    for s_hi, s_lo, q_hi, q_lo in out.astype("<u4").view("<u8").tolist():
-        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-        seed = (s_hi << 64) | s_lo
-        states.append((((seed + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _streams(entropy):
-    """Yield a generator per row of an (N, k) uint32 block, seeded as default_rng(row).
-
-    It is one Generator whose state is reset for each row, so each must be
-    used up before the next is taken. States are derived a chunk at a time.
-    """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for lo in range(0, len(entropy), _STREAM_CHUNK):
-        for state, inc in _pcg64_states(entropy[lo:lo + _STREAM_CHUNK]):
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            yield rng
+    m = u.shape[1] // 2
+    r, theta = u[:, :m], u[:, m:]
+    np.sqrt(np.multiply(-2.0, np.log1p(np.negative(r, out=r), out=r), out=r), out=r)
+    np.multiply(2 * np.pi, theta, out=theta)
+    cos = np.cos(theta)
+    np.multiply(r, np.sin(theta, out=theta), out=theta)
+    np.multiply(r, cos, out=r)
+    return u
 
 
 @dataclass
@@ -349,33 +308,24 @@ def tensor_signals(fibers, fiber_fractions, tissue_fractions, gradients: Gradien
     return out
 
 
-def rician_noise(clean, sigma: float, seed, voxel_indices,
-                 gradients: GradientTable) -> np.ndarray:
+def rician_noise(clean, sigma: float, seed, voxel_indices, out=None) -> np.ndarray:
     """Magnitude-MR noise on (V, samples) signals: sqrt((s + e1)^2 + e2^2), e ~ N(0, sigma^2).
 
-    Row v is voxel voxel_indices[v]. Its noise on each key b of the table
-    is the normal(0, sigma, 2 n_b) draw, e1 then e2, of the stream
-    [seed, 303, voxel, b], so it does not depend on the batch the voxel is
-    in. Each stream writes sigma times its standard normals into one key's
-    (V, 2, n_b) buffer, the same numbers as 0 + sigma z.
+    Row v is voxel voxel_indices[v]. Its e1 and e2 are sigma times the
+    cosine and sine normals that _box_muller makes of the 2 x samples
+    uniforms of lane 0 of stream 303, so they do not depend on the batch
+    the voxel is in. The result is written to `out` when it is given.
     """
     if sigma < 0:
         raise InvalidArgumentError("sigma must be nonnegative")
     if sigma == 0:
-        return np.abs(clean)
-    voxel_indices = np.asarray(voxel_indices)
-    out = np.empty(clean.shape)
-    for b in gradients.keys:
-        cols = gradients.columns(b)
-        noise = np.empty((len(voxel_indices), 2, cols.stop - cols.start))
-        entropy = _stream_entropy(seed, _STREAM_NOISE, voxel_indices, int(b))
-        for row, rng in zip(noise, _streams(entropy)):
-            rng.standard_normal(out=row)
-        noise *= sigma
-        noise[:, 0] += clean[:, cols]
-        np.square(noise, out=noise)
-        np.sqrt(np.add(noise[:, 0], noise[:, 1], out=noise[:, 0]), out=out[:, cols])
-    return out
+        return np.abs(clean, out=out)
+    n = clean.shape[1]
+    noise = _box_muller(_uniforms(seed, _STREAM_NOISE, 0, voxel_indices, 2 * n))
+    noise *= sigma
+    noise[:, :n] += clean
+    np.square(noise, out=noise)
+    return np.sqrt(np.add(noise[:, :n], noise[:, n:], out=noise[:, :n]), out=out)
 
 
 def generate_gradients(n: int, seed) -> np.ndarray:
@@ -507,80 +457,92 @@ def build_gradient_table(config: SimConfig) -> GradientTable:
     return GradientTable(shells, {b: scheme for b in shells}, b0_count=config.b0_count)
 
 
-_PAIRS = {k: np.triu_indices(k, 1) for k in (2, 3)}
+_PAIRS = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # the axis pairs (i, j), i < j
 
 
-def _axis_angles_deg(dirs):
-    dots = np.abs(dirs @ dirs.T)
-    return np.degrees(np.arccos(np.clip(dots[_PAIRS[len(dirs)]], -1, 1)))
+def _draw_voxels(config: SimConfig, voxels):
+    """Fiber axes (V, 3, 3), fiber and tissue fractions (V, 3) and redraws (V,) of the voxels.
 
-
-def _flat_dirichlet(rng, k) -> list:
-    """dirichlet(ones(k)) from the same bits: k unit exponentials over their sum."""
-    draws = rng.standard_exponential(k).tolist()
-    acc = 0.0
-    for x in draws:  # numpy sums left to right, then scales by the reciprocal
-        acc += x
-    inv = 1.0 / acc
-    return [x * inv for x in draws]
-
-
-def _draw_voxel(config: SimConfig, rng, fiber_cdf):
-    """One voxel's fiber axes (array), fiber and tissue fractions (lists), and its redraws.
-
-    fiber_cdf is the cumulative fiber-count probabilities over their sum.
-    The draws are, in order and bit for bit, choice(3, p), standard normal
-    axes and dirichlet(ones(k)) fractions until they pass their floors,
-    then the tissue draw; redraws counts the axes and fractions rejected.
+    Lane 0 of stream 202 holds a voxel's fiber count, pure-voxel flag,
+    tissue choice and tissue Dirichlet. Attempt r reads lane 1 + 2r for the
+    axes, 3 standard normal rows of which the first n_fib count, and lane
+    2 + 2r for the fractions, n_fib unit exponentials over their sum. Each
+    round draws one attempt for the voxels whose axes or fractions have not
+    yet passed their floors; redraws counts the attempts rejected.
     """
-    n_fib = 1 + bisect_right(fiber_cdf, rng.random())  # choice(3, p) searches side='right'
-    redraws = 0
-    while True:
-        dirs = rng.standard_normal((n_fib, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        if n_fib == 1 or _axis_angles_deg(dirs).min() >= config.min_crossing_angle_deg:
-            break
-        redraws += 1
-    while True:
-        fracs = _flat_dirichlet(rng, n_fib)
-        if min(fracs) >= config.min_fiber_fraction or n_fib == 1:
-            break
-        redraws += 1
+    seed, n = config.seed, len(voxels)
+    u = _uniforms(seed, _STREAM_VOXEL, 0, voxels, 6)
+    cdf = np.cumsum(config.fiber_count_probs)
+    n_fib = 1 + np.searchsorted(cdf / cdf[-1], u[:, 0], side="right")
     if config.tissues == 1:
-        tissue = [1.0, 0.0, 0.0]
-    elif rng.random() < config.pure_voxel_prob:
-        tissue = [0.0, 0.0, 0.0]
-        tissue[rng.integers(0, 3)] = 1.0  # choice(3)
+        tissue = np.tile([1.0, 0.0, 0.0], (n, 1))
     else:
-        tissue = _flat_dirichlet(rng, 3)
-    return dirs, fracs, tissue, redraws
+        e = -np.log1p(-u[:, 3:])
+        tissue = e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
+        pure = u[:, 1] < config.pure_voxel_prob
+        tissue[pure] = np.eye(3)[(3 * u[pure, 2]).astype(np.int64)]
+    owned = np.arange(3) < n_fib[:, None]  # each voxel's fiber slots
+    fibers = np.zeros((n, 3, 3))
+    fractions = np.zeros((n, 3))
+    redraws = np.zeros(n, dtype=np.int64)
+    axes_left = fractions_left = np.arange(n)
+    lane = 1
+    while axes_left.size or fractions_left.size:
+        if axes_left.size:
+            rows = axes_left
+            dirs = _box_muller(_uniforms(seed, _STREAM_VOXEL, lane, voxels[rows], 10))
+            dirs = dirs[:, :9].reshape(-1, 3, 3)
+            dirs /= np.sqrt(np.vecdot(dirs, dirs))[..., None]
+            dirs *= owned[rows, :, None]
+            i, j = _PAIRS
+            dots = np.abs(np.vecdot(dirs[:, i], dirs[:, j]))
+            angles = np.degrees(np.arccos(np.clip(dots, -1, 1)))
+            ok = np.all((angles >= config.min_crossing_angle_deg)
+                        | (j >= n_fib[rows, None]), axis=1)
+            fibers[rows[ok]] = dirs[ok]
+            axes_left = rows[~ok]
+        if fractions_left.size:
+            rows = fractions_left
+            e = -np.log1p(-_uniforms(seed, _STREAM_VOXEL, lane + 1, voxels[rows], 3))
+            e = np.where(owned[rows], e, 0.0)
+            f = e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
+            ok = (n_fib[rows] == 1) | (np.where(owned[rows], f, 1.0).min(axis=1)
+                                       >= config.min_fiber_fraction)
+            fractions[rows[ok]] = f[ok]
+            fractions_left = rows[~ok]
+        redraws[axes_left] += 1
+        redraws[fractions_left] += 1
+        lane += 2
+    no_wm = tissue[:, 0] == 0.0  # without a WM compartment the fibers are not ground truth
+    fibers[no_wm] = 0.0
+    fractions[no_wm] = 0.0
+    return fibers, fractions, tissue, redraws
 
 
 def generate_batch(config: SimConfig, gradients: GradientTable, voxel_indices) -> VoxelBatch:
     """Simulate the voxels with the given global indices (order-independent).
 
-    Voxel v's fibers and tissue fractions are drawn from the stream
-    [seed, 202, v] and its noise from [seed, 303, v, b] per key b; only
-    the draws loop over voxels, the signals are computed for the batch.
+    Voxel v's parameters come from stream 202 (_draw_voxels) and its noise
+    from stream 303 (rician_noise), at v's own counter blocks. The batch is
+    simulated _CHUNK voxels at a time, each chunk's noisy signals written
+    into the batch's one (V, samples) array.
     """
-    voxel_indices = np.asarray(voxel_indices)
+    voxel_indices = np.asarray(voxel_indices, dtype=np.int64)
     n = len(voxel_indices)
-    fibers = np.zeros((n, 3, 3))
-    fiber_fracs = np.zeros((n, 3))
-    tissue_fracs = np.zeros((n, 3))
-    redraws = np.zeros(n, dtype=np.int64)
-    cdf = np.asarray(config.fiber_count_probs, float).cumsum()
-    fiber_cdf = (cdf / cdf[-1]).tolist()
-    entropy = _stream_entropy(config.seed, _STREAM_VOXEL, voxel_indices)
-    for row, rng in enumerate(_streams(entropy)):
-        dirs, fracs, tissue, redraws[row] = _draw_voxel(config, rng, fiber_cdf)
-        if tissue[0] != 0.0:  # without a WM compartment the fibers are not ground truth
-            fibers[row, : len(dirs)] = dirs
-            fiber_fracs[row, : len(dirs)] = fracs
-        tissue_fracs[row] = tissue
-    clean = tensor_signals(fibers, fiber_fracs, tissue_fracs, gradients, config.tensor)
+    signals = np.empty((n, gradients.total_samples))
+    fibers = np.empty((n, 3, 3))
+    fiber_fracs = np.empty((n, 3))
+    tissue_fracs = np.empty((n, 3))
+    redraws = np.empty(n, dtype=np.int64)
     sigma = 0.0 if not config.snr else 1.0 / config.snr
-    signals = rician_noise(clean, sigma, config.seed, voxel_indices, gradients)
+    for lo in range(0, n, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        voxels = voxel_indices[rows]
+        fibers[rows], fiber_fracs[rows], tissue_fracs[rows], redraws[rows] = _draw_voxels(
+            config, voxels)
+        clean = tensor_signals(fibers[rows], fiber_fracs[rows], tissue_fracs[rows], gradients,
+                               config.tensor)
+        rician_noise(clean, sigma, config.seed, voxels, out=signals[rows])
     return VoxelBatch(signals, gradients, fibers, fiber_fracs, tissue_fracs, redraws)
 
 

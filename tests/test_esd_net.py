@@ -620,7 +620,7 @@ def test_training_step_memory_peak():
 
 
 class TestFloat32Network:
-    # a live model: every one of the 100 test voxels has a nonzero WM fODF
+    # a live model: 99 of the 100 test voxels have a nonzero WM fODF
     CONFIG = {"seed": 3, "model": {"nside_in": 4, "depth": 2, "channels": [4, 6],
                                    "fodf_degree": 8, "max_epochs": 2, "batch_size": 4,
                                    "lr": 1e-3}}
@@ -634,15 +634,15 @@ class TestFloat32Network:
         return model, result, data.subset(np.arange(46, 146))
 
     def assert_agrees(self, field, expect):
-        # measured: WM within 2.0e-6 relative (Frobenius) on this model, 3.4e-6
-        # from the float64 checkpoint, and 1.4e-6 to 4.7e-6 over seeds 3-7.
+        # measured: WM within 2.3e-6 relative (Frobenius) on this model, 4.0e-6
+        # from the float64 checkpoint, and 1.6e-6 to 5.1e-6 over seeds 3-7.
         # Batchnorm divides each channel by its standard deviation, so float32
         # rounding grows where a channel barely varies: this model's smallest
-        # variance is 1.3e-4 (1.8e-5 at seed 6).
+        # variance is 1.3e-4 (2.0e-5 at seed 6).
         for t, ref in expect.items():
             assert np.linalg.norm(field.coeffs[t] - ref) <= 5e-6 * np.linalg.norm(ref)
             live = np.any(ref != 0, axis=1)
-            assert live.sum() == 100
+            assert live.sum() == 99
             assert np.array_equal(np.any(field.coeffs[t] != 0, axis=1), live)
 
     def test_same_weights_agree_with_float64(self, trained):

@@ -512,6 +512,22 @@ class TestCliPipeline:
         assert "'seed'" in lines[0] and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("seed, code", [(2**128 - 1, 0), (2**128, 2), (2**200, 2)])
+    def test_seed_must_fit_the_philox_key(self, tmp_path, capsys, seed, code):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(json.dumps({**SIM_CONFIG, "seed": seed}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == code
+        captured = capsys.readouterr()
+        if code:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: config: ")
+            assert "'seed'" in lines[0] and "2**128" in lines[0]
+            assert captured.out == "" and not out.exists()
+        else:
+            assert json.loads(captured.out)["seed"] == seed
+
     @pytest.mark.parametrize("case", [
         # values that crashed, trained nothing or trained uphill
         '{"max_epochs": 0}', '{"batch_size": 0}', '{"batch_size": -4}', '{"poly_order": -1}',

@@ -12,10 +12,10 @@ from test_harmonics import eval_sh
 
 
 # ---------------------------------------------------------------------------
-# References: the per-voxel generator, the gradient scheme and the response
-# fit as they were before they were batched. Datasets and responses written
-# before then have their bytes, so the batched code must reproduce them
-# exactly.
+# References: a per-voxel generator over the simulator's Philox layout (one
+# generator per voxel and lane, drawing through the same numpy ufuncs), and
+# the gradient scheme and the response fit as they were before they were
+# batched. The batched code must reproduce each of them exactly.
 
 
 def reference_simulate_voxel(fibers, tissue_fractions, gradients, tensor_params=None):
@@ -39,53 +39,74 @@ def reference_simulate_voxel(fibers, tissue_fractions, gradients, tensor_params=
     return out
 
 
-def reference_add_rician_noise(samples, sigma, rng_seed):
-    samples = np.asarray(samples, dtype=np.float64)
-    if sigma == 0:
-        return np.abs(samples)
-    rng = np.random.default_rng(rng_seed)
-    e1 = rng.normal(0.0, sigma, samples.shape)
-    e2 = rng.normal(0.0, sigma, samples.shape)
-    return np.sqrt((samples + e1) ** 2 + e2**2)
+def reference_uniforms(seed, stream, lane, voxel, n):
+    """One voxel's n uniforms of a lane, from its own Philox at [voxel * blocks, lane, stream, 0]."""
+    blocks = -(-n // 4)
+    gen = np.random.Philox(key=[seed % 2**64, seed >> 64],
+                           counter=[voxel * blocks, lane, stream, 0])
+    return (gen.random_raw(4 * blocks)[:n] >> 11) * 2.0**-53
 
 
-def reference_draw_voxel(config, rng):
-    n_fib = 1 + rng.choice(3, p=np.asarray(config.fiber_count_probs, float))
+def reference_normals(u):
+    """Box-Muller on 2m uniforms: m cosine normals, then m sine normals."""
+    m = len(u) // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[:m]))
+    theta = 2 * np.pi * u[m:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+
+
+def reference_flat_dirichlet(u):
+    """k unit exponentials over their sum, added left to right."""
+    e = -np.log1p(-u)
+    total = 0.0
+    for x in e:
+        total += x
+    return e / total
+
+
+def reference_draw_voxel(config, vox):
+    """One voxel's axes, fiber and tissue fractions, and its axis and fraction attempts."""
+    seed = config.seed
+    u = reference_uniforms(seed, 202, 0, vox, 6)
+    cdf = np.cumsum(config.fiber_count_probs)
+    n_fib = 1 + int(np.searchsorted(cdf / cdf[-1], u[0], side="right"))
+    attempts = [0, 0]
     while True:
-        dirs = rng.standard_normal((n_fib, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        if n_fib == 1:
-            break
-        dots = np.abs(dirs @ dirs.T)
-        iu = np.triu_indices(len(dirs), 1)
-        angles = np.degrees(np.arccos(np.clip(dots[iu], -1, 1)))
-        if angles.min() >= config.min_crossing_angle_deg:
+        z = reference_normals(reference_uniforms(seed, 202, 1 + 2 * attempts[0], vox, 10))
+        dirs = np.array([row / np.linalg.norm(row) for row in z[:9].reshape(3, 3)[:n_fib]])
+        attempts[0] += 1
+        angles = [np.degrees(np.arccos(np.clip(abs(dirs[i] @ dirs[j]), -1, 1)))
+                  for i in range(n_fib) for j in range(i + 1, n_fib)]
+        if n_fib == 1 or min(angles) >= config.min_crossing_angle_deg:
             break
     while True:
-        fracs = rng.dirichlet(np.ones(n_fib))
-        if fracs.min() >= config.min_fiber_fraction or n_fib == 1:
+        u_fracs = reference_uniforms(seed, 202, 2 + 2 * attempts[1], vox, 3)
+        fracs = reference_flat_dirichlet(u_fracs[:n_fib])
+        attempts[1] += 1
+        if n_fib == 1 or fracs.min() >= config.min_fiber_fraction:
             break
     if config.tissues == 1:
         tissue = np.array([1.0, 0.0, 0.0])
-    elif rng.random() < config.pure_voxel_prob:
+    elif u[1] < config.pure_voxel_prob:
         tissue = np.zeros(3)
-        tissue[rng.choice(3)] = 1.0
+        tissue[int(3 * u[2])] = 1.0
     else:
-        tissue = rng.dirichlet(np.ones(3))
-    return dirs, fracs, tissue
+        tissue = reference_flat_dirichlet(u[3:])
+    return dirs, fracs, tissue, attempts
 
 
 def reference_generate_batch(config, gradients, voxel_indices):
-    """(signals, fibers, fiber_fractions, tissue_fractions), one voxel at a time."""
+    """(signals, fibers, fiber_fractions, tissue_fractions, attempts), one voxel at a time."""
     n = len(voxel_indices)
     fibers = np.zeros((n, 3, 3))
     fiber_fracs = np.zeros((n, 3))
     tissue_fracs = np.zeros((n, 3))
     signals = np.zeros((n, gradients.total_samples))
+    attempts = []
     sigma = 0.0 if not config.snr else 1.0 / config.snr
     for row, vox in enumerate(voxel_indices):
-        rng = np.random.default_rng([config.seed, 202, int(vox)])
-        dirs, fracs, tissue = reference_draw_voxel(config, rng)
+        dirs, fracs, tissue, tries = reference_draw_voxel(config, int(vox))
+        attempts.append(tries)
         k = 0 if tissue[0] == 0.0 else len(dirs)
         fibers[row, :k] = dirs[:k]
         fiber_fracs[row, :k] = fracs[:k]
@@ -93,10 +114,12 @@ def reference_generate_batch(config, gradients, voxel_indices):
         clean = reference_simulate_voxel(list(zip(dirs, fracs)), tissue, gradients,
                                          config.tensor)
         for b in gradients.keys:
-            signals[row, gradients.columns(b)] = reference_add_rician_noise(
-                clean[b], sigma, [config.seed, 303, int(vox), int(b)]
-            )
-    return signals, fibers, fiber_fracs, tissue_fracs
+            signals[row, gradients.columns(b)] = clean[b]
+        if sigma:
+            m = gradients.total_samples
+            z = reference_normals(reference_uniforms(config.seed, 303, 0, int(vox), 2 * m))
+            signals[row] = np.sqrt((signals[row] + sigma * z[:m]) ** 2 + (sigma * z[m:]) ** 2)
+    return signals, fibers, fiber_fracs, tissue_fracs, attempts
 
 
 def reference_generate_gradients(n, seed):
@@ -325,30 +348,29 @@ class TestSimulateVoxel:
 
 
 class TestRicianNoise:
-    def table(self, n):
-        return sm.GradientTable([], {}, b0_count=n)
-
     def test_sigma_zero_identity(self):
         s = np.array([[-1.0, 0.0, 2.0]])
-        assert np.array_equal(sm.rician_noise(s, 0.0, 1, [0], self.table(3)), np.abs(s))
+        assert np.array_equal(sm.rician_noise(s, 0.0, 1, [0]), np.abs(s))
 
     def test_rayleigh_mean(self):
         # oracle: zero signal gives Rayleigh samples with mean sigma*sqrt(pi/2)
         sigma = 0.1
-        out = sm.rician_noise(np.zeros((1000, 100)), sigma, 42, np.arange(1000),
-                              self.table(100))
+        out = sm.rician_noise(np.zeros((1000, 100)), sigma, 42, np.arange(1000))
         assert out.mean() == pytest.approx(sigma * np.sqrt(np.pi / 2), rel=0.02)
 
     def test_deterministic(self):
         table = make_table(16, shells=(1000.0, 2000.0), b0=2)
         s = np.linspace(0, 1, 5 * table.total_samples).reshape(5, -1)
-        a = sm.rician_noise(s, 0.05, 1, [4, 9, 0, 7, 2], table)
-        b = sm.rician_noise(s[[3, 0]], 0.05, 1, [7, 4], table)
+        a = sm.rician_noise(s, 0.05, 1, [4, 9, 0, 7, 2])
+        b = sm.rician_noise(s[[3, 0]], 0.05, 1, [7, 4])
         assert np.array_equal(b, a[[3, 0]])
+        out = np.empty_like(s)
+        assert sm.rician_noise(s, 0.05, 1, [4, 9, 0, 7, 2], out=out) is out
+        assert np.array_equal(out, a)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(InvalidArgumentError, match="sigma"):
-            sm.rician_noise(np.zeros((1, 3)), -0.1, 1, [0], self.table(3))
+            sm.rician_noise(np.zeros((1, 3)), -0.1, 1, [0])
 
 
 class TestGradients:
@@ -432,57 +454,48 @@ class TestSampleLayout:
         assert batch.shell(0).shape == (3, 2)
 
 
-class TestStreamEntropy:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5])
-    def test_same_state_as_int_list(self, seed):
-        voxels, bvals = [5, 0, 2**32 - 1], [0, 3000]
-        words = sm._stream_entropy(seed, 303, np.array(voxels)[:, None], bvals)
-        assert words.shape[:2] == (3, 2) and words.dtype == np.uint32
-        for row, vox in zip(words, voxels):
-            for entry, b in zip(row, bvals):
-                expect = np.random.default_rng([seed, 303, vox, b]).bit_generator.state
-                assert np.random.default_rng(entry).bit_generator.state == expect
+class TestPhiloxStreams:
+    VOXEL_LISTS = {
+        "contiguous": np.arange(7, 40),
+        "shuffled": np.array([57, 3, 12, 40, 3, 0]),
+        # gaps wider than a drawn-and-dropped one, so several generators
+        "gaps": np.array([9, 0, 1, 2, 5000, 5001, 10**6, 4999]),
+        "empty": np.zeros(0, np.int64),
+    }
 
-    def test_seed_split_least_significant_word_first(self):
-        assert sm._stream_entropy(2**40 + 7, 202, [9]).tolist() == [[7, 256, 202, 9]]
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**128 - 1])
+    @pytest.mark.parametrize("kind", list(VOXEL_LISTS))
+    def test_words_match_numpy_philox(self, kind, seed):
+        voxels = self.VOXEL_LISTS[kind]
+        for lane, n in [(0, 6), (3, 10), (0, 3), (1, 4), (0, 194)]:
+            got = sm._philox_words(seed, 303, lane, voxels, n)
+            blocks = -(-n // 4)
+            assert got.shape == (len(voxels), n) and got.dtype == np.uint64
+            for row, vox in zip(got, voxels):
+                gen = np.random.Philox(key=seed, counter=[int(vox) * blocks, lane, 303, 0])
+                assert np.array_equal(row, gen.random_raw(4 * blocks)[:n])
 
-    @pytest.mark.parametrize("seed, part", [(-1, 0), (0, -1), (0, 2**32)])
-    def test_rejects_entries_that_do_not_fit(self, seed, part):
+    def test_key_is_the_seed_least_significant_word_first(self):
+        seed = 2**64 * 9 + 7
+        gen = np.random.Philox(key=[7, 9], counter=[0, 0, 202, 0])
+        assert np.array_equal(sm._philox_words(seed, 202, 0, [0], 4)[0], gen.random_raw(4))
+
+    def test_chunk_boundaries(self):
+        # a batch past one chunk, and a batch of voxels on either side of it
+        config = sm.SimConfig(shells=[1000.0], gradients_per_shell=8, n_voxels=2,
+                              split=(2, 0, 0), seed=11, tissues=3)
+        table = sm.build_gradient_table(config)
+        full = sm.generate_batch(config, table, np.arange(sm._CHUNK + 5))
+        voxels = [sm._CHUNK + 4, sm._CHUNK - 1, sm._CHUNK, 0]
+        part = sm.generate_batch(config, table, voxels)
+        assert np.array_equal(part.signals, full.signals[voxels])
+        assert np.array_equal(part.fibers, full.fibers[voxels])
+        assert np.array_equal(part.redraws, full.redraws[voxels])
+
+    @pytest.mark.parametrize("seed, voxel", [(-1, 0), (2**128, 0), (0, -1)])
+    def test_rejects_seeds_and_voxels_out_of_range(self, seed, voxel):
         with pytest.raises(InvalidArgumentError):
-            sm._stream_entropy(seed, 202, [part])
-
-
-class TestBulkSeeding:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("fill", ["zeros", "ones", "random"])
-    def test_same_state_as_default_rng(self, k, fill):
-        # rows of 5 and 6 words take the hash's extra mixing loop past the pool of 4
-        rows = {"zeros": np.zeros((3, k), np.uint32),
-                "ones": np.full((3, k), 0xFFFFFFFF, np.uint32),
-                "random": np.random.default_rng(k).integers(0, 2**32, (40, k), np.uint32)}[fill]
-        got = [rng.bit_generator.state for rng in sm._streams(rows)]
-        assert got == [np.random.default_rng(row).bit_generator.state for row in rows]
-
-    def test_states_past_one_chunk(self):
-        rows = sm._stream_entropy(2**64 + 5, 303, np.arange(sm._STREAM_CHUNK + 3))
-        assert rows.shape[1] == 5
-        got = [rng.bit_generator.state for rng in sm._streams(rows)]
-        assert len(got) == len(rows)
-        for i in (0, sm._STREAM_CHUNK - 1, sm._STREAM_CHUNK, len(rows) - 1):
-            assert got[i] == np.random.default_rng(rows[i]).bit_generator.state
-
-    def test_streams_draw_what_default_rng_draws(self):
-        # integers(0, 3) leaves half a 64-bit draw buffered in the bit generator;
-        # the next stream must not start from it
-        rows = sm._stream_entropy(3, 202, np.arange(4))
-        for row, rng in zip(rows, sm._streams(rows)):
-            fresh = np.random.default_rng(row)
-            assert np.array_equal(rng.standard_normal(5), fresh.standard_normal(5))
-            assert rng.integers(0, 3) == fresh.integers(0, 3)
-            assert rng.random() == fresh.random()
-
-    def test_empty_block(self):
-        assert list(sm._streams(np.zeros((0, 3), np.uint32))) == []
+            sm._philox_words(seed, 202, 0, [3, voxel], 4)
 
 
 class TestBatchGeneration:
@@ -499,8 +512,8 @@ class TestBatchGeneration:
         base.update(kw)
         return sm.SimConfig(**base)
 
-    # the 7 cases at seed 7, then again at a seed past 2**64, whose entropy
-    # rows are 5 words (voxels) and 6 words (noise), past the hash's pool of 4
+    # the 7 cases at seed 7, then again at a seed past 2**64, whose key
+    # fills both of Philox's key words
     @pytest.mark.parametrize("case", [dict(case, seed=seed) for seed in (7, 2**64 + 5) for case in [
         dict(tissues=1, snr=30, b0_count=1, gradients_per_shell=32),
         dict(tissues=3, snr=30, b0_count=0, gradients_per_shell=8,
@@ -524,31 +537,19 @@ class TestBatchGeneration:
                 assert np.array_equal(a, b)
 
     def test_redraws_count_rejected_draws(self):
-        class Counting:
-            def __init__(self, rng):
-                self.rng, self.calls = rng, {"standard_normal": 0, "dirichlet": 0}
-
-            def __getattr__(self, name):
-                if name in self.calls:
-                    self.calls[name] += 1
-                return getattr(self.rng, name)
-
         config = self.config(n_voxels=60, split=(40, 10, 10), min_fiber_fraction=0.3)
         table = sm.build_gradient_table(config)
         batch = sm.generate_batch(config, table, np.arange(60))
-        expect = []
-        for v in range(60):
-            rng = Counting(np.random.default_rng([config.seed, 202, v]))
-            reference_draw_voxel(config, rng)  # 1 tissue: every draw is an axis or fraction
-            expect.append(sum(rng.calls.values()) - 2)
+        attempts = reference_generate_batch(config, table, np.arange(60))[-1]
+        expect = [axes + fractions - 2 for axes, fractions in attempts]
         assert batch.redraws.tolist() == expect
         assert sum(expect) > 0
         assert batch.subset([3, 1]).redraws.tolist() == [expect[3], expect[1]]
 
     def test_memory_peak(self):
         # one 5000-voxel batch of 3 shells x 32 gradients, 3 tissues, SNR 30:
-        # measured 13.95 MB, and 20.4 MB when each stream built its own
-        # generator and the noise was one (2, V, samples) array
+        # measured 10.17 MB in chunks of 1024 voxels, 13.95 MB when the draws
+        # looped over voxels and the noise over b-value keys
         config = self.config(shells=[1000.0, 2000.0, 3000.0], tissues=3, n_voxels=5000,
                              split=(5000, 0, 0))
         table = sm.build_gradient_table(config)
@@ -559,7 +560,33 @@ class TestBatchGeneration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 12e6
+
+    def test_draw_distributions(self):
+        # 5000 voxels of 97 samples; each bound is 4 standard errors. Measured
+        # at seed 7: the cosine and sine noise means at 1.6 and -3.0 standard
+        # errors (over seeds 1-20 those scores spread with a standard
+        # deviation of 0.85 and 1.10), their variances at -0.2 and 0.4, the
+        # mean squared magnitude at 0.1 and the fiber-count frequencies at
+        # -0.4, 0.7 and -0.5
+        n_vox, sigma = 5000, 1 / 30
+        config = self.config(shells=[1000.0, 2000.0, 3000.0], n_voxels=n_vox,
+                             split=(n_vox, 0, 0))
+        table = sm.build_gradient_table(config)
+        n = table.total_samples
+        m = n_vox * n
+        voxels = np.arange(n_vox)
+        noise = sigma * sm._box_muller(sm._uniforms(config.seed, 303, 0, voxels, 2 * n))
+        for e in (noise[:, :n], noise[:, n:]):
+            assert abs(e.mean()) < 4 * sigma / np.sqrt(m)
+            assert abs(e.var() - sigma**2) < 4 * sigma**2 * np.sqrt(2 / m)
+        # at a clean signal of 0 the magnitude squared is sigma^2 chi^2 with 2 degrees
+        out = sm.rician_noise(np.zeros((n_vox, n)), sigma, config.seed, voxels)
+        assert abs((out**2).mean() - 2 * sigma**2) < 4 * 2 * sigma**2 / np.sqrt(m)
+        batch = sm.generate_batch(config, table, voxels)
+        freq = np.bincount(batch.n_fibers(), minlength=4)[1:] / n_vox
+        p = np.array(config.fiber_count_probs)
+        assert np.all(np.abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n_vox))
 
     def test_crossing_angle_floor(self):
         config = self.config(n_voxels=60, split=(40, 10, 10))
@@ -567,9 +594,32 @@ class TestBatchGeneration:
         batch = sm.generate_batch(config, table, np.arange(60))
         for v in range(60):
             k = batch.n_fibers()[v]
-            if k >= 2:
-                angles = sm._axis_angles_deg(batch.fibers[v, :k])
-                assert angles.min() >= config.min_crossing_angle_deg
+            for i in range(k):
+                for j in range(i + 1, k):
+                    dot = abs(batch.fibers[v, i] @ batch.fibers[v, j])
+                    assert np.degrees(np.arccos(min(dot, 1.0))) >= config.min_crossing_angle_deg
+
+    @pytest.mark.parametrize("k, floor", [(2, 0.45), (3, 0.3)])
+    def test_fiber_fraction_floor(self, k, floor):
+        probs = tuple(float(i == k - 1) for i in range(3))
+        config = self.config(n_voxels=200, split=(200, 0, 0), fiber_count_probs=probs,
+                             min_fiber_fraction=floor)
+        batch = sm.generate_batch(config, sm.build_gradient_table(config), np.arange(200))
+        assert np.all(batch.n_fibers() == k)
+        fracs = batch.fiber_fractions[:, :k]
+        assert fracs.min() >= floor and np.all(batch.fiber_fractions[:, k:] == 0)
+        assert np.abs(fracs.sum(axis=1) - 1).max() < 1e-12
+        assert batch.redraws.sum() > 0
+
+    def test_pure_voxels_hold_one_tissue(self):
+        config = self.config(n_voxels=200, split=(200, 0, 0), tissues=3, pure_voxel_prob=1.0)
+        batch = sm.generate_batch(config, sm.build_gradient_table(config), np.arange(200))
+        tissue = batch.tissue_fractions
+        assert np.all(np.sort(tissue, axis=1) == [0.0, 0.0, 1.0])
+        assert np.all(np.bincount(tissue.argmax(axis=1), minlength=3) > 40)
+        wm = tissue[:, 0] == 1.0
+        assert np.all(batch.n_fibers()[wm] >= 1) and np.all(batch.fibers[~wm] == 0)
+        assert np.all(batch.fiber_fractions[~wm] == 0)
 
     def test_order_independent(self):
         config = self.config()
