@@ -460,7 +460,6 @@ class TestPhiloxStreams:
         "shuffled": np.array([57, 3, 12, 40, 3, 0]),
         # gaps wider than a drawn-and-dropped one, so several generators
         "gaps": np.array([9, 0, 1, 2, 5000, 5001, 10**6, 4999]),
-        "empty": np.zeros(0, np.int64),
     }
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**128 - 1])
@@ -475,12 +474,51 @@ class TestPhiloxStreams:
                 gen = np.random.Philox(key=seed, counter=[int(vox) * blocks, lane, 303, 0])
                 assert np.array_equal(row, gen.random_raw(4 * blocks)[:n])
 
-    def test_key_is_the_seed_least_significant_word_first(self):
+
+class TestStreamEntropy:
+    # a stream's entropy is its Philox key: the seed as a list of two
+    # 64-bit words, least significant first
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5])
+    def test_same_state_as_int_list(self, seed):
+        voxels = [5, 0, 2**32 - 1]
+        words = sm._philox_words(seed, 303, 1, voxels, 6)
+        for row, vox in zip(words, voxels):
+            gen = np.random.Philox(key=[seed % 2**64, seed >> 64], counter=[vox * 2, 1, 303, 0])
+            assert np.array_equal(row, gen.random_raw(8)[:6])
+
+    def test_seed_split_least_significant_word_first(self):
         seed = 2**64 * 9 + 7
         gen = np.random.Philox(key=[7, 9], counter=[0, 0, 202, 0])
         assert np.array_equal(sm._philox_words(seed, 202, 0, [0], 4)[0], gen.random_raw(4))
 
-    def test_chunk_boundaries(self):
+    @pytest.mark.parametrize("seed, part", [(-1, 0), (0, -1), (2**128, 0)])
+    def test_rejects_entries_that_do_not_fit(self, seed, part):
+        with pytest.raises(InvalidArgumentError):
+            sm._philox_words(seed, 202, 0, [3, part], 4)
+
+
+class TestBulkSeeding:
+    # one Philox generator draws a whole run of voxels; each voxel's uniforms
+    # must be what default_rng on that voxel's own Philox draws
+    @staticmethod
+    def own_generator(seed, stream, lane, voxel, n):
+        counter = [int(voxel) * -(-n // 4), lane, stream, 0]
+        return np.random.default_rng(np.random.Philox(key=seed, counter=counter))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("fill", ["zeros", "ones", "random"])
+    def test_same_state_as_default_rng(self, k, fill):
+        # 5 and 6 draws take each voxel past its first 4-word Philox block
+        rng = np.random.default_rng(k)
+        seeds = {"zeros": [0], "ones": [2**128 - 1],
+                 "random": [int.from_bytes(rng.bytes(16), "little") for _ in range(3)]}[fill]
+        voxels = np.array([4, 0, 1, 2, 2])
+        for seed in seeds:
+            got = sm._uniforms(seed, 202, k, voxels, k)
+            for row, vox in zip(got, voxels):
+                assert np.array_equal(row, self.own_generator(seed, 202, k, vox, k).random(k))
+
+    def test_states_past_one_chunk(self):
         # a batch past one chunk, and a batch of voxels on either side of it
         config = sm.SimConfig(shells=[1000.0], gradients_per_shell=8, n_voxels=2,
                               split=(2, 0, 0), seed=11, tissues=3)
@@ -492,10 +530,24 @@ class TestPhiloxStreams:
         assert np.array_equal(part.fibers, full.fibers[voxels])
         assert np.array_equal(part.redraws, full.redraws[voxels])
 
-    @pytest.mark.parametrize("seed, voxel", [(-1, 0), (2**128, 0), (0, -1)])
-    def test_rejects_seeds_and_voxels_out_of_range(self, seed, voxel):
-        with pytest.raises(InvalidArgumentError):
-            sm._philox_words(seed, 202, 0, [3, voxel], 4)
+    def test_streams_draw_what_default_rng_draws(self):
+        # shuffled voxels, a repeat, and gaps that start new generators
+        voxels = np.array([10**6, 9, 0, 1, 5000, 1, 4999])
+        for n in (2, 7, 194):
+            got = sm._uniforms(3, 303, 0, voxels, n)
+            assert got.min() >= 0.0 and got.max() < 1.0
+            for row, vox in zip(got, voxels):
+                assert np.array_equal(row, self.own_generator(3, 303, 0, vox, n).random(n))
+
+    def test_empty_block(self):
+        words = sm._philox_words(5, 202, 0, np.zeros(0, np.int64), 6)
+        assert words.shape == (0, 6) and words.dtype == np.uint64
+        config = sm.SimConfig(shells=[1000.0], gradients_per_shell=8, n_voxels=2,
+                              split=(2, 0, 0), seed=5, tissues=3, snr=30)
+        table = sm.build_gradient_table(config)
+        batch = sm.generate_batch(config, table, [])
+        assert batch.signals.shape == (0, table.total_samples)
+        assert batch.redraws.shape == (0,)
 
 
 class TestBatchGeneration:
