@@ -162,12 +162,18 @@ class EsdModel:
 
     def _block(self, tape, name, x, lvl, training, skip=None):
         """conv, batchnorm and ReLU; with a skip, x is the coarser level,
-        unpooled onto the skip's vertices and joined to its channels."""
+        unpooled onto the skip's vertices and joined to its channels.
+
+        The conv is the last forward reader of x and skip, so their values
+        are released here if they can be rebuilt (block outputs on a tape).
+        """
         w = self.params[f"{name}_w"]
         if skip is None:
             h = ad.graph_conv(tape, x, w, self.laps[lvl])
         else:
             h = ad.unpool_conv(tape, x, skip, w, self.laps[lvl])
+            skip.release()
+        x.release()
         return ad.batchnorm(  # includes the block's ReLU
             tape, h, self.params[f"{name}_gamma"], self.params[f"{name}_beta"],
             self.bn[name], training,
@@ -178,7 +184,10 @@ class EsdModel:
         N = len(self.vertices) network vertices.
 
         In training mode without a tape, the forward is a statistics pass
-        (see precise_statistics).
+        (see precise_statistics). On a tape, the tape pins each conv
+        block's conv output, which its batchnorm's backward keeps; the
+        block's output is released once its last forward reader has run
+        and rebuilt from the conv output when backward reads it.
         """
         config = self.config
         skips = []
@@ -194,8 +203,9 @@ class EsdModel:
             h = self._block(tape, f"dec{lvl}_1", h, lvl, training)
         if config.tissues == 1:  # WM alone: one more conv block
             return self._block(tape, "head", h, 0, training)
-        h = ad.graph_conv(tape, h, self.params["head_w"], self.laps[0])
-        return ad.scale(tape, ad.softplus(tape, h), _HEAD_GAIN)
+        head = ad.graph_conv(tape, h, self.params["head_w"], self.laps[0])
+        h.release()
+        return ad.scale(tape, ad.softplus(tape, head), _HEAD_GAIN)
 
     def precise_statistics(self, x: np.ndarray, batches):
         """Set each block's statistics to the mean of its train-mode batch
@@ -358,6 +368,11 @@ def _summarize(config, sums, n):
     return out
 
 
+def _live_voxels(out: ad.Tensor) -> int:
+    """The number of voxels whose WM output is not all zero."""
+    return int(np.count_nonzero(np.any(out.values[:, :, 0] != 0, axis=0)))
+
+
 def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
     """Eval-mode loss over a split, summed then normalized per voxel.
 
@@ -371,7 +386,7 @@ def _epoch_loss(model, ctx, x_all, targets, indices, batch_size):
         out = model.forward(None, x, training=False)
         _, terms = esd_loss(None, model, out, targets[idx], ctx)
         sums += [terms["reconstruction"], terms["sparsity"], terms["negativity"]]
-        live += int(np.count_nonzero(np.any(out.values[:, :, 0] != 0, axis=0)))
+        live += _live_voxels(out)
     n = max(len(indices), 1)
     return dict(_summarize(model.config, sums, n), live_frac=live / n)
 
@@ -412,6 +427,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
         t0 = time.perf_counter()
         order = np.random.default_rng([config.seed, 13, epoch]).permutation(n_train)
         train_sums = np.zeros(3)
+        train_live = 0
         norms = []
         batches = [order[lo : lo + config.batch_size]
                    for lo in range(0, n_train, config.batch_size)]
@@ -419,6 +435,7 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
             tape = ad.Tape()
             x = ad.Tensor(x_train[:, idx])
             out = model.forward(tape, x, training=True)
+            train_live += _live_voxels(out)
             loss, terms = esd_loss(tape, model, out, t_train[idx], ctx)
             ad.zero_grads(params)
             tape.backward(loss)
@@ -434,7 +451,8 @@ def train(model: EsdModel, train_batch: sm.VoxelBatch, val_batch: sm.VoxelBatch,
             "epoch": epoch,
             "lr": lr,
             "val": val,
-            "train": _summarize(config, train_sums, n_train),
+            "train": dict(_summarize(config, train_sums, n_train),
+                          live_frac=train_live / max(n_train, 1)),
             "grad_norm": sum(norms) / max(len(norms), 1),
             "elapsed_ms": round(1000.0 * (time.perf_counter() - t0), 3),
         }

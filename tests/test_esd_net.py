@@ -312,7 +312,8 @@ class TestTrainInfer:
                     + model.config.lambda_nonneg * terms["negativity"]
                 )
                 assert terms["total"] == pytest.approx(recomposed, abs=1e-10)
-            assert 0 <= record["val"]["live_frac"] <= 1 and "live_frac" not in record["train"]
+            for split in ("train", "val"):
+                assert 0 <= record[split]["live_frac"] <= 1
             for key in ("grad_norm", "elapsed_ms"):
                 assert np.isfinite(record[key]) and record[key] > 0
 
@@ -332,6 +333,25 @@ class TestTrainInfer:
         per_epoch = np.array(norms).reshape(len(result.log), -1)
         for record, epoch_norms in zip(result.log, per_epoch):
             assert record["grad_norm"] == pytest.approx(epoch_norms.mean(), rel=1e-12)
+
+    def test_training_live_fraction(self, monkeypatch):
+        # the same run again; train.live_frac is the fraction of the epoch's
+        # training voxels whose train-mode WM output, on the step's tape, is
+        # not all zero
+        live = []
+        forward = en.EsdModel.forward
+
+        def spy(model, tape, x, training=False):
+            out = forward(model, tape, x, training)
+            if tape is not None:
+                live.append(np.any(out.values[:, :, 0] != 0, axis=0))
+            return out
+
+        monkeypatch.setattr(en.EsdModel, "forward", spy)
+        _, result, _, _ = self.run_train()
+        per_epoch = np.array(live).reshape(len(result.log), -1)  # 3 steps of 4 voxels
+        for record, epoch_live in zip(result.log, per_epoch):
+            assert record["train"]["live_frac"] == epoch_live.sum() / 12
 
     def test_validation_live_fraction(self):
         # an untrained network maps a zero input to zero at every layer, so
@@ -591,8 +611,10 @@ def test_model_keeps_only_the_rescaled_laplacians():
 
 def test_training_step_memory_peak():
     # one default-config step at batch 32, forward, loss and backward, under
-    # tracemalloc (numpy reports its buffers to it). Measured: 11.2 MB after
-    # the forward pass and a 17.1 MB peak; 22.2 and 33.7 MB while the network
+    # tracemalloc (numpy reports its buffers to it). Measured: 5.9 MB after
+    # the forward pass and a 10.5 MB peak; 11.2 and 17.1 MB while the tape
+    # pinned every block's ReLU output next to its conv output and the
+    # filters built (P+1)-wide power stacks; 22.2 and 33.7 MB while the network
     # ran on every vertex instead of base faces 0-5; 30.3 and 41.7 MB while the tape
     # kept each decoder level's unpooled input and int64 pool offsets; 59.5
     # and 81.1 MB in float64, 117.2 and 138.8 MB when the wide graph convs
@@ -613,10 +635,78 @@ def test_training_step_memory_peak():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert after_forward < 12.5e6, f"the tape held {after_forward / 1e6:.1f} MB after forward"
-    assert peak < 19e6, f"training step peaked at {peak / 1e6:.1f} MB"
+    assert after_forward < 6.5e6, f"the tape held {after_forward / 1e6:.1f} MB after forward"
+    assert peak < 11.5e6, f"training step peaked at {peak / 1e6:.1f} MB"
     assert not tape._records
     assert all(p.grad is not None for p in model.parameters())
+
+
+def recorded_batchnorm(monkeypatch):
+    """Patch ad.batchnorm to list (output, copy of its values) per call."""
+    calls = []
+    batchnorm = ad.batchnorm
+
+    def recorded(*args):
+        out = batchnorm(*args)
+        calls.append((out, out.values.copy()))
+        return out
+
+    monkeypatch.setattr(ad, "batchnorm", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rebuilt_block_outputs_match_the_forward_byte_for_byte(dtype, monkeypatch):
+    # on a tape every block output but the head's is released after its last
+    # forward reader; each rebuild recomputes it from the block's conv output.
+    # gamma and beta move off their initial 1 and 0, which round exactly
+    model, _, _, batch, _ = multi_tissue(1)
+    x, _ = en.network_inputs(model, batch)
+    rng = np.random.default_rng(17)
+    for name, p in model.params.items():
+        if name.endswith(("_gamma", "_beta")):
+            p.values += 0.3 * rng.standard_normal(p.values.shape).astype(np.float32)
+    if dtype == np.float64:
+        model, x = as_float64(model), x.astype(np.float64)
+    calls = recorded_batchnorm(monkeypatch)
+    model.forward(ad.Tape(), ad.Tensor(x), training=True)
+    assert len(calls) == 7
+    for out, kept in calls[:-1]:
+        assert out.values is None
+        rebuilt = out.read()
+        assert rebuilt.dtype == dtype and rebuilt.tobytes() == kept.tobytes()
+    head, kept = calls[-1]
+    assert head.values.tobytes() == kept.tobytes() and np.any(kept > 0)
+
+
+def test_tape_free_forwards_keep_nothing(monkeypatch):
+    # precise statistics, validation and infer run without a tape: a forward
+    # holds nothing beyond its output once it returns (measured: 0.5 kB more
+    # at the default config), and no block output gets a rebuild or loses
+    # its values
+    model = en.EsdModel(en.EsdConfig(), [3000.0])
+    x = ad.Tensor(np.abs(np.random.default_rng(0).standard_normal((384, 32, 1))).astype(np.float32))
+    for training in (True, False):
+        model.forward(None, x, training=training)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = model.forward(None, x, training=training)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < out.values.nbytes + 4e3, f"a tape-free forward held {held} bytes"
+
+    model, ctx, _, batch, targets = multi_tissue(1)
+    x, _ = en.network_inputs(model, batch)
+    calls = recorded_batchnorm(monkeypatch)
+    model.precise_statistics(x, [np.arange(3), np.arange(3, 5)])
+    en._epoch_loss(model, ctx, x, targets, np.arange(5), 4)
+    en.infer(model, batch)
+    assert len(calls) == 7 * (2 + 2 + 1)
+    for out, kept in calls:
+        assert out.rebuild is None and not out.requires_grad
+        assert out.values.tobytes() == kept.tobytes()
 
 
 class TestFloat32Network:
@@ -691,6 +781,10 @@ class TestFloat32Network:
         adam = ad.AdamState.for_params(params)
         tape = ad.Tape()
         out = model.forward(tape, ad.Tensor(x), training=True)
+        # the six U-Net blocks' outputs hold no values after forward;
+        # backward reads each through its rebuild
+        released = [t for t in outputs if t.values is None]
+        assert len(released) == 6 and all(t.rebuild is not None for t in released)
         loss, _ = en.esd_loss(tape, model, out, targets, ctx)
         tape.backward(loss)
         ad.adam_step(params, adam, 1e-3)
@@ -701,7 +795,7 @@ class TestFloat32Network:
         n_ops = 6 * 2 + 1 + (2 if tissues == 1 else 3)
         assert len(outputs) == n_ops
         for t in outputs + params:
-            assert t.values.dtype == np.float32 and t.grad.dtype == np.float32
+            assert t.read().dtype == np.float32 and t.grad.dtype == np.float32
         # eval mode reads the running statistics instead of batch ones
         outputs.clear()
         model.forward(None, ad.Tensor(x), training=False)

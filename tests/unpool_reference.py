@@ -4,7 +4,8 @@
 first convolution took the unpooling in: it copies each coarse vertex row
 to its 4 NESTED children, appends the skip connection's channels, and
 keeps its whole output on the tape. ``graph_conv`` of its output is what
-``autodiff.unpool_conv`` must equal bit for bit.
+``autodiff.unpool_conv`` must equal, up to the rounding of its coarse-row
+channel mix.
 """
 
 import numpy as np
